@@ -9,15 +9,18 @@ Equality statements (the Schatten-2 identity) demand both directions.  All
 inequalities here concern a degree-n polynomial with zeros z_j and critical
 points w_k; "centered" means sum z_j = 0.
 
-The batch evaluator reuses one eigendecomposition of the differentiator
-matrix and one singular value decomposition each of it and of its
-absolute-zeros counterpart; every certificate family reads off those three
-spectra, so a full audit costs three decompositions per configuration.
+The batch evaluator computes, once per configuration and up front, one
+eigendecomposition of the differentiator matrix and one singular value
+decomposition each of it and of its absolute-zeros counterpart; every
+certificate family reads off those three spectra, so a full audit costs
+three decompositions per configuration.  The tolerance pair is applied
+once, where each verdict is made.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,6 +29,7 @@ from .polyzero import ZeroConfig, critical_points_direct
 
 ABS_TOL = 1e-12
 REL_TOL = 1e-9
+_TOLS = (ABS_TOL, REL_TOL)
 
 
 @dataclass(frozen=True)
@@ -77,12 +81,12 @@ def _certify(
     p: float | None,
     lhs: float,
     rhs: float,
+    tols: tuple[float, float],
     equality: bool = False,
-    abs_tol: float = ABS_TOL,
-    rel_tol: float = REL_TOL,
 ) -> Certificate:
     lhs = float(lhs)
     rhs = float(rhs)
+    abs_tol, rel_tol = tols
     tol = max(abs_tol, rel_tol * max(abs(lhs), abs(rhs)))
     if equality:
         holds = abs(lhs - rhs) <= tol
@@ -145,51 +149,30 @@ def opnorm_constant(n: int, p: float) -> float:
     return float(((n - 2) / n) ** min(1.0 / p, 0.5))
 
 
-class _Spectra:
-    """The three spectra every certificate family reads from.
+class _Spectra(NamedTuple):
+    """What the batch evaluator reads for one configuration: the zeros, the
+    differentiator and its three spectra, all computed once, eagerly."""
 
-    Computed lazily so single-certificate calls only pay for what they use.
-    """
+    n: int
+    z: np.ndarray
+    matrix: np.ndarray
+    eigen_moduli: np.ndarray
+    sigma: np.ndarray
+    sigma_abs: np.ndarray  # of the differentiator built from |z_j|
 
-    def __init__(self, cfg: ZeroConfig):
-        self.cfg = cfg
-        self.z = cfg.as_array()
-        self._matrix = None
-        self._eigen = None
-        self._sigma = None
-        self._sigma_abs = None
 
-    @property
-    def matrix(self) -> np.ndarray:
-        if self._matrix is None:
-            self._matrix = densela.differentiator(self.cfg)
-        return self._matrix
-
-    @property
-    def eigen_moduli(self) -> np.ndarray:
-        if self._eigen is None:
-            self._eigen = densela.eigenvalues(self.matrix)
-        return np.abs(self._eigen)
-
-    @property
-    def critical_moduli(self) -> np.ndarray:
-        """|w_k| via the spectral route (sorted eigenvalues minus the
-        structural zero)."""
-        return self.eigen_moduli[:-1]
-
-    @property
-    def sigma(self) -> np.ndarray:
-        if self._sigma is None:
-            self._sigma = densela.singular_values(self.matrix)
-        return self._sigma
-
-    @property
-    def sigma_abs(self) -> np.ndarray:
-        """Singular values of the differentiator built from |z_j|."""
-        if self._sigma_abs is None:
-            cfg_abs = ZeroConfig(tuple(np.abs(self.z).astype(complex)))
-            self._sigma_abs = densela.singular_values(densela.differentiator(cfg_abs))
-        return self._sigma_abs
+def _spectra(cfg: ZeroConfig) -> _Spectra:
+    z = cfg.as_array()
+    matrix = densela.differentiator(cfg)
+    cfg_abs = ZeroConfig(tuple(np.abs(z).astype(complex)))
+    return _Spectra(
+        n=cfg.n,
+        z=z,
+        matrix=matrix,
+        eigen_moduli=np.abs(densela.eigenvalues(matrix)),
+        sigma=densela.singular_values(matrix),
+        sigma_abs=densela.singular_values(densela.differentiator(cfg_abs)),
+    )
 
 
 def schoenberg_order_p(
@@ -203,17 +186,25 @@ def schoenberg_order_p(
     """
     p = _check_order(p)
     _require_centered(cfg, "the order-p Schoenberg certificate")
-    return _schoenberg(_Spectra(cfg), p, constant_scale)
+    w_moduli = _spectral_critical_moduli(cfg)
+    return _schoenberg(cfg.n, cfg.as_array(), w_moduli, p, constant_scale, _TOLS)
 
 
-def _schoenberg(sp: _Spectra, p: float, constant_scale: float = 1.0) -> Certificate:
-    lhs = densela.lp_norm(sp.critical_moduli, p) ** p
-    rhs = (
-        constant_scale
-        * schoenberg_constant(sp.cfg.n, p)
-        * densela.lp_norm(sp.z, p) ** p
-    )
-    return _certify("schoenberg", sp.cfg.n, p, lhs, rhs)
+def _spectral_critical_moduli(cfg: ZeroConfig) -> np.ndarray:
+    return np.abs(densela.critical_points_spectral(cfg).as_array())
+
+
+def _schoenberg(
+    n: int,
+    z: np.ndarray,
+    w_moduli: np.ndarray,
+    p: float,
+    constant_scale: float,
+    tols: tuple[float, float],
+) -> Certificate:
+    lhs = densela.lp_norm(w_moduli, p) ** p
+    rhs = constant_scale * schoenberg_constant(n, p) * densela.lp_norm(z, p) ** p
+    return _certify("schoenberg", n, p, lhs, rhs, tols)
 
 
 def quartic_bounds(cfg: ZeroConfig) -> tuple[Certificate, Certificate, Certificate]:
@@ -227,22 +218,22 @@ def quartic_bounds(cfg: ZeroConfig) -> tuple[Certificate, Certificate, Certifica
     for n < 4.
     """
     _require_centered(cfg, "the quartic certificates")
-    return _quartic(_Spectra(cfg))
+    return _quartic(cfg.n, cfg.as_array(), _spectral_critical_moduli(cfg), _TOLS)
 
 
-def _quartic(sp: _Spectra) -> tuple[Certificate, Certificate, Certificate]:
-    n = sp.cfg.n
-    w = sp.critical_moduli
-    lhs = float((w**4).sum())
-    pow4 = densela.lp_norm(sp.z, 4) ** 4
-    pow2 = densela.lp_norm(sp.z, 2) ** 2
-    sum_sq = abs((sp.z**2).sum()) ** 2
+def _quartic(
+    n: int, z: np.ndarray, w_moduli: np.ndarray, tols: tuple[float, float]
+) -> tuple[Certificate, Certificate, Certificate]:
+    lhs = float((w_moduli**4).sum())
+    pow4 = densela.lp_norm(z, 4) ** 4
+    pow2 = densela.lp_norm(z, 2) ** 2
+    sum_sq = abs((z**2).sum()) ** 2
     rhs_dbs = (n - 4) / n * pow4 + 2.0 / n**2 * pow2**2
     rhs_kt = (n - 4) / n * pow4 + (pow2**2 + sum_sq) / n**2
     return (
-        _certify("quartic_dbs", n, None, lhs, rhs_dbs),
-        _certify("quartic_kt", n, None, lhs, rhs_kt),
-        _certify("quartic_dominance", n, None, rhs_kt, rhs_dbs),
+        _certify("quartic_dbs", n, None, lhs, rhs_dbs, tols),
+        _certify("quartic_kt", n, None, lhs, rhs_kt, tols),
+        _certify("quartic_dominance", n, None, rhs_kt, rhs_dbs, tols),
     )
 
 
@@ -255,17 +246,18 @@ def pereira_bound(cfg: ZeroConfig, p: float) -> Certificate:
     """
     p = _check_order(p)
     if cfg.centered:
-        return _pereira(_Spectra(cfg), p)
-    w = np.abs(critical_points_direct(cfg).as_array())
-    lhs = densela.lp_norm(w, p) ** p
-    rhs = (cfg.n - 1) / cfg.n * densela.lp_norm(cfg.as_array(), p) ** p
-    return _certify("pereira", cfg.n, p, lhs, rhs)
+        w_moduli = _spectral_critical_moduli(cfg)
+    else:
+        w_moduli = np.abs(critical_points_direct(cfg).as_array())
+    return _pereira(cfg.n, cfg.as_array(), w_moduli, p, _TOLS)
 
 
-def _pereira(sp: _Spectra, p: float) -> Certificate:
-    lhs = densela.lp_norm(sp.critical_moduli, p) ** p
-    rhs = (sp.cfg.n - 1) / sp.cfg.n * densela.lp_norm(sp.z, p) ** p
-    return _certify("pereira", sp.cfg.n, p, lhs, rhs)
+def _pereira(
+    n: int, z: np.ndarray, w_moduli: np.ndarray, p: float, tols: tuple[float, float]
+) -> Certificate:
+    lhs = densela.lp_norm(w_moduli, p) ** p
+    rhs = (n - 1) / n * densela.lp_norm(z, p) ** p
+    return _certify("pereira", n, p, lhs, rhs, tols)
 
 
 def weyl_check(m: np.ndarray, p: float) -> Certificate:
@@ -273,13 +265,15 @@ def weyl_check(m: np.ndarray, p: float) -> Certificate:
     p = _check_order(p)
     lam = densela.eigenvalues(m)
     sig = densela.singular_values(m)
-    return _weyl(np.abs(lam), sig, p)
+    return _weyl(np.abs(lam), sig, p, _TOLS)
 
 
-def _weyl(lam_moduli: np.ndarray, sigma: np.ndarray, p: float) -> Certificate:
+def _weyl(
+    lam_moduli: np.ndarray, sigma: np.ndarray, p: float, tols: tuple[float, float]
+) -> Certificate:
     lhs = densela.lp_norm(lam_moduli, p) ** p
     rhs = densela.lp_norm(sigma, p) ** p
-    return _certify("weyl", lam_moduli.size, p, lhs, rhs)
+    return _certify("weyl", lam_moduli.size, p, lhs, rhs, tols)
 
 
 def endpoint_checks(
@@ -292,17 +286,20 @@ def endpoint_checks(
     S1:          ||A||_S1 <= sqrt((n-2)/n) ||z||_1
     """
     _require_centered(cfg, "the endpoint certificates")
-    return _endpoint(_Spectra(cfg))
+    return _endpoint(_spectra(cfg), _TOLS)
 
 
-def _endpoint(sp: _Spectra) -> tuple[Certificate, Certificate, Certificate]:
-    n = sp.cfg.n
+def _endpoint(
+    sp: _Spectra, tols: tuple[float, float]
+) -> tuple[Certificate, Certificate, Certificate]:
+    n = sp.n
     sinf = _certify(
         "endpoint_sinf",
         n,
         None,
         float(sp.sigma[0]) if n else 0.0,
         densela.lp_norm(sp.z, np.inf),
+        tols,
     )
     s2 = _certify(
         "endpoint_s2",
@@ -310,6 +307,7 @@ def _endpoint(sp: _Spectra) -> tuple[Certificate, Certificate, Certificate]:
         None,
         densela.schatten_norm(sp.matrix, 2) ** 2,
         (n - 2) / n * densela.lp_norm(sp.z, 2) ** 2,
+        tols,
         equality=True,
     )
     s1 = _certify(
@@ -318,6 +316,7 @@ def _endpoint(sp: _Spectra) -> tuple[Certificate, Certificate, Certificate]:
         None,
         float(sp.sigma.sum()),
         np.sqrt((n - 2) / n) * densela.lp_norm(sp.z, 1),
+        tols,
     )
     return s1, s2, sinf
 
@@ -328,18 +327,18 @@ def esf_bounds(cfg: ZeroConfig) -> list[Certificate]:
     The sigma are the singular values of the differentiator matrix, top n-1
     of them (the smallest is structurally zero).  No centroid condition.
     """
-    return _esf(_Spectra(cfg))
+    return _esf(_spectra(cfg), _TOLS)
 
 
-def _esf(sp: _Spectra) -> list[Certificate]:
-    n = sp.cfg.n
+def _esf(sp: _Spectra, tols: tuple[float, float]) -> list[Certificate]:
+    n = sp.n
     sigma = sp.sigma[: n - 1]
     moduli = np.abs(sp.z)
     out = []
     for k in range(1, n):
         lhs = symfun.esf(sigma, k)
         rhs = (n - k) / n * symfun.esf(moduli, k)
-        out.append(_certify(f"esf_k{k}", n, None, lhs, rhs))
+        out.append(_certify(f"esf_k{k}", n, None, lhs, rhs, tols))
     return out
 
 
@@ -365,12 +364,12 @@ def sv_product_check(x: np.ndarray, d) -> list[Certificate]:
 
 def _sv_product(sig_d: np.ndarray, sig_abs: np.ndarray) -> list[Certificate]:
     n = sig_d.size
+    holds = symfun.prefix_products_hold(sig_d, sig_abs)
     floor_abs = symfun.RANK_REL_TOL * (sig_abs[0] if n else 0.0)
     out = []
     for k in range(1, n + 1):
         lhs = float(np.prod(sig_d[:k]))
         rhs = float(np.prod(sig_abs[:k]))
-        holds = _prefix_product_holds(sig_d, sig_abs, k)
         # once the prefix of the right side crosses the rank floor it is the
         # shadow of an exact zero and the quotient is meaningless
         rhs_is_noise = bool(np.any(sig_abs[:k] <= floor_abs))
@@ -383,27 +382,10 @@ def _sv_product(sig_d: np.ndarray, sig_abs: np.ndarray) -> list[Certificate]:
                 rhs=rhs,
                 slack=rhs - lhs,
                 ratio=(lhs / rhs) if rhs > 0 and not rhs_is_noise else None,
-                holds=holds,
+                holds=bool(holds[k - 1]),
             )
         )
     return out
-
-
-def _prefix_product_holds(a: np.ndarray, b: np.ndarray, k: int) -> bool:
-    """prod a[:k] <= prod b[:k] with log-space slack and zero short-circuit.
-
-    Entries below RANK_REL_TOL of their sequence's leading value count as the
-    exact zeros they shadow (both sides are rank deficient at X = Q).
-    """
-    floor_a = symfun.RANK_REL_TOL * a[0]
-    floor_b = symfun.RANK_REL_TOL * b[0]
-    if np.any(a[:k] <= floor_a):
-        return True
-    if np.any(b[:k] <= floor_b):
-        return False
-    return float(np.log(a[:k]).sum()) <= float(np.log(b[:k]).sum()) + np.log1p(
-        symfun.MAJORIZATION_REL_TOL
-    )
 
 
 def check_all(
@@ -419,8 +401,10 @@ def check_all(
     differentiator matrix) run once per entry of ``p_list``; the
     parameter-free ones (quartic pair and dominance, the three endpoint
     checks, the per-k elementary symmetric bounds, and the singular value
-    product lemma instantiated at X = Q, D = diag(z)) run once.  Results come
-    back sorted by (name, p) so reports are deterministic.
+    product lemma instantiated at X = Q, D = diag(z)) run once.  Every
+    verdict but the singular value product's, which has its own log-space
+    slack, is judged under ``abs_tol`` and ``rel_tol``.  Results come back
+    sorted by (name, p) so reports are deterministic.
     """
     _require_centered(cfg, "check_all")
     orders = sorted({float(p) for p in p_list})
@@ -428,33 +412,15 @@ def check_all(
         raise ValueError("p_list must not be empty")
     for p in orders:
         _check_order(p)
-    sp = _Spectra(cfg)
-    certs: list[Certificate] = []
-    certs.extend(_endpoint(sp))
-    certs.extend(_esf(sp))
-    certs.extend(_quartic(sp))
+    sp = _spectra(cfg)
+    tols = (abs_tol, rel_tol)
+    w_moduli = sp.eigen_moduli[:-1]  # less the structural zero
+    certs = [*_endpoint(sp, tols), *_esf(sp, tols)]
+    certs.extend(_quartic(sp.n, sp.z, w_moduli, tols))
     for p in orders:
-        certs.append(_schoenberg(sp, p, constant_scale))
-        certs.append(_pereira(sp, p))
-        certs.append(_weyl(sp.eigen_moduli, sp.sigma, p))
+        certs.append(_schoenberg(sp.n, sp.z, w_moduli, p, constant_scale, tols))
+        certs.append(_pereira(sp.n, sp.z, w_moduli, p, tols))
+        certs.append(_weyl(sp.eigen_moduli, sp.sigma, p, tols))
     # the product lemma at X = Q reuses sigma(A) and sigma over |z|
     certs.extend(_sv_product(sp.sigma, sp.sigma_abs))
-    if abs_tol != ABS_TOL or rel_tol != REL_TOL:
-        # re-judge under the caller's tolerances; the singular value product
-        # certificates keep their log-space verdict, which has its own slack
-        certs = [
-            c
-            if c.name.startswith("sv_product")
-            else _certify(
-                c.name,
-                c.n,
-                c.p,
-                c.lhs,
-                c.rhs,
-                equality=(c.name == "endpoint_s2"),
-                abs_tol=abs_tol,
-                rel_tol=rel_tol,
-            )
-            for c in certs
-        ]
     return sorted(certs, key=lambda c: (c.name, c.p if c.p is not None else -1.0))

@@ -6,9 +6,10 @@ spectrum alongside one structural zero eigenvalue.  This module builds that
 matrix and provides the spectral quantities the certificates consume:
 eigenvalues, singular values, Schatten norms and vector l^p norms.
 
-Eigenvalues come from LAPACK (Hessenberg reduction followed by shifted QR);
-singular values from a one-sided Jacobi iteration written here, preferred at
-these sizes for its high relative accuracy on graded spectra.
+Eigenvalues come from LAPACK (Hessenberg reduction followed by shifted QR),
+singular values from LAPACK's divide-and-conquer SVD; each is the one
+numerical path for its quantity.  LAPACK rescales inputs of extreme
+magnitude itself, so nothing is prescaled here.
 """
 
 from __future__ import annotations
@@ -16,10 +17,6 @@ from __future__ import annotations
 import numpy as np
 
 from .polyzero import CriticalSet, ZeroConfig
-
-_JACOBI_SWEEPS = 30
-_JACOBI_TOL = 4e-16
-_PRESCALE_RANGE = (1e-6, 1e6)
 
 
 class ConvergenceError(ArithmeticError):
@@ -64,22 +61,6 @@ def _check_square(m: np.ndarray) -> np.ndarray:
     return m
 
 
-def _prescale(m: np.ndarray) -> tuple[np.ndarray, float]:
-    """Rescale by a power of two when the spectrum would leave [1e-6, 1e6].
-
-    Powers of two are exact in binary floating point, so the inverse scaling
-    afterwards perturbs nothing.
-    """
-    estimate = float(np.linalg.norm(m))  # Frobenius: within sqrt(n) of sigma_1
-    if estimate == 0.0:
-        return m, 1.0
-    lo, hi = _PRESCALE_RANGE
-    if lo <= estimate <= hi:
-        return m, 1.0
-    factor = 2.0 ** -np.round(np.log2(estimate))
-    return m * factor, factor
-
-
 def _sort_spectrum(values: np.ndarray) -> np.ndarray:
     """Nonincreasing modulus, ties by principal argument then original index."""
     order = np.lexsort((np.arange(values.size), np.angle(values), -np.abs(values)))
@@ -93,61 +74,20 @@ def eigenvalues(m: np.ndarray) -> np.ndarray:
     index, so reports are reproducible.
     """
     m = _check_square(m)
-    scaled, factor = _prescale(m)
     try:
-        values = np.linalg.eigvals(scaled)
+        values = np.linalg.eigvals(m)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"eigenvalue iteration failed: {exc}") from exc
-    return _sort_spectrum(values / factor)
+    return _sort_spectrum(values)
 
 
 def singular_values(m: np.ndarray) -> np.ndarray:
-    """Singular values by one-sided Jacobi, nonincreasing.
-
-    Cyclic sweeps orthogonalize column pairs with a complex plane rotation:
-    the pair's 2x2 Gram matrix is phase-folded to a real symmetric one and
-    annihilated by a classic Jacobi rotation.  Column norms are maintained
-    incrementally and refreshed each sweep.  Converges when every normalized
-    off-diagonal Gram entry is below a few eps.
-    """
+    """All n singular values, nonincreasing."""
     m = _check_square(m)
-    n = m.shape[0]
-    a, factor = _prescale(m)
-    a = a.copy()
-    for _ in range(_JACOBI_SWEEPS):
-        norms2 = (np.abs(a) ** 2).sum(axis=0)
-        off = 0.0
-        for i in range(n - 1):
-            for j in range(i + 1, n):
-                nii, njj = norms2[i], norms2[j]
-                if nii == 0.0 or njj == 0.0:
-                    continue
-                gij = complex(np.vdot(a[:, i], a[:, j]))
-                g = abs(gij)
-                denom = np.sqrt(nii) * np.sqrt(njj)  # split to dodge underflow
-                if g <= _JACOBI_TOL * denom:
-                    continue
-                off = max(off, g / denom)
-                tau = (njj - nii) / (2.0 * g)
-                t = np.sign(tau) / (abs(tau) + np.hypot(1.0, tau)) if tau != 0 else 1.0
-                c = 1.0 / np.hypot(1.0, t)
-                s = c * t
-                phase = gij / g
-                col_i = c * a[:, i] - s * np.conj(phase) * a[:, j]
-                col_j = s * phase * a[:, i] + c * a[:, j]
-                a[:, i] = col_i
-                a[:, j] = col_j
-                # rounding can push a collapsing column fractionally negative
-                norms2[i] = max(nii - t * g, 0.0)
-                norms2[j] = max(njj + t * g, 0.0)
-        if off <= _JACOBI_TOL:
-            break
-    else:
-        raise ConvergenceError(
-            f"one-sided Jacobi did not converge in {_JACOBI_SWEEPS} sweeps"
-        )
-    sigma = np.sqrt((np.abs(a) ** 2).sum(axis=0)) / factor
-    return np.sort(sigma)[::-1]
+    try:
+        return np.linalg.svd(m, compute_uv=False)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"singular value iteration failed: {exc}") from exc
 
 
 def lp_norm(v, p: float) -> float:
@@ -174,7 +114,7 @@ def schatten_norm(m: np.ndarray, p: float) -> float:
 
     p = 2 reduces to the Frobenius norm and is computed directly from the
     entries, which is both faster and exact to a few ulps; every other order
-    goes through the Jacobi singular values.
+    goes through the singular values.
     """
     _check_order(p)
     m = _check_square(m)

@@ -34,16 +34,33 @@ def esf(values, k: int):
     return float(e[k]) if is_real else complex(e[k])
 
 
+def prefix_products_hold(a, b) -> np.ndarray:
+    """Per-prefix verdicts prod a[:k] <= prod b[:k] for k = 1 .. len(a).
+
+    Products are compared in log space with relative slack
+    MAJORIZATION_REL_TOL.  Entries at or below RANK_REL_TOL of their
+    sequence's leading value count as the exact zeros they shadow
+    (rank-deficient inputs whose trailing singular values are pure rounding
+    noise): a prefix of a holding one is 0 and holds against anything;
+    otherwise a prefix of b holding one is 0 and fails.  Inputs are not
+    validated; see weak_log_majorization.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    zero_a = np.logical_or.accumulate(a <= RANK_REL_TOL * a[:1])
+    zero_b = np.logical_or.accumulate(b <= RANK_REL_TOL * b[:1])
+    with np.errstate(divide="ignore"):  # zeros are settled by the masks
+        logs_hold = np.cumsum(np.log(a)) <= np.cumsum(np.log(b)) + np.log1p(
+            MAJORIZATION_REL_TOL
+        )
+    return zero_a | (~zero_b & logs_hold)
+
+
 def weak_log_majorization(a, b) -> bool:
     """Whether every prefix product of a is bounded by the same prefix of b.
 
-    Both sequences must be nonincreasing and nonnegative, of equal length.
-    Products are compared in log space with relative slack
-    MAJORIZATION_REL_TOL; a zero entering a prefix makes that product 0,
-    which satisfies any comparison, so zeros short-circuit instead of
-    producing -inf arithmetic.  Entries below RANK_REL_TOL of the leading
-    value are treated as the zeros they represent, so rank-deficient inputs
-    whose trailing singular values are pure rounding noise compare sanely.
+    Both sequences must be nonincreasing and nonnegative, of equal length;
+    the verdict is that of prefix_products_hold on every prefix.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -54,21 +71,7 @@ def weak_log_majorization(a, b) -> bool:
             raise ValueError(f"sequence {name} must be nonnegative and finite")
         if np.any(np.diff(seq) > 0):
             raise ValueError(f"sequence {name} must be nonincreasing")
-    slack = np.log1p(MAJORIZATION_REL_TOL)
-    floor_a = RANK_REL_TOL * (a[0] if a.size else 0.0)
-    floor_b = RANK_REL_TOL * (b[0] if b.size else 0.0)
-    log_a = 0.0
-    log_b = 0.0
-    for ak, bk in zip(a, b):
-        if ak <= floor_a:
-            return True  # every longer prefix of a is 0 as well
-        log_a += np.log(ak)
-        if bk <= floor_b:
-            return False  # positive prefix of a against a zero prefix of b
-        log_b += np.log(bk)
-        if log_a > log_b + slack:
-            return False
-    return True
+    return bool(prefix_products_hold(a, b).all())
 
 
 def critical_esf_identity_error(moduli) -> float:

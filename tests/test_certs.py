@@ -373,6 +373,33 @@ class TestIntermediateOrderCounterexample:
         assert schatten > allowed * (1 + 1e-4)
 
 
+class TestCustomTolerances:
+    GRID = [1.0, 1.75, 2.0, 4.0]
+    WITNESS = TestIntermediateOrderCounterexample.WITNESS
+
+    def test_explicit_defaults_match_default_call(self, rng):
+        for n in (3, 5, 8):
+            cfg = centered_sample(rng, n)
+            explicit = check_all(cfg, self.GRID, abs_tol=ABS_TOL, rel_tol=REL_TOL)
+            assert explicit == check_all(cfg, self.GRID)
+
+    def test_loose_rel_tol_absorbs_the_witness(self):
+        default = {c.name: c for c in check_all(self.WITNESS, [1.75])}
+        loose = {c.name: c for c in check_all(self.WITNESS, [1.75], rel_tol=1e-2)}
+        assert not default["schoenberg"].holds
+        assert loose["schoenberg"].holds
+        assert loose["schoenberg"].ratio == default["schoenberg"].ratio
+
+    def test_sv_product_keeps_its_own_slack(self, rng):
+        def sv_rows(cfg, **tols):
+            rows = check_all(cfg, [1.75], **tols)
+            return [c for c in rows if c.name.startswith("sv_product")]
+
+        for cfg in (self.WITNESS, centered_sample(rng, 6)):
+            default = sv_rows(cfg)
+            assert default and default == sv_rows(cfg, abs_tol=ABS_TOL, rel_tol=1e-2)
+
+
 class TestInvariances:
     @staticmethod
     def ratios(cfg, p):

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from schoenberg.densela import (
+    ConvergenceError,
+    _differentiator,
     centering_projector,
     critical_points_spectral,
     differentiator,
@@ -125,13 +127,14 @@ class TestSingularValues:
         assert (sigma**2).sum() == pytest.approx(2 / 3, abs=1e-15)
 
     def test_against_lapack(self, rng):
+        # independent route: sigma_i^2 are the eigenvalues of the Hermitian m* m
         worst = 0.0
         for _ in range(60):
             n = int(rng.integers(2, 17))
             m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
             ours = singular_values(m)
-            ref = np.linalg.svd(m, compute_uv=False)
-            worst = max(worst, float(np.abs(ours - ref).max() / ref[0]))
+            ref = np.sort(np.linalg.eigvalsh(m.conj().T @ m))[::-1]
+            worst = max(worst, float(np.abs(ours**2 - ref).max() / ours[0] ** 2))
         assert worst < 1e-13
 
     def test_rank_deficiency_of_differentiator(self, rng):
@@ -148,6 +151,37 @@ class TestSingularValues:
     def test_prescale_small_matrix(self):
         sigma = singular_values(np.diag([3e-9, 2e-9]))
         np.testing.assert_allclose(sigma, [3e-9, 2e-9], rtol=1e-15)
+
+    def test_lapack_failure_is_convergence_error(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", fail)
+        with pytest.raises(ConvergenceError):
+            singular_values(np.eye(3))
+
+
+class TestScaleRange:
+    """Power-of-two scalings of the zeros from about 1e-150 to 1e150 scale
+    both spectra exactly, up to rounding relative to the leading value."""
+
+    EXPONENTS = (-498, -300, -100, -20, 20, 100, 300, 498)
+
+    @staticmethod
+    def spectra(z):
+        a = _differentiator(z)
+        return singular_values(a), np.sort(np.abs(eigenvalues(a)))[::-1]
+
+    @pytest.mark.parametrize("n", [3, 5, 8, 16])
+    def test_equivariant_across_the_exponent_range(self, rng, n):
+        for _ in range(5):
+            z = random_centered(rng, n)
+            sigma0, lam0 = self.spectra(z)
+            for k in self.EXPONENTS:
+                scale = 2.0**k
+                sigma, lam = self.spectra(z * scale)
+                assert np.abs(sigma / scale - sigma0).max() <= 1e-13 * sigma0[0], k
+                assert np.abs(lam / scale - lam0).max() <= 1e-13 * lam0[0], k
 
 
 class TestNorms:

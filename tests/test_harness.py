@@ -1,9 +1,10 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from schoenberg.certs import Certificate, schoenberg_order_p
+from schoenberg.certs import ABS_TOL, Certificate, schoenberg_order_p
 from schoenberg.harness import (
     DISTRIBUTIONS,
     AuditSpec,
@@ -111,6 +112,38 @@ class TestRunAudit:
         emit_report(r1, p1)
         emit_report(r2, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_svd_failure_recorded_not_raised(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", fail)
+        spec = AuditSpec(
+            n_values=(4,), p_grid=(2.0,), distributions=("disk",), samples_per_cell=1
+        )
+        report = run_audit(spec)
+        assert len(report.errors) == 1
+        assert report.errors[0]["error"].startswith("ConvergenceError")
+        assert report.total == 0
+
+    def test_loose_tolerances_report_no_more_violations(self):
+        spec = AuditSpec(
+            n_values=(5, 6),
+            p_grid=(1.5, 1.75, 2.0),
+            distributions=("real", "clustered"),
+            samples_per_cell=20,
+            seed=7,
+        )
+        loose_spec = dataclasses.replace(spec, tolerances=(ABS_TOL, 1e-2))
+        default = run_audit(spec)
+        loose = run_audit(loose_spec)
+        assert loose.total == default.total
+        assert default.violations  # genuine 1 < p < 2 violations at n >= 5
+        assert len(loose.violations) <= len(default.violations)
+        for entry in loose.violations:
+            assert re_evaluate_violation(entry, loose_spec) == Certificate.from_dict(
+                entry["certificate"]
+            )
 
 
 class TestSweep:

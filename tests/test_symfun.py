@@ -1,12 +1,21 @@
 from itertools import combinations
-from math import comb, prod
+from math import comb, log, log1p, prod
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from schoenberg.densela import centering_projector, differentiator, singular_values
 from schoenberg.polyzero import ZeroConfig
-from schoenberg.symfun import critical_esf_identity_error, esf, weak_log_majorization
+from schoenberg.symfun import (
+    MAJORIZATION_REL_TOL,
+    RANK_REL_TOL,
+    critical_esf_identity_error,
+    esf,
+    prefix_products_hold,
+    weak_log_majorization,
+)
 
 
 def esf_bruteforce(values, k):
@@ -115,6 +124,64 @@ class TestWeakLogMajorization:
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError):
             weak_log_majorization([1.0], [1.0, 0.5])
+
+
+def prefix_verdicts_bruteforce(a, b):
+    """Oracle: each prefix judged on its own, straight from the definition."""
+    out = []
+    for k in range(1, len(a) + 1):
+        if any(x <= RANK_REL_TOL * a[0] for x in a[:k]):
+            out.append(True)  # prod a[:k] is zero
+        elif any(y <= RANK_REL_TOL * b[0] for y in b[:k]):
+            out.append(False)  # positive against zero
+        else:
+            log_a = sum(log(x) for x in a[:k])
+            log_b = sum(log(y) for y in b[:k])
+            out.append(log_a <= log_b + log1p(MAJORIZATION_REL_TOL))
+    return out
+
+
+@st.composite
+def sequence_pairs(draw):
+    """Nonincreasing nonnegative pairs with exact zeros (all-zero sequences
+    too), entries under the rank floor, and b within a few
+    MAJORIZATION_REL_TOL of a."""
+    n = draw(st.integers(1, 10))
+
+    def sequence():
+        lead = draw(st.one_of(st.just(0.0), st.floats(1e-3, 1e3)))
+        entries = [lead]
+        for _ in range(n - 1):
+            kind = draw(st.sampled_from(("positive", "zero", "below_floor")))
+            if kind == "positive":
+                entries.append(draw(st.floats(1e-3, 1.0)) * lead)
+            elif kind == "zero":
+                entries.append(0.0)
+            else:
+                entries.append(draw(st.floats(0.0, 1.0)) * RANK_REL_TOL * lead)
+        return sorted(entries, reverse=True)
+
+    a = sequence()
+    if draw(st.booleans()):
+        b = sequence()
+    else:
+        jitter = st.floats(-3 * MAJORIZATION_REL_TOL, 3 * MAJORIZATION_REL_TOL)
+        b = sorted((x * (1.0 + draw(jitter)) for x in a), reverse=True)
+    return a, b
+
+
+class TestPrefixProductsHold:
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(sequence_pairs())
+    def test_matches_bruteforce(self, pair):
+        a, b = pair
+        got = prefix_products_hold(a, b)
+        assert got.tolist() == prefix_verdicts_bruteforce(a, b)
+        assert weak_log_majorization(a, b) == all(got)
+
+    def test_zero_prefixes(self):
+        assert prefix_products_hold([2.0, 0.0], [1.0, 1.0]).tolist() == [False, True]
+        assert prefix_products_hold([1.0, 1.0], [1.0, 0.0]).tolist() == [True, False]
 
 
 class TestCriticalEsfIdentity:
