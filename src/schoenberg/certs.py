@@ -9,12 +9,16 @@ Equality statements (the Schatten-2 identity) demand both directions.  All
 inequalities here concern a degree-n polynomial with zeros z_j and critical
 points w_k; "centered" means sum z_j = 0.
 
-The batch evaluator computes, once per configuration and up front, one
-eigendecomposition of the differentiator matrix and one singular value
-decomposition each of it and of its absolute-zeros counterpart; every
-certificate family reads off those three spectra, so a full audit costs
-three decompositions per configuration.  The tolerance pair is applied
-once, where each verdict is made.
+Every family is one formula over stacked arrays, with a leading batch axis
+of configurations: power sums over the order grid of |z|, of the eigenvalue
+moduli and of the singular values of Q diag(z) Q, elementary symmetric
+functions, and prefix products.  The columnar evaluator behind check_all
+and the audit certifies a (B, n) stack of configurations with one batched
+eigendecomposition and one batched singular value decomposition (of the
+differentiators of z and of |z|), and judges every verdict at once under
+the tolerance pair.  The single-family functions feed the same formulas
+with only the spectra their family reads.  A side that overflows to a
+non-finite value is an OverflowError, never a verdict.
 """
 
 from __future__ import annotations
@@ -30,6 +34,10 @@ from .polyzero import ZeroConfig, critical_points_direct
 ABS_TOL = 1e-12
 REL_TOL = 1e-9
 _TOLS = (ABS_TOL, REL_TOL)
+
+# the one statement judged in both directions
+_EQUALITIES = frozenset({"endpoint_s2"})
+_NOT_FINITE = "a certificate side overflowed to a non-finite value"
 
 
 @dataclass(frozen=True)
@@ -75,35 +83,6 @@ class Certificate:
         )
 
 
-def _certify(
-    name: str,
-    n: int,
-    p: float | None,
-    lhs: float,
-    rhs: float,
-    tols: tuple[float, float],
-    equality: bool = False,
-) -> Certificate:
-    lhs = float(lhs)
-    rhs = float(rhs)
-    abs_tol, rel_tol = tols
-    tol = max(abs_tol, rel_tol * max(abs(lhs), abs(rhs)))
-    if equality:
-        holds = abs(lhs - rhs) <= tol
-    else:
-        holds = lhs <= rhs + tol
-    return Certificate(
-        name=name,
-        n=n,
-        p=p,
-        lhs=lhs,
-        rhs=rhs,
-        slack=rhs - lhs,
-        ratio=(lhs / rhs) if rhs > 0 else None,
-        holds=holds,
-    )
-
-
 def _require_centered(cfg: ZeroConfig, what: str) -> None:
     if not cfg.centered:
         raise ValueError(f"{what} requires a centered configuration (sum z_j = 0)")
@@ -111,9 +90,16 @@ def _require_centered(cfg: ZeroConfig, what: str) -> None:
 
 def _check_order(p: float) -> float:
     p = float(p)
-    if p < 1:
-        raise ValueError(f"order must satisfy p >= 1, got {p}")
+    if not 1 <= p < np.inf:
+        raise ValueError(f"order must be finite and satisfy p >= 1, got {p}")
     return p
+
+
+def _check_tolerances(abs_tol: float, rel_tol: float) -> tuple[float, float]:
+    tols = (float(abs_tol), float(rel_tol))
+    if not all(np.isfinite(t) and t >= 0 for t in tols):
+        raise ValueError(f"tolerances must be finite and nonnegative, got {tols}")
+    return tols
 
 
 def schoenberg_constant(n: int, p: float) -> float:
@@ -149,30 +135,250 @@ def opnorm_constant(n: int, p: float) -> float:
     return float(((n - 2) / n) ** min(1.0 / p, 0.5))
 
 
-class _Spectra(NamedTuple):
-    """What the batch evaluator reads for one configuration: the zeros, the
-    differentiator and its three spectra, all computed once, eagerly."""
+# --- the per-family formulas, over a leading batch axis ---------------------
 
-    n: int
-    z: np.ndarray
-    matrix: np.ndarray
-    eigen_moduli: np.ndarray
-    sigma: np.ndarray
-    sigma_abs: np.ndarray  # of the differentiator built from |z_j|
+_Label = tuple[str, float | None]
 
 
-def _spectra(cfg: ZeroConfig) -> _Spectra:
-    z = cfg.as_array()
-    matrix = densela.differentiator(cfg)
-    cfg_abs = ZeroConfig(tuple(np.abs(z).astype(complex)))
-    return _Spectra(
-        n=cfg.n,
-        z=z,
-        matrix=matrix,
-        eigen_moduli=np.abs(densela.eigenvalues(matrix)),
-        sigma=densela.singular_values(matrix),
-        sigma_abs=densela.singular_values(densela.differentiator(cfg_abs)),
+class _Block(NamedTuple):
+    """Both sides of one family's columns: labels (k,), lhs and rhs (B, k)."""
+
+    labels: list[_Label]
+    lhs: np.ndarray
+    rhs: np.ndarray
+
+
+def _arithmetic():
+    # overflow and inf - inf leave non-finite sides, which become an
+    # OverflowError where certificates are made
+    return np.errstate(over="ignore", invalid="ignore")
+
+
+def _power_sums(mods: np.ndarray, orders) -> np.ndarray:
+    """densela.lp_norm(mods, p) ** p along the last axis, one column per
+    order: (..., P).  As there, the peak is factored out so that large p does
+    not underflow, and p = 1 and p = 2 are a plain sum and a root of squares.
+    """
+    exps = np.asarray(orders, dtype=float)
+    top = mods.max(axis=-1, keepdims=True)
+    scaled = mods / np.where(top > 0, top, 1.0)  # a zero row stays zero
+    norms = top * (scaled[..., None, :] ** exps[:, None]).sum(axis=-1) ** (1.0 / exps)
+    if 1.0 in orders:
+        norms[..., exps == 1] = mods.sum(axis=-1, keepdims=True)
+    if 2.0 in orders:
+        norms[..., exps == 2] = np.sqrt((mods**2).sum(axis=-1, keepdims=True))
+    return norms**exps
+
+
+def _schoenberg(n, orders, w_sums, z_sums, constant_scale) -> _Block:
+    """sum |w_k|^p <= C(n, p) sum |z_j|^p, one column per order."""
+    constants = np.array([schoenberg_constant(n, p) for p in orders])
+    return _Block(
+        [("schoenberg", p) for p in orders],
+        w_sums,
+        constant_scale * constants * z_sums,
     )
+
+
+def _pereira(n, orders, w_sums, z_sums) -> _Block:
+    """sum |w_k|^p <= ((n-1)/n) sum |z_j|^p, one column per order."""
+    return _Block([("pereira", p) for p in orders], w_sums, (n - 1) / n * z_sums)
+
+
+def _weyl(orders, lam_sums, sigma_sums) -> _Block:
+    """sum |lambda_i|^p <= sum sigma_i^p, one column per order."""
+    return _Block([("weyl", p) for p in orders], lam_sums, sigma_sums)
+
+
+def _quartic(n, z, w_mod) -> _Block:
+    """The dBS and KT quartic bounds and the dominance of KT by dBS."""
+    lhs = (w_mod**4).sum(axis=-1)
+    pow4, pow2 = np.moveaxis(_power_sums(np.abs(z), (4.0, 2.0)), -1, 0)
+    sum_sq = np.abs((z**2).sum(axis=-1)) ** 2
+    rhs_dbs = (n - 4) / n * pow4 + 2.0 / n**2 * pow2**2
+    rhs_kt = (n - 4) / n * pow4 + (pow2**2 + sum_sq) / n**2
+    return _Block(
+        [("quartic_dbs", None), ("quartic_kt", None), ("quartic_dominance", None)],
+        np.stack((lhs, lhs, rhs_kt), axis=-1),
+        np.stack((rhs_dbs, rhs_kt, rhs_dbs), axis=-1),
+    )
+
+
+def _endpoint(n, sigma, z_mod) -> _Block:
+    """S1, S2 (an equality) and S-infinity bounds on A = Q diag(z) Q."""
+    pow1, pow2 = np.moveaxis(_power_sums(z_mod, (1.0, 2.0)), -1, 0)
+    return _Block(
+        [("endpoint_s1", None), ("endpoint_s2", None), ("endpoint_sinf", None)],
+        np.stack((sigma.sum(axis=-1), (sigma**2).sum(axis=-1), sigma[..., 0]), axis=-1),
+        np.stack(
+            (np.sqrt((n - 2) / n) * pow1, (n - 2) / n * pow2, z_mod.max(axis=-1)),
+            axis=-1,
+        ),
+    )
+
+
+def _esf(n, sigma, z_mod) -> _Block:
+    """e_k(sigma_1..sigma_{n-1}) <= ((n-k)/n) e_k(|z|) for k = 1 .. n-1."""
+    # the structurally zero sigma_n is replaced by an exact zero, which leaves
+    # every e_k of the other n - 1 values unchanged
+    top = np.concatenate((sigma[..., :-1], np.zeros_like(sigma[..., :1])), axis=-1)
+    table = symfun.esf_table(np.stack((top, z_mod)))[..., 1:n]
+    k = np.arange(1, n)
+    return _Block([(f"esf_k{j}", None) for j in k], table[0], (n - k) / n * table[1])
+
+
+def _sv_product(sig_d, sig_abs) -> tuple[_Block, np.ndarray, np.ndarray]:
+    """Prefix products of sigma(X* D X) against sigma(X* |D| X).
+
+    Besides the block, returns the prefix verdicts of
+    symfun.prefix_products_hold and the ratios, missing (NaN) once the right
+    prefix has crossed the rank floor: its product is then the shadow of an
+    exact zero and the quotient is meaningless.
+    """
+    block = _Block(
+        [(f"sv_product_k{k}", None) for k in range(1, sig_d.shape[-1] + 1)],
+        np.cumprod(sig_d, axis=-1),
+        np.cumprod(sig_abs, axis=-1),
+    )
+    ratio = _ratio(block.lhs, block.rhs)
+    ratio[symfun.rank_floor_crossed(sig_abs)] = np.nan
+    return block, symfun.prefix_products_hold(sig_d, sig_abs), ratio
+
+
+def _judge(labels: list[_Label], lhs, rhs, tols) -> np.ndarray:
+    """The tolerance rule on every column at once; _EQUALITIES both ways."""
+    abs_tol, rel_tol = tols
+    tol = np.maximum(abs_tol, rel_tol * np.maximum(np.abs(lhs), np.abs(rhs)))
+    holds = lhs <= rhs + tol
+    both = [i for i, (name, _) in enumerate(labels) if name in _EQUALITIES]
+    if both:
+        holds[..., both] = np.abs(lhs[..., both] - rhs[..., both]) <= tol[..., both]
+    return holds
+
+
+def _ratio(lhs, rhs) -> np.ndarray:
+    """lhs / rhs, NaN (missing) where rhs is not positive."""
+    return np.divide(lhs, rhs, out=np.full(lhs.shape, np.nan), where=rhs > 0)
+
+
+def _certificates(n, labels, lhs, rhs, ratio, holds) -> list[Certificate]:
+    """One row of judged columns as Certificate objects."""
+    if not (np.isfinite(lhs).all() and np.isfinite(rhs).all()):
+        raise OverflowError(_NOT_FINITE)
+    return [
+        Certificate(
+            name=name,
+            n=n,
+            p=p,
+            lhs=l,
+            rhs=r,
+            slack=r - l,
+            ratio=None if q != q else q,  # NaN marks a missing ratio
+            holds=h,
+        )
+        for (name, p), l, r, q, h in zip(
+            labels, lhs.tolist(), rhs.tolist(), ratio.tolist(), holds.tolist()
+        )
+    ]
+
+
+def _single(n: int, block: _Block) -> list[Certificate]:
+    """The certificates of one configuration's family under the default
+    tolerances."""
+    holds = _judge(block.labels, block.lhs, block.rhs, _TOLS)
+    ratio = _ratio(block.lhs, block.rhs)
+    return _certificates(
+        n, block.labels, block.lhs[0], block.rhs[0], ratio[0], holds[0]
+    )
+
+
+# --- the columnar evaluator --------------------------------------------------
+
+
+class _Batch(NamedTuple):
+    """Certified columns of a stack of configurations of one order n.
+
+    The K labels come in check_all's (name, p) order; lhs, rhs, ratio (NaN
+    where missing) and holds are (B, K).  ``finite`` marks the rows whose
+    sides are all finite; the others are an OverflowError.
+    """
+
+    labels: list[_Label]
+    lhs: np.ndarray
+    rhs: np.ndarray
+    ratio: np.ndarray
+    holds: np.ndarray
+    finite: np.ndarray
+
+
+def _certify_batch(z: np.ndarray, orders, constant_scale: float, tols) -> _Batch:
+    """Every certificate of check_all for each row of the (B, n) centered
+    zeros ``z``, at the sorted ``orders``.
+
+    One batched eigendecomposition of the differentiators of z and one
+    batched SVD of those and of the differentiators of |z|; a LAPACK failure
+    anywhere in the stack raises ConvergenceError for the whole stack.
+    """
+    n = z.shape[-1]
+    with _arithmetic():
+        z_mod = np.abs(z)
+        matrices = densela._differentiator(np.stack((z, z_mod)))
+        lam = densela._eigvals(matrices[0])
+        sigma, sigma_abs = densela._svdvals(matrices)
+        # nonincreasing modulus, the moduli in the order of densela's sort
+        # key; negating twice keeps the array contiguous, so every
+        # transcendental below takes the same vector path for a stack as for
+        # a batch of one
+        lam_mod = -np.sort(-np.abs(lam), axis=-1)
+        w_mod = lam_mod[..., :-1]  # less the structural zero
+        w_sums = _power_sums(w_mod, orders)
+        z_sums, lam_sums, sigma_sums = _power_sums(
+            np.stack((z_mod, lam_mod, sigma)), orders
+        )
+        sv_block, sv_holds, sv_ratio = _sv_product(sigma, sigma_abs)
+        blocks = [
+            _endpoint(n, sigma, z_mod),
+            _esf(n, sigma, z_mod),
+            _quartic(n, z, w_mod),
+            _schoenberg(n, orders, w_sums, z_sums, constant_scale),
+            _pereira(n, orders, w_sums, z_sums),
+            _weyl(orders, lam_sums, sigma_sums),
+            sv_block,
+        ]
+        labels = [label for block in blocks for label in block.labels]
+        lhs = np.concatenate([block.lhs for block in blocks], axis=-1)
+        rhs = np.concatenate([block.rhs for block in blocks], axis=-1)
+        holds = _judge(labels, lhs, rhs, tols)
+        ratio = _ratio(lhs, rhs)
+        # the product lemma has its own log-space slack and rank floor
+        holds[:, -n:] = sv_holds
+        ratio[:, -n:] = sv_ratio
+        finite = np.isfinite(lhs).all(axis=-1) & np.isfinite(rhs).all(axis=-1)
+    order = sorted(range(len(labels)), key=lambda i: _sort_key(labels[i]))
+    return _Batch(
+        [labels[i] for i in order],
+        lhs[:, order],
+        rhs[:, order],
+        ratio[:, order],
+        holds[:, order],
+        finite,
+    )
+
+
+def _sort_key(label: _Label) -> tuple[str, float]:
+    name, p = label
+    return name, -1.0 if p is None else p
+
+
+# --- the public certificates --------------------------------------------------
+
+
+def _spectral_critical_moduli(cfg: ZeroConfig) -> np.ndarray:
+    return np.abs(densela.critical_points_spectral(cfg).as_array())
+
+
+def _differentiator_sigma(cfg: ZeroConfig) -> np.ndarray:
+    return densela.singular_values(densela.differentiator(cfg))
 
 
 def schoenberg_order_p(
@@ -184,27 +390,26 @@ def schoenberg_order_p(
     and exists purely as a fault-injection hook for audit self-tests; leave
     it at 1.0 for the actual inequality.
     """
-    p = _check_order(p)
+    return _schoenberg_orders(cfg, [p], constant_scale)[0]
+
+
+def _schoenberg_orders(
+    cfg: ZeroConfig, orders, constant_scale: float = 1.0
+) -> list[Certificate]:
+    """schoenberg_order_p at each of ``orders``, in the order given, from one
+    eigendecomposition."""
+    orders = [_check_order(p) for p in orders]
     _require_centered(cfg, "the order-p Schoenberg certificate")
-    w_moduli = _spectral_critical_moduli(cfg)
-    return _schoenberg(cfg.n, cfg.as_array(), w_moduli, p, constant_scale, _TOLS)
-
-
-def _spectral_critical_moduli(cfg: ZeroConfig) -> np.ndarray:
-    return np.abs(densela.critical_points_spectral(cfg).as_array())
-
-
-def _schoenberg(
-    n: int,
-    z: np.ndarray,
-    w_moduli: np.ndarray,
-    p: float,
-    constant_scale: float,
-    tols: tuple[float, float],
-) -> Certificate:
-    lhs = densela.lp_norm(w_moduli, p) ** p
-    rhs = constant_scale * schoenberg_constant(n, p) * densela.lp_norm(z, p) ** p
-    return _certify("schoenberg", n, p, lhs, rhs, tols)
+    w_mod = _spectral_critical_moduli(cfg)
+    with _arithmetic():
+        block = _schoenberg(
+            cfg.n,
+            orders,
+            _power_sums(w_mod[None], orders),
+            _power_sums(np.abs(cfg.as_array())[None], orders),
+            constant_scale,
+        )
+        return _single(cfg.n, block)
 
 
 def quartic_bounds(cfg: ZeroConfig) -> tuple[Certificate, Certificate, Certificate]:
@@ -218,23 +423,11 @@ def quartic_bounds(cfg: ZeroConfig) -> tuple[Certificate, Certificate, Certifica
     for n < 4.
     """
     _require_centered(cfg, "the quartic certificates")
-    return _quartic(cfg.n, cfg.as_array(), _spectral_critical_moduli(cfg), _TOLS)
-
-
-def _quartic(
-    n: int, z: np.ndarray, w_moduli: np.ndarray, tols: tuple[float, float]
-) -> tuple[Certificate, Certificate, Certificate]:
-    lhs = float((w_moduli**4).sum())
-    pow4 = densela.lp_norm(z, 4) ** 4
-    pow2 = densela.lp_norm(z, 2) ** 2
-    sum_sq = abs((z**2).sum()) ** 2
-    rhs_dbs = (n - 4) / n * pow4 + 2.0 / n**2 * pow2**2
-    rhs_kt = (n - 4) / n * pow4 + (pow2**2 + sum_sq) / n**2
-    return (
-        _certify("quartic_dbs", n, None, lhs, rhs_dbs, tols),
-        _certify("quartic_kt", n, None, lhs, rhs_kt, tols),
-        _certify("quartic_dominance", n, None, rhs_kt, rhs_dbs, tols),
-    )
+    w_mod = _spectral_critical_moduli(cfg)
+    with _arithmetic():
+        block = _quartic(cfg.n, cfg.as_array()[None], w_mod[None])
+        dbs, kt, dominance = _single(cfg.n, block)
+    return dbs, kt, dominance
 
 
 def pereira_bound(cfg: ZeroConfig, p: float) -> Certificate:
@@ -246,34 +439,29 @@ def pereira_bound(cfg: ZeroConfig, p: float) -> Certificate:
     """
     p = _check_order(p)
     if cfg.centered:
-        w_moduli = _spectral_critical_moduli(cfg)
+        w_mod = _spectral_critical_moduli(cfg)
     else:
-        w_moduli = np.abs(critical_points_direct(cfg).as_array())
-    return _pereira(cfg.n, cfg.as_array(), w_moduli, p, _TOLS)
-
-
-def _pereira(
-    n: int, z: np.ndarray, w_moduli: np.ndarray, p: float, tols: tuple[float, float]
-) -> Certificate:
-    lhs = densela.lp_norm(w_moduli, p) ** p
-    rhs = (n - 1) / n * densela.lp_norm(z, p) ** p
-    return _certify("pereira", n, p, lhs, rhs, tols)
+        w_mod = np.abs(critical_points_direct(cfg).as_array())
+    with _arithmetic():
+        block = _pereira(
+            cfg.n,
+            [p],
+            _power_sums(w_mod[None], [p]),
+            _power_sums(np.abs(cfg.as_array())[None], [p]),
+        )
+        return _single(cfg.n, block)[0]
 
 
 def weyl_check(m: np.ndarray, p: float) -> Certificate:
     """Weyl majorization certificate: sum |lambda_i|^p <= sum sigma_i^p."""
     p = _check_order(p)
-    lam = densela.eigenvalues(m)
-    sig = densela.singular_values(m)
-    return _weyl(np.abs(lam), sig, p, _TOLS)
-
-
-def _weyl(
-    lam_moduli: np.ndarray, sigma: np.ndarray, p: float, tols: tuple[float, float]
-) -> Certificate:
-    lhs = densela.lp_norm(lam_moduli, p) ** p
-    rhs = densela.lp_norm(sigma, p) ** p
-    return _certify("weyl", lam_moduli.size, p, lhs, rhs, tols)
+    lam_mod = np.abs(densela.eigenvalues(m))
+    sigma = densela.singular_values(m)
+    with _arithmetic():
+        block = _weyl(
+            [p], _power_sums(lam_mod[None], [p]), _power_sums(sigma[None], [p])
+        )
+        return _single(lam_mod.size, block)[0]
 
 
 def endpoint_checks(
@@ -286,38 +474,10 @@ def endpoint_checks(
     S1:          ||A||_S1 <= sqrt((n-2)/n) ||z||_1
     """
     _require_centered(cfg, "the endpoint certificates")
-    return _endpoint(_spectra(cfg), _TOLS)
-
-
-def _endpoint(
-    sp: _Spectra, tols: tuple[float, float]
-) -> tuple[Certificate, Certificate, Certificate]:
-    n = sp.n
-    sinf = _certify(
-        "endpoint_sinf",
-        n,
-        None,
-        float(sp.sigma[0]) if n else 0.0,
-        densela.lp_norm(sp.z, np.inf),
-        tols,
-    )
-    s2 = _certify(
-        "endpoint_s2",
-        n,
-        None,
-        densela.schatten_norm(sp.matrix, 2) ** 2,
-        (n - 2) / n * densela.lp_norm(sp.z, 2) ** 2,
-        tols,
-        equality=True,
-    )
-    s1 = _certify(
-        "endpoint_s1",
-        n,
-        None,
-        float(sp.sigma.sum()),
-        np.sqrt((n - 2) / n) * densela.lp_norm(sp.z, 1),
-        tols,
-    )
+    sigma = _differentiator_sigma(cfg)
+    with _arithmetic():
+        block = _endpoint(cfg.n, sigma[None], np.abs(cfg.as_array())[None])
+        s1, s2, sinf = _single(cfg.n, block)
     return s1, s2, sinf
 
 
@@ -327,19 +487,9 @@ def esf_bounds(cfg: ZeroConfig) -> list[Certificate]:
     The sigma are the singular values of the differentiator matrix, top n-1
     of them (the smallest is structurally zero).  No centroid condition.
     """
-    return _esf(_spectra(cfg), _TOLS)
-
-
-def _esf(sp: _Spectra, tols: tuple[float, float]) -> list[Certificate]:
-    n = sp.n
-    sigma = sp.sigma[: n - 1]
-    moduli = np.abs(sp.z)
-    out = []
-    for k in range(1, n):
-        lhs = symfun.esf(sigma, k)
-        rhs = (n - k) / n * symfun.esf(moduli, k)
-        out.append(_certify(f"esf_k{k}", n, None, lhs, rhs, tols))
-    return out
+    sigma = _differentiator_sigma(cfg)
+    with _arithmetic():
+        return _single(cfg.n, _esf(cfg.n, sigma[None], np.abs(cfg.as_array())[None]))
 
 
 def sv_product_check(x: np.ndarray, d) -> list[Certificate]:
@@ -359,33 +509,11 @@ def sv_product_check(x: np.ndarray, d) -> list[Certificate]:
     xh = x.conj().T
     sig_d = densela.singular_values(xh @ np.diag(d) @ x)
     sig_abs = densela.singular_values(xh @ np.diag(np.abs(d).astype(complex)) @ x)
-    return _sv_product(sig_d, sig_abs)
-
-
-def _sv_product(sig_d: np.ndarray, sig_abs: np.ndarray) -> list[Certificate]:
-    n = sig_d.size
-    holds = symfun.prefix_products_hold(sig_d, sig_abs)
-    floor_abs = symfun.RANK_REL_TOL * (sig_abs[0] if n else 0.0)
-    out = []
-    for k in range(1, n + 1):
-        lhs = float(np.prod(sig_d[:k]))
-        rhs = float(np.prod(sig_abs[:k]))
-        # once the prefix of the right side crosses the rank floor it is the
-        # shadow of an exact zero and the quotient is meaningless
-        rhs_is_noise = bool(np.any(sig_abs[:k] <= floor_abs))
-        out.append(
-            Certificate(
-                name=f"sv_product_k{k}",
-                n=n,
-                p=None,
-                lhs=lhs,
-                rhs=rhs,
-                slack=rhs - lhs,
-                ratio=(lhs / rhs) if rhs > 0 and not rhs_is_noise else None,
-                holds=bool(holds[k - 1]),
-            )
+    with _arithmetic():
+        block, holds, ratio = _sv_product(sig_d[None], sig_abs[None])
+        return _certificates(
+            n, block.labels, block.lhs[0], block.rhs[0], ratio[0], holds[0]
         )
-    return out
 
 
 def check_all(
@@ -404,23 +532,16 @@ def check_all(
     product lemma instantiated at X = Q, D = diag(z)) run once.  Every
     verdict but the singular value product's, which has its own log-space
     slack, is judged under ``abs_tol`` and ``rel_tol``.  Results come back
-    sorted by (name, p) so reports are deterministic.
+    sorted by (name, p) so reports are deterministic.  A side that is not
+    finite raises OverflowError.  This is the columnar evaluator on a batch
+    of one.
     """
     _require_centered(cfg, "check_all")
-    orders = sorted({float(p) for p in p_list})
+    orders = sorted({_check_order(p) for p in p_list})
     if not orders:
         raise ValueError("p_list must not be empty")
-    for p in orders:
-        _check_order(p)
-    sp = _spectra(cfg)
-    tols = (abs_tol, rel_tol)
-    w_moduli = sp.eigen_moduli[:-1]  # less the structural zero
-    certs = [*_endpoint(sp, tols), *_esf(sp, tols)]
-    certs.extend(_quartic(sp.n, sp.z, w_moduli, tols))
-    for p in orders:
-        certs.append(_schoenberg(sp.n, sp.z, w_moduli, p, constant_scale, tols))
-        certs.append(_pereira(sp.n, sp.z, w_moduli, p, tols))
-        certs.append(_weyl(sp.eigen_moduli, sp.sigma, p, tols))
-    # the product lemma at X = Q reuses sigma(A) and sigma over |z|
-    certs.extend(_sv_product(sp.sigma, sp.sigma_abs))
-    return sorted(certs, key=lambda c: (c.name, c.p if c.p is not None else -1.0))
+    tols = _check_tolerances(abs_tol, rel_tol)
+    batch = _certify_batch(cfg.as_array()[None], orders, constant_scale, tols)
+    return _certificates(
+        cfg.n, batch.labels, batch.lhs[0], batch.rhs[0], batch.ratio[0], batch.holds[0]
+    )

@@ -4,7 +4,9 @@ The map z -> Q diag(z) Q, with Q the rank-(n-1) projector onto the
 mean-zero subspace, carries the critical points of prod (z - z_j) in its
 spectrum alongside one structural zero eigenvalue.  This module builds that
 matrix and provides the spectral quantities the certificates consume:
-eigenvalues, singular values, Schatten norms and vector l^p norms.
+eigenvalues, singular values, Schatten norms and vector l^p norms.  The
+private construction and LAPACK wrappers also take stacks of matrices along
+leading axes, which the columnar evaluator in ``certs`` uses.
 
 Eigenvalues come from LAPACK (Hessenberg reduction followed by shifted QR),
 singular values from LAPACK's divide-and-conquer SVD; each is the one
@@ -45,10 +47,12 @@ def differentiator(cfg: ZeroConfig) -> np.ndarray:
 
 
 def _differentiator(z: np.ndarray) -> np.ndarray:
-    n = z.size
-    a = np.diag(z).astype(complex)
-    a -= (z[:, None] + z[None, :]) / n
-    a += z.sum() / n**2
+    """Q diag(z) Q for each row of z along the last axis: (..., n, n)."""
+    n = z.shape[-1]
+    a = np.zeros(z.shape + (n,), dtype=complex)
+    a.reshape(z.shape[:-1] + (n * n,))[..., :: n + 1] = z  # the diagonal
+    a -= (z[..., :, None] + z[..., None, :]) / n
+    a += z.sum(axis=-1, keepdims=True)[..., None] / n**2
     return a
 
 
@@ -73,17 +77,25 @@ def eigenvalues(m: np.ndarray) -> np.ndarray:
     Ties in modulus break by principal argument (ascending), then by input
     index, so reports are reproducible.
     """
-    m = _check_square(m)
-    try:
-        values = np.linalg.eigvals(m)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"eigenvalue iteration failed: {exc}") from exc
-    return _sort_spectrum(values)
+    return _sort_spectrum(_eigvals(_check_square(m)))
 
 
 def singular_values(m: np.ndarray) -> np.ndarray:
     """All n singular values, nonincreasing."""
-    m = _check_square(m)
+    return _svdvals(_check_square(m))
+
+
+def _eigvals(m: np.ndarray) -> np.ndarray:
+    """LAPACK eigenvalues of each matrix over the last two axes, unsorted."""
+    try:
+        return np.linalg.eigvals(m)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"eigenvalue iteration failed: {exc}") from exc
+
+
+def _svdvals(m: np.ndarray) -> np.ndarray:
+    """LAPACK singular values of each matrix over the last two axes,
+    nonincreasing."""
     try:
         return np.linalg.svd(m, compute_uv=False)
     except np.linalg.LinAlgError as exc:

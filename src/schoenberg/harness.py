@@ -1,6 +1,14 @@
 """Randomized audits: seeded configuration sampling, batch certificate runs,
 p-sweeps and report files.
 
+An audit samples every configuration in a fixed order (n, then
+distribution, then sample index) from counter-style seeds.  The samples of
+each n are certified together as stacked arrays by the columnar evaluator
+of ``certs``, in slices sized so that their stacked arrays hold about
+_SLICE_ENTRIES entries, and the per-key totals, pass counts, largest ratios
+and violations are aggregated with array operations in sampling order, so the
+report is the same for any slice size.
+
 Reports are written with every float rendered to 17 significant digits, which
 round-trips IEEE-754 doubles exactly, so identical audit specs produce
 byte-identical JSON.  Wall time is tracked on the in-memory report but never
@@ -24,6 +32,14 @@ DISTRIBUTIONS = ("disk", "gaussian", "real", "clustered", "roots_of_unity_pertur
 DEFAULT_P_GRID = (1.0, 1.25, 1.5, 1.75, 2.0, 2.5, 3.0, 4.0, 6.0, 10.0)
 DEFAULT_N_VALUES = (3, 4, 5, 6, 7, 8)
 
+# array entries per stacked evaluation.  A sample of order n occupies n * n
+# entries of each differentiator stack and n * P of each power-sum stack
+# over a grid of P orders, so a slice holds
+# max(1, _SLICE_ENTRIES // (n * max(n, P))) samples: the evaluator's memory
+# is bounded for any n, grid and samples_per_cell, and at n <= 16 on the
+# default grid the per-call overhead is amortized over at least 256 samples
+_SLICE_ENTRIES = 256 * 16**2
+
 
 @dataclass(frozen=True)
 class AuditSpec:
@@ -42,8 +58,14 @@ class AuditSpec:
         object.__setattr__(self, "distributions", tuple(self.distributions))
         if not self.n_values or min(self.n_values) < 2:
             raise ValueError("n_values must be nonempty with every n >= 2")
-        if not self.p_grid or min(self.p_grid) < 1:
-            raise ValueError("p_grid must be nonempty with every p >= 1")
+        if not self.p_grid or not all(np.isfinite(p) and p >= 1 for p in self.p_grid):
+            raise ValueError("p_grid must be nonempty with every p finite and >= 1")
+        if len(set(self.p_grid)) != len(self.p_grid):
+            raise ValueError(f"p_grid repeats an order: {self.p_grid}")
+        if len(self.tolerances) != 2:
+            raise ValueError("tolerances must be an (abs_tol, rel_tol) pair")
+        tolerances = certs._check_tolerances(*self.tolerances)
+        object.__setattr__(self, "tolerances", tolerances)
         for dist in self.distributions:
             if dist not in DISTRIBUTIONS:
                 raise ValueError(f"unknown distribution {dist!r}")
@@ -157,10 +179,10 @@ def _sample_seed(master: int, cell: int, index: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-def _certificate_key(cert: certs.Certificate) -> str:
-    if cert.p is None:
-        return cert.name
-    return f"{cert.name}[p={format_float(cert.p)}]"
+def _certificate_key(name: str, p: float | None) -> str:
+    if p is None:
+        return name
+    return f"{name}[p={format_float(p)}]"
 
 
 def run_audit(spec: AuditSpec, sabotage: bool = False) -> AuditReport:
@@ -172,47 +194,86 @@ def run_audit(spec: AuditSpec, sabotage: bool = False) -> AuditReport:
     ``errors`` and never abort the audit.  Deterministic in the spec.
     """
     report = AuditReport(spec=spec, sabotage=sabotage)
-    abs_tol, rel_tol = spec.tolerances
+    orders = sorted(spec.p_grid)
+    scale = 0.5 if sabotage else 1.0
     start = time.perf_counter()
-    cell = 0
-    for n in spec.n_values:
-        for dist in spec.distributions:
-            for index in range(spec.samples_per_cell):
-                cfg = sample_config(n, dist, _sample_seed(spec.seed, cell, index))
-                pairs = _zeros_to_pairs(cfg.as_array())
-                try:
-                    results = certs.check_all(
-                        cfg,
-                        spec.p_grid,
-                        constant_scale=0.5 if sabotage else 1.0,
-                        abs_tol=abs_tol,
-                        rel_tol=rel_tol,
-                    )
-                except ArithmeticError as exc:
-                    report.errors.append(
-                        {"n": n, "distribution": dist, "zeros": pairs,
-                         "error": f"{type(exc).__name__}: {exc}"}
-                    )
-                    continue
-                for cert in results:
-                    key = _certificate_key(cert)
-                    stats = report.per_certificate.setdefault(key, CertStats())
-                    stats.total += 1
-                    if cert.holds:
-                        stats.passed += 1
-                    else:
-                        report.violations.append(
-                            {"certificate": cert.to_dict(), "n": n,
-                             "distribution": dist, "zeros": pairs}
-                        )
-                    if cert.ratio is not None and (
-                        stats.max_ratio is None or cert.ratio > stats.max_ratio
-                    ):
-                        stats.max_ratio = cert.ratio
-                        stats.argmax_zeros = pairs
-            cell += 1
+    per_n = len(spec.distributions) * spec.samples_per_cell
+    for n_index, n in enumerate(spec.n_values):
+        rows = max(1, _SLICE_ENTRIES // (n * max(n, len(orders))))
+        for first in range(0, per_n, rows):
+            chunk = [
+                _sample(spec, n, n_index, i)
+                for i in range(first, min(first + rows, per_n))
+            ]
+            _certify_slice(report, n, chunk, orders, scale)
     report.wall_time_s = time.perf_counter() - start
     return report
+
+
+def _sample(spec: AuditSpec, n: int, n_index: int, i: int):
+    """(distribution, zeros) of the i-th sample of order n in sampling order:
+    distribution-major, then sample index."""
+    offset, index = divmod(i, spec.samples_per_cell)
+    cell = n_index * len(spec.distributions) + offset
+    dist = spec.distributions[offset]
+    return dist, sample_config(n, dist, _sample_seed(spec.seed, cell, index)).as_array()
+
+
+def _certify_slice(report: AuditReport, n: int, chunk, orders, scale: float) -> None:
+    """Certify the samples of one slice and fold them into the report.
+
+    A LAPACK failure fails the whole stacked evaluation, so the slice is then
+    certified one sample at a time and only the failing samples are errors.
+    """
+    try:
+        batch = certs._certify_batch(
+            np.array([z for _, z in chunk]), orders, scale, report.spec.tolerances
+        )
+    except ArithmeticError as exc:
+        if len(chunk) == 1:
+            _record_error(report, n, chunk[0], exc)
+        else:
+            for sample in chunk:
+                _certify_slice(report, n, [sample], orders, scale)
+        return
+    for sample, finite in zip(chunk, batch.finite.tolist()):
+        if not finite:
+            _record_error(report, n, sample, OverflowError(certs._NOT_FINITE))
+    rows = np.flatnonzero(batch.finite)
+    if rows.size == 0:
+        return
+    ratio = np.where(np.isnan(batch.ratio[rows]), -np.inf, batch.ratio[rows])
+    holds = batch.holds[rows]
+    best_rows = ratio.argmax(axis=0)  # the first maximum wins
+    best = ratio[best_rows, np.arange(len(batch.labels))].tolist()
+    passed = holds.sum(axis=0).tolist()
+    for col, (name, p) in enumerate(batch.labels):
+        key = _certificate_key(name, p)
+        stats = report.per_certificate.setdefault(key, CertStats())
+        stats.total += rows.size
+        stats.passed += passed[col]
+        if best[col] > -np.inf and (stats.max_ratio is None or best[col] > stats.max_ratio):
+            stats.max_ratio = best[col]
+            stats.argmax_zeros = _zeros_to_pairs(chunk[rows[best_rows[col]]][1])
+    for row in rows[~holds.all(axis=1)]:
+        dist, z = chunk[row]
+        pairs = _zeros_to_pairs(z)
+        for cert in certs._certificates(
+            n, batch.labels, batch.lhs[row], batch.rhs[row], batch.ratio[row], batch.holds[row]
+        ):
+            if not cert.holds:
+                report.violations.append(
+                    {"certificate": cert.to_dict(), "n": n, "distribution": dist,
+                     "zeros": pairs}
+                )
+
+
+def _record_error(report: AuditReport, n: int, sample, exc: ArithmeticError) -> None:
+    dist, z = sample
+    report.errors.append(
+        {"n": n, "distribution": dist, "zeros": _zeros_to_pairs(z),
+         "error": f"{type(exc).__name__}: {exc}"}
+    )
 
 
 def re_evaluate_violation(entry: dict, spec: AuditSpec) -> certs.Certificate:
@@ -237,11 +298,10 @@ class SweepRow:
 
 def sweep_p(cfg: ZeroConfig, grid) -> list[SweepRow]:
     """The order-p Schoenberg certificate evaluated across a grid of orders."""
-    rows = []
-    for p in sorted(float(p) for p in grid):
-        cert = certs.schoenberg_order_p(cfg, p)
-        rows.append(SweepRow(p=p, lhs=cert.lhs, rhs=cert.rhs, ratio=cert.ratio))
-    return rows
+    return [
+        SweepRow(p=cert.p, lhs=cert.lhs, rhs=cert.rhs, ratio=cert.ratio)
+        for cert in certs._schoenberg_orders(cfg, sorted(float(p) for p in grid))
+    ]
 
 
 # --- report rendering ------------------------------------------------------

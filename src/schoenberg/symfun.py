@@ -16,44 +16,65 @@ RANK_REL_TOL = 1e-12
 def esf(values, k: int):
     """The k-th elementary symmetric function e_k of the given values.
 
-    Computed by the incremental product recurrence (building the
-    coefficients of prod (1 + v_j t) one factor at a time), over entries
-    sorted by descending modulus to bound intermediate growth.  e_0 = 1.
-    Returns a float for real input, complex otherwise.
+    Read off esf_table; e_0 = 1.  Returns a float for real input, complex
+    otherwise.
     """
     arr = np.asarray(values)
     if not (0 <= k <= arr.size):
         raise ValueError(f"k must lie in [0, {arr.size}], got {k}")
-    is_real = not np.iscomplexobj(arr)
-    ordered = sorted(arr.tolist(), key=abs, reverse=True)
-    e = np.zeros(k + 1, dtype=float if is_real else complex)
-    e[0] = 1.0
-    for i, v in enumerate(ordered):
-        for j in range(min(i + 1, k), 0, -1):
-            e[j] += v * e[j - 1]
-    return float(e[k]) if is_real else complex(e[k])
+    e = esf_table(arr.ravel())[k]
+    return complex(e) if np.iscomplexobj(e) else float(e)
+
+
+def esf_table(values) -> np.ndarray:
+    """Every e_0 .. e_m of each row of values, along the last axis.
+
+    Computed by the incremental product recurrence (building the
+    coefficients of prod (1 + v_j t) one factor at a time), over entries
+    sorted by descending modulus to bound intermediate growth.  A row of m
+    values gives m + 1 entries; the dtype is float for real input and
+    complex otherwise.
+    """
+    arr = np.asarray(values)
+    order = np.argsort(-np.abs(arr), axis=-1, kind="stable")
+    ordered = np.take_along_axis(arr, order, axis=-1)
+    m = arr.shape[-1]
+    e = np.zeros(arr.shape[:-1] + (m + 1,), dtype=np.result_type(arr, float))
+    e[..., 0] = 1.0
+    for i in range(m):
+        # the right side is evaluated before the in-place add, so every e_j
+        # is updated from the previous step's e_(j-1)
+        e[..., 1:] += ordered[..., i, None] * e[..., :-1]
+    return e
 
 
 def prefix_products_hold(a, b) -> np.ndarray:
     """Per-prefix verdicts prod a[:k] <= prod b[:k] for k = 1 .. len(a).
 
-    Products are compared in log space with relative slack
-    MAJORIZATION_REL_TOL.  Entries at or below RANK_REL_TOL of their
-    sequence's leading value count as the exact zeros they shadow
-    (rank-deficient inputs whose trailing singular values are pure rounding
-    noise): a prefix of a holding one is 0 and holds against anything;
-    otherwise a prefix of b holding one is 0 and fails.  Inputs are not
-    validated; see weak_log_majorization.
+    Rows run along the last axis; leading axes are a batch.  Products are
+    compared in log space with relative slack MAJORIZATION_REL_TOL.  Entries
+    at or below RANK_REL_TOL of their row's leading value count as the exact
+    zeros they shadow (rank-deficient inputs whose trailing singular values
+    are pure rounding noise): a prefix of a holding one is 0 and holds
+    against anything; otherwise a prefix of b holding one is 0 and fails.
+    Inputs are not validated; see weak_log_majorization.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    zero_a = np.logical_or.accumulate(a <= RANK_REL_TOL * a[:1])
-    zero_b = np.logical_or.accumulate(b <= RANK_REL_TOL * b[:1])
+    zero_a = rank_floor_crossed(a)
+    zero_b = rank_floor_crossed(b)
     with np.errstate(divide="ignore"):  # zeros are settled by the masks
-        logs_hold = np.cumsum(np.log(a)) <= np.cumsum(np.log(b)) + np.log1p(
-            MAJORIZATION_REL_TOL
-        )
+        logs_hold = np.cumsum(np.log(a), axis=-1) <= np.cumsum(
+            np.log(b), axis=-1
+        ) + np.log1p(MAJORIZATION_REL_TOL)
     return zero_a | (~zero_b & logs_hold)
+
+
+def rank_floor_crossed(seq) -> np.ndarray:
+    """Per prefix along the last axis: whether it holds an entry at or below
+    RANK_REL_TOL of the row's leading value (the shadow of an exact zero)."""
+    seq = np.asarray(seq, dtype=float)
+    return np.logical_or.accumulate(seq <= RANK_REL_TOL * seq[..., :1], axis=-1)
 
 
 def weak_log_majorization(a, b) -> bool:
@@ -92,10 +113,7 @@ def critical_esf_identity_error(moduli) -> float:
     n = arr.size
     cfg = polyzero.ZeroConfig(tuple(complex(v) for v in arr))
     xi = polyzero.roots(polyzero.derivative(polyzero.from_roots(cfg)))
-    worst = 0.0
-    for k in range(1, n):
-        target = (n - k) / n * esf(arr, k)
-        observed = esf(xi, k)
-        err = abs(observed - target) / max(1.0, abs(target))
-        worst = max(worst, err)
-    return worst
+    k = np.arange(1, n)
+    target = (n - k) / n * esf_table(arr)[1:n]
+    observed = esf_table(xi)[1:n]
+    return float((np.abs(observed - target) / np.maximum(1.0, np.abs(target))).max())

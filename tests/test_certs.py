@@ -313,6 +313,19 @@ class TestCheckAll:
         with pytest.raises(ValueError):
             check_all(LOW3, [])
 
+    def test_infinite_and_nan_orders_rejected(self):
+        # an infinite order would certify 0 <= 0, a vacuous verdict
+        for p in (np.inf, np.nan):
+            for call in (
+                lambda: check_all(LOW3, [2.0, p]),
+                lambda: schoenberg_order_p(LOW3, p),
+                lambda: pereira_bound(LOW3, p),
+                lambda: weyl_check(np.eye(3), p),
+                lambda: schoenberg_constant(4, p),
+            ):
+                with pytest.raises(ValueError):
+                    call()
+
     def test_deterministic_order(self):
         a = check_all(LOW3, [2.0, 1.0])
         b = check_all(LOW3, [1.0, 2.0])
@@ -398,6 +411,30 @@ class TestCustomTolerances:
         for cfg in (self.WITNESS, centered_sample(rng, 6)):
             default = sv_rows(cfg)
             assert default and default == sv_rows(cfg, abs_tol=ABS_TOL, rel_tol=1e-2)
+
+
+class TestNonFiniteSides:
+    """A side that overflows is an OverflowError, never a verdict."""
+
+    GRID = [1.0, 1.75, 2.0, 4.0, 10.0]
+
+    @staticmethod
+    def scaled(n, exponent):
+        z = random_centered(np.random.default_rng(n), n) * 2.0**exponent
+        return ZeroConfig(tuple(z), centered=True)
+
+    @pytest.mark.parametrize("exponent", [150, 400, 700])
+    def test_huge_scales_raise(self, exponent):
+        for n in (3, 8):
+            with pytest.raises(OverflowError):
+                check_all(self.scaled(n, exponent), self.GRID)
+
+    @pytest.mark.parametrize("exponent", [-150, -400, -700])
+    def test_tiny_scales_still_certify(self, exponent):
+        for n in (3, 8):
+            rows = check_all(self.scaled(n, exponent), self.GRID)
+            assert rows and all(c.holds for c in rows)
+            assert all(np.isfinite(c.lhs) and np.isfinite(c.rhs) for c in rows)
 
 
 class TestInvariances:

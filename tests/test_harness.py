@@ -4,10 +4,14 @@ import json
 import numpy as np
 import pytest
 
-from schoenberg.certs import ABS_TOL, Certificate, schoenberg_order_p
+from schoenberg import harness
+from schoenberg.certs import ABS_TOL, Certificate, check_all, schoenberg_order_p
+from schoenberg.densela import differentiator
 from schoenberg.harness import (
     DISTRIBUTIONS,
     AuditSpec,
+    _certificate_key,
+    _sample_seed,
     emit_report,
     format_float,
     re_evaluate_violation,
@@ -73,6 +77,38 @@ class TestAuditSpec:
         with pytest.raises(ValueError):
             AuditSpec(samples_per_cell=0)
 
+    def test_nan_order_rejected(self):
+        # min() skips NaN, so this once passed and aborted the first sample
+        with pytest.raises(ValueError):
+            AuditSpec(p_grid=(float("nan"), 2.0))
+
+    def test_infinite_order_rejected(self):
+        # certified 0 <= 0 and wrote a bare inf that JSON readers reject
+        with pytest.raises(ValueError):
+            AuditSpec(p_grid=(float("inf"),))
+
+    def test_repeated_order_rejected(self):
+        # a repeated order would count configs, not configs x grid, per key
+        with pytest.raises(ValueError):
+            AuditSpec(p_grid=(2.0, 2.0))
+
+    def test_nan_absolute_tolerance_rejected(self):
+        with pytest.raises(ValueError):
+            AuditSpec(tolerances=(float("nan"), 1e-9))
+
+    def test_nan_relative_tolerance_rejected(self):
+        with pytest.raises(ValueError):
+            AuditSpec(tolerances=(1e-12, float("nan")))
+
+    def test_infinite_tolerance_rejected(self):
+        # would make every inequality hold
+        with pytest.raises(ValueError):
+            AuditSpec(tolerances=(1e-12, float("inf")))
+
+    def test_negative_tolerance_rejected(self):
+        with pytest.raises(ValueError):
+            AuditSpec(tolerances=(-1e-12, 1e-9))
+
 
 class TestRunAudit:
     def test_small_audit_clean(self):
@@ -124,6 +160,64 @@ class TestRunAudit:
         report = run_audit(spec)
         assert len(report.errors) == 1
         assert report.errors[0]["error"].startswith("ConvergenceError")
+        assert report.total == 0
+
+    def test_one_svd_failure_leaves_the_other_samples(self, monkeypatch):
+        spec = AuditSpec(
+            n_values=(5,),
+            p_grid=(1.5, 1.75, 2.0),
+            distributions=("disk", "real", "clustered"),
+            samples_per_cell=10,
+            seed=3,
+        )
+        clean = run_audit(spec)
+        # the 14th sample in sampling order: the "real" cell, index 3
+        chosen = sample_config(5, "real", _sample_seed(spec.seed, 1, 3))
+        target = differentiator(chosen)
+        lost = {
+            _certificate_key(c.name, c.p): c.holds
+            for c in check_all(chosen, spec.p_grid)
+        }
+        real_svd = np.linalg.svd
+
+        def svd(a, *args, **kwargs):
+            if any(np.array_equal(m, target) for m in np.reshape(a, (-1,) + target.shape)):
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return real_svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", svd)
+        report = run_audit(spec)
+        pairs = [[z.real, z.imag] for z in chosen.as_array()]
+        assert len(report.errors) == 1
+        assert report.errors[0]["zeros"] == pairs
+        assert report.errors[0]["error"].startswith("ConvergenceError")
+        # the other 29 are certified exactly as without the failure
+        assert report.violations == [v for v in clean.violations if v["zeros"] != pairs]
+        assert report.per_certificate.keys() == clean.per_certificate.keys()
+        for key, stats in report.per_certificate.items():
+            before = clean.per_certificate[key]
+            assert stats.total == before.total - 1
+            assert stats.passed == before.passed - lost[key]
+            if before.argmax_zeros != pairs:
+                assert (stats.max_ratio, stats.argmax_zeros) == (
+                    before.max_ratio,
+                    before.argmax_zeros,
+                )
+
+    @pytest.mark.parametrize("exponent", [150, 400, 700])
+    def test_overflow_recorded_per_sample(self, monkeypatch, exponent):
+        def huge(n, dist, seed):
+            z = sample_config(n, dist, seed).as_array()  # the unpatched sampler
+            return ZeroConfig(tuple(z * 2.0**exponent), centered=True)
+
+        monkeypatch.setattr(harness, "sample_config", huge)
+        spec = AuditSpec(
+            n_values=(6,), distributions=("disk",), samples_per_cell=1, seed=5
+        )
+        report = run_audit(spec)
+        assert len(report.errors) == 1
+        assert report.errors[0]["error"].startswith("OverflowError")
+        assert report.violations == []
         assert report.total == 0
 
     def test_loose_tolerances_report_no_more_violations(self):
