@@ -10,15 +10,18 @@ inequalities here concern a degree-n polynomial with zeros z_j and critical
 points w_k; "centered" means sum z_j = 0.
 
 Every family is one formula over stacked arrays, with a leading batch axis
-of configurations: power sums over the order grid of |z|, of the eigenvalue
-moduli and of the singular values of Q diag(z) Q, elementary symmetric
-functions, and prefix products.  The columnar evaluator behind check_all
-and the audit certifies a (B, n) stack of configurations with one batched
-eigendecomposition and one batched singular value decomposition (of the
-differentiators of z and of |z|), and judges every verdict at once under
-the tolerance pair.  The single-family functions feed the same formulas
-with only the spectra their family reads.  A side that overflows to a
-non-finite value is an OverflowError, never a verdict.
+of configurations: power sums, one column per order, of |z|, of the
+eigenvalue moduli and of the singular values of Q diag(z) Q, elementary
+symmetric functions, and prefix products.  The eigenvalue moduli come from
+one helper, one batched eigendecomposition and one sort, which the
+evaluator, the single-family functions and the ratio search in
+``sharpness`` all read.  The columnar evaluator behind check_all and the
+audit certifies a (B, n) stack of configurations with that helper and one
+batched singular value decomposition (of the differentiators of z and of
+|z|), and judges every verdict at once under the tolerance pair.  The
+single-family functions feed the same formulas with only the spectra their
+family reads.  A side that overflows to a non-finite value is an
+OverflowError, never a verdict.
 """
 
 from __future__ import annotations
@@ -156,18 +159,33 @@ def _arithmetic():
 
 def _power_sums(mods: np.ndarray, orders) -> np.ndarray:
     """densela.lp_norm(mods, p) ** p along the last axis, one column per
-    order: (..., P).  As there, the peak is factored out so that large p does
-    not underflow, and p = 1 and p = 2 are a plain sum and a root of squares.
+    order: (..., P).  Each column is computed on its own, so a sum does not
+    depend on which other orders are asked with it.  As in lp_norm, the peak
+    is factored out so that large p does not underflow, and p = 1 and p = 2
+    are a plain sum and a root of squares; numpy's vectorised power can
+    differ from lp_norm's scalar one in the last bit.
     """
-    exps = np.asarray(orders, dtype=float)
-    top = mods.max(axis=-1, keepdims=True)
-    scaled = mods / np.where(top > 0, top, 1.0)  # a zero row stays zero
-    norms = top * (scaled[..., None, :] ** exps[:, None]).sum(axis=-1) ** (1.0 / exps)
-    if 1.0 in orders:
-        norms[..., exps == 1] = mods.sum(axis=-1, keepdims=True)
-    if 2.0 in orders:
-        norms[..., exps == 2] = np.sqrt((mods**2).sum(axis=-1, keepdims=True))
-    return norms**exps
+    top = mods.max(axis=-1)
+    scaled = mods / np.where(top > 0, top, 1.0)[..., None]  # a zero row stays zero
+    columns = []
+    for p in orders:
+        if p == 1:
+            norm = mods.sum(axis=-1)
+        elif p == 2:
+            norm = np.sqrt((mods**2).sum(axis=-1))
+        else:
+            norm = top * (scaled**p).sum(axis=-1) ** (1.0 / p)
+        columns.append(norm**p)
+    return np.stack(columns, axis=-1)
+
+
+def _critical_moduli(z: np.ndarray) -> np.ndarray:
+    """Eigenvalue moduli of Q diag(z) Q for each row of the zeros z,
+    nonincreasing, so the structural zero comes last: (..., n)."""
+    lam = densela._eigvals(densela._differentiator(z))
+    # negating twice keeps the array contiguous, so every transcendental on
+    # the moduli takes the same vector path for a stack as for a batch of one
+    return -np.sort(-np.abs(lam), axis=-1)
 
 
 def _schoenberg(n, orders, w_sums, z_sums, constant_scale) -> _Block:
@@ -322,15 +340,9 @@ def _certify_batch(z: np.ndarray, orders, constant_scale: float, tols) -> _Batch
     n = z.shape[-1]
     with _arithmetic():
         z_mod = np.abs(z)
-        matrices = densela._differentiator(np.stack((z, z_mod)))
-        lam = densela._eigvals(matrices[0])
-        sigma, sigma_abs = densela._svdvals(matrices)
-        # nonincreasing modulus, the moduli in the order of densela's sort
-        # key; negating twice keeps the array contiguous, so every
-        # transcendental below takes the same vector path for a stack as for
-        # a batch of one
-        lam_mod = -np.sort(-np.abs(lam), axis=-1)
+        lam_mod = _critical_moduli(z)
         w_mod = lam_mod[..., :-1]  # less the structural zero
+        sigma, sigma_abs = densela._svdvals(densela._differentiator(np.stack((z, z_mod))))
         w_sums = _power_sums(w_mod, orders)
         z_sums, lam_sums, sigma_sums = _power_sums(
             np.stack((z_mod, lam_mod, sigma)), orders
@@ -373,14 +385,6 @@ def _sort_key(label: _Label) -> tuple[str, float]:
 # --- the public certificates --------------------------------------------------
 
 
-def _spectral_critical_moduli(cfg: ZeroConfig) -> np.ndarray:
-    return np.abs(densela.critical_points_spectral(cfg).as_array())
-
-
-def _differentiator_sigma(cfg: ZeroConfig) -> np.ndarray:
-    return densela.singular_values(densela.differentiator(cfg))
-
-
 def schoenberg_order_p(
     cfg: ZeroConfig, p: float, constant_scale: float = 1.0
 ) -> Certificate:
@@ -400,13 +404,13 @@ def _schoenberg_orders(
     eigendecomposition."""
     orders = [_check_order(p) for p in orders]
     _require_centered(cfg, "the order-p Schoenberg certificate")
-    w_mod = _spectral_critical_moduli(cfg)
+    z = cfg.as_array()[None]
     with _arithmetic():
         block = _schoenberg(
             cfg.n,
             orders,
-            _power_sums(w_mod[None], orders),
-            _power_sums(np.abs(cfg.as_array())[None], orders),
+            _power_sums(_critical_moduli(z)[..., :-1], orders),
+            _power_sums(np.abs(z), orders),
             constant_scale,
         )
         return _single(cfg.n, block)
@@ -423,9 +427,9 @@ def quartic_bounds(cfg: ZeroConfig) -> tuple[Certificate, Certificate, Certifica
     for n < 4.
     """
     _require_centered(cfg, "the quartic certificates")
-    w_mod = _spectral_critical_moduli(cfg)
+    z = cfg.as_array()[None]
     with _arithmetic():
-        block = _quartic(cfg.n, cfg.as_array()[None], w_mod[None])
+        block = _quartic(cfg.n, z, _critical_moduli(z)[..., :-1])
         dbs, kt, dominance = _single(cfg.n, block)
     return dbs, kt, dominance
 
@@ -438,16 +442,14 @@ def pereira_bound(cfg: ZeroConfig, p: float) -> Certificate:
     root-finding.
     """
     p = _check_order(p)
+    z = cfg.as_array()[None]
     if cfg.centered:
-        w_mod = _spectral_critical_moduli(cfg)
+        w_mod = _critical_moduli(z)[..., :-1]
     else:
-        w_mod = np.abs(critical_points_direct(cfg).as_array())
+        w_mod = np.abs(critical_points_direct(cfg).as_array())[None]
     with _arithmetic():
         block = _pereira(
-            cfg.n,
-            [p],
-            _power_sums(w_mod[None], [p]),
-            _power_sums(np.abs(cfg.as_array())[None], [p]),
+            cfg.n, [p], _power_sums(w_mod, [p]), _power_sums(np.abs(z), [p])
         )
         return _single(cfg.n, block)[0]
 
@@ -474,7 +476,7 @@ def endpoint_checks(
     S1:          ||A||_S1 <= sqrt((n-2)/n) ||z||_1
     """
     _require_centered(cfg, "the endpoint certificates")
-    sigma = _differentiator_sigma(cfg)
+    sigma = densela.singular_values(densela.differentiator(cfg))
     with _arithmetic():
         block = _endpoint(cfg.n, sigma[None], np.abs(cfg.as_array())[None])
         s1, s2, sinf = _single(cfg.n, block)
@@ -487,7 +489,7 @@ def esf_bounds(cfg: ZeroConfig) -> list[Certificate]:
     The sigma are the singular values of the differentiator matrix, top n-1
     of them (the smallest is structurally zero).  No centroid condition.
     """
-    sigma = _differentiator_sigma(cfg)
+    sigma = densela.singular_values(densela.differentiator(cfg))
     with _arithmetic():
         return _single(cfg.n, _esf(cfg.n, sigma[None], np.abs(cfg.as_array())[None]))
 

@@ -134,7 +134,7 @@ def _cmd_sharpness(args) -> int:
         "best_zeros": [[z.real, z.imag] for z in result.best_config.zeros],
     }
     sys.stdout.write(harness.dumps_report(payload))
-    if result.best_ratio > 1.0 + 1e-9:
+    if result.best_ratio > 1.0 + certs.REL_TOL:
         print("WARNING: ratio exceeds 1; this contradicts the order-p bound",
               file=sys.stderr)
         return 2
@@ -147,7 +147,7 @@ def _cmd_opnorm(args) -> int:
     )
     payload = {"n": args.n, "p": args.p, "estimate": estimate, "bound": bound}
     sys.stdout.write(harness.dumps_report(payload))
-    if estimate > bound * (1.0 + 1e-9):
+    if estimate > bound * (1.0 + certs.REL_TOL):
         print("WARNING: estimate exceeds the closed-form bound", file=sys.stderr)
         return 2
     return 0

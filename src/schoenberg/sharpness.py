@@ -6,13 +6,15 @@ each of +1/-1 (for 1 <= p <= 2).  For 1 < p < 2 the claimed constant is the
 interpolated one, refuted for n >= 5 (witness pinned in
 tests/test_certs.py::TestIntermediateOrderCounterexample), so there the
 second family attains it without being extremal; PAPER.md does not settle
-which constant the paper states.  The searches here parametrize the
-centered subspace by the first n-1 zeros (the last is minus their sum, so
-the constraint is exact by construction) and maximize either the
-certificate ratio or the Schatten-to-l^p quotient of the differentiator map
-with restarted Nelder-Mead.  Eigenvalues cross at multiplicity changes, so
-the objective is continuous but not smooth; a simplex method is the right
-tool.
+which constant the paper states.  Both searches share one routine, which
+validates the arguments, parametrizes the centered subspace by the first n-1
+zeros (the last is minus their sum, so the constraint is exact by
+construction) and runs restarted Nelder-Mead on a simplex held as arrays.
+One search maximizes the Schoenberg certificate ratio, evaluated by the
+``certs`` formulas on a batch of one, as ``ratio`` and the audit evaluate
+it; the other maximizes the Schatten-to-l^p quotient of the differentiator
+map.  Eigenvalues cross at multiplicity changes, so the objective is
+continuous but not smooth; a simplex method is the right tool.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import densela
+from . import certs, densela
 from .certs import opnorm_constant, schoenberg_constant
 from .polyzero import ZeroConfig, center
 
@@ -63,7 +65,7 @@ def extremal_low(n: int) -> ZeroConfig:
 
 
 def ratio(cfg: ZeroConfig, p: float) -> float:
-    """sum |w_k|^p divided by C(n,p) sum |z_j|^p.
+    """sum |w_k|^p divided by C(n,p) sum |z_j|^p, the order-p certificate's ratio.
 
     In [0, 1] wherever the claimed constant C(n, p) holds; for 1 < p < 2 and
     n >= 5 it is refuted and the ratio can exceed 1 (1.00168280036673 at
@@ -73,13 +75,10 @@ def ratio(cfg: ZeroConfig, p: float) -> float:
         raise ValueError("n = 2 is degenerate: the bound's right side vanishes")
     if not cfg.centered:
         raise ValueError("ratio requires a centered configuration")
-    p = float(p)
-    z = cfg.as_array()
-    denom = schoenberg_constant(cfg.n, p) * densela.lp_norm(z, p) ** p
-    if denom == 0.0:
+    value = certs._schoenberg_orders(cfg, [p])[0].ratio
+    if value is None:
         raise ValueError("all zeros vanish; the ratio is undefined")
-    w = np.abs(densela.critical_points_spectral(cfg).as_array())
-    return float(densela.lp_norm(w, p) ** p / denom)
+    return value
 
 
 def _zeros_from_coords(x: np.ndarray) -> np.ndarray:
@@ -94,59 +93,48 @@ def _coords_from_zeros(z: np.ndarray) -> np.ndarray:
     return np.concatenate([head.real, head.imag])
 
 
-def _config_from_coords(x: np.ndarray) -> ZeroConfig:
-    return center(ZeroConfig(tuple(_zeros_from_coords(x))))
-
-
 def _nelder_mead(objective, x0: np.ndarray, budget: int) -> tuple[np.ndarray, float, int]:
     """Minimize with standard simplex moves until the evaluation budget is spent.
 
-    Returns (best point, best value, evaluations used).  Collapses of the
-    simplex below the restart diameter end the run early and the remaining
-    budget flows back to the caller for another restart.
+    Returns (best point, best value, objective calls); the move that crosses
+    the budget finishes.  Collapses of the simplex below the restart diameter
+    end the run early and the remaining budget flows back to the caller for
+    another restart.
     """
     dim = x0.size
-    pts = [x0]
-    for i in range(dim):
-        step = np.zeros(dim)
-        step[i] = _NM_INIT_SCALE
-        pts.append(x0 + step)
-    used = 0
-
-    def f(x):
-        nonlocal used
-        used += 1
-        return objective(x)
-
-    values = [f(x) for x in pts]
+    pts = np.vstack((x0, x0 + _NM_INIT_SCALE * np.eye(dim)))
+    values = np.array([objective(x) for x in pts])
+    used = dim + 1
     while used < budget:
         order = np.argsort(values, kind="stable")
-        pts = [pts[i] for i in order]
-        values = [values[i] for i in order]
-        spread = max(np.linalg.norm(p - pts[0]) for p in pts[1:])
-        if spread < _NM_RESTART_DIAMETER:
+        pts, values = pts[order], values[order]
+        if np.linalg.norm(pts[1:] - pts[0], axis=1).max() < _NM_RESTART_DIAMETER:
             break
-        centroid = np.mean(pts[:-1], axis=0)
+        centroid = pts[:-1].mean(axis=0)
         reflected = centroid + _NM_REFLECT * (centroid - pts[-1])
-        fr = f(reflected)
+        fr = objective(reflected)
+        used += 1
         if values[0] <= fr < values[-2]:
             pts[-1], values[-1] = reflected, fr
             continue
         if fr < values[0]:
             expanded = centroid + _NM_EXPAND * (reflected - centroid)
-            fe = f(expanded)
+            fe = objective(expanded)
+            used += 1
             if fe < fr:
                 pts[-1], values[-1] = expanded, fe
             else:
                 pts[-1], values[-1] = reflected, fr
             continue
         contracted = centroid + _NM_CONTRACT * (pts[-1] - centroid)
-        fc = f(contracted)
+        fc = objective(contracted)
+        used += 1
         if fc < values[-1]:
             pts[-1], values[-1] = contracted, fc
             continue
-        pts = [pts[0]] + [pts[0] + _NM_SHRINK * (p - pts[0]) for p in pts[1:]]
-        values = [values[0]] + [f(p) for p in pts[1:]]
+        pts[1:] = pts[0] + _NM_SHRINK * (pts[1:] - pts[0])
+        values[1:] = [objective(x) for x in pts[1:]]
+        used += dim
     best = int(np.argmin(values))
     return pts[best], values[best], used
 
@@ -158,6 +146,70 @@ def _random_start(n: int, rng) -> np.ndarray:
     return _coords_from_zeros(full)
 
 
+def _search(n: int, p: float, budget: int, entropy, value_at, families=()):
+    """Maximize value_at(n, p), a function of n centered zeros, by restarted
+    Nelder-Mead until ``budget`` evaluations are spent.
+
+    The extremal ``families`` are evaluated up front and seed the first
+    restarts, the last first; the others start at random points drawn from
+    SeedSequence(entropy).  Returns (best coordinates, best value,
+    evaluations, restarts), not counting the up-front evaluations.
+    """
+    certs._check_order(p)
+    if n < 3:
+        raise ValueError(f"need n >= 3, got {n}")
+    if budget < 1:
+        raise ValueError("budget must be positive")
+    value = value_at(n, p)
+    rng = np.random.default_rng(np.random.SeedSequence(entropy))
+
+    def objective(x: np.ndarray) -> float:
+        z = _zeros_from_coords(x)
+        top = np.abs(z).max()
+        if top == 0.0 or not np.isfinite(top):
+            return 0.0
+        return -value(z - z.sum() / z.size)
+
+    starts = [_coords_from_zeros(family(n).as_array()) for family in families]
+    found = [(objective(x), x) for x in starts]
+    spent = 0
+    while spent < budget:
+        x0 = starts.pop() if starts else _random_start(n, rng)
+        x, fx, used = _nelder_mead(objective, x0, budget - spent)
+        spent += used
+        found.append((fx, x))
+    best_value, best_x = min(found, key=lambda pair: pair[0])  # the first of ties
+    return best_x, -best_value, spent, len(found) - len(families)
+
+
+def _schoenberg_ratio(n: int, p: float):
+    """The ratio of the order-p Schoenberg certificate as a function of n
+    centered zeros: the certs power sums on a batch of one, 0 where the
+    right side vanishes."""
+    constant = schoenberg_constant(n, p)
+
+    def value(z: np.ndarray) -> float:
+        z = z[None]
+        denom = constant * certs._power_sums(np.abs(z), [p])[0, 0]
+        if denom == 0.0:
+            return 0.0
+        return certs._power_sums(certs._critical_moduli(z)[:, :-1], [p])[0, 0] / denom
+
+    return value
+
+
+def _schatten_quotient(n: int, p: float):
+    """||Q diag(z) Q||_Sp / ||z||_p as a function of n zeros, 0 at z = 0."""
+
+    def value(z: np.ndarray) -> float:
+        norm_z = densela.lp_norm(z, p)
+        if norm_z == 0.0:
+            return 0.0
+        return densela.schatten_norm(densela._differentiator(z), p) / norm_z
+
+    return value
+
+
 def maximize_ratio(n: int, p: float, budget: int, seed: int) -> SharpnessResult:
     """Search the centered configurations for the largest order-p ratio.
 
@@ -167,37 +219,8 @@ def maximize_ratio(n: int, p: float, budget: int, seed: int) -> SharpnessResult:
     surfaced as-is for the caller to report, never clipped.
     """
     p = float(p)
-    if n < 3:
-        raise ValueError(f"need n >= 3, got {n}")
-    if p < 1:
-        raise ValueError(f"need p >= 1, got {p}")
-    if budget < 1:
-        raise ValueError("budget must be positive")
-    rng = np.random.default_rng(np.random.SeedSequence((int(seed), n)))
-
-    def objective(x: np.ndarray) -> float:
-        z = _zeros_from_coords(x)
-        top = np.abs(z).max()
-        if top == 0.0 or not np.isfinite(top):
-            return 0.0
-        zc = z - z.sum() / z.size
-        w = np.abs(densela.eigenvalues(densela._differentiator(zc))[:-1])
-        denom = schoenberg_constant(n, p) * densela.lp_norm(zc, p) ** p
-        if denom == 0.0:
-            return 0.0
-        return -(densela.lp_norm(w, p) ** p) / denom
-
-    spent = 0
-    restarts = 0
-    best_x, best_value = None, np.inf
-    while spent < budget:
-        x0 = _random_start(n, rng)
-        x, value, used = _nelder_mead(objective, x0, budget - spent)
-        spent += used
-        restarts += 1
-        if value < best_value:
-            best_x, best_value = x, value
-    best_config = _config_from_coords(best_x)
+    best_x, _, spent, restarts = _search(n, p, budget, (int(seed), n), _schoenberg_ratio)
+    best_config = center(ZeroConfig(tuple(_zeros_from_coords(best_x))))
     return SharpnessResult(
         n=n,
         p=p,
@@ -223,36 +246,7 @@ def opnorm_lower_bound(
     ((n-1)/n)^(1/p), the norm of z -> Q diag(z) Q on all of l^p.
     """
     p = float(p)
-    if n < 3:
-        raise ValueError(f"need n >= 3, got {n}")
-    if p < 1:
-        raise ValueError(f"need p >= 1, got {p}")
-    if budget < 1:
-        raise ValueError("budget must be positive")
-    rng = np.random.default_rng(np.random.SeedSequence((int(seed), n, 1)))
-
-    def quotient(z: np.ndarray) -> float:
-        norm_z = densela.lp_norm(z, p)
-        if norm_z == 0.0:
-            return 0.0
-        return densela.schatten_norm(densela._differentiator(z), p) / norm_z
-
-    def objective(x: np.ndarray) -> float:
-        z = _zeros_from_coords(x)
-        top = np.abs(z).max()
-        if top == 0.0 or not np.isfinite(top):
-            return 0.0
-        return -quotient(z - z.sum() / z.size)
-
-    seeds = [_coords_from_zeros(extremal_low(n).as_array())]
-    if n >= 4 and n % 2 == 0:
-        seeds.append(_coords_from_zeros(extremal_high(n).as_array()))
-    estimate = max(quotient(_zeros_from_coords(x)) for x in seeds)
-
-    spent = 0
-    while spent < budget:
-        x0 = seeds.pop() if seeds else _random_start(n, rng)
-        x, value, used = _nelder_mead(objective, x0, budget - spent)
-        spent += used
-        estimate = max(estimate, -value)
+    families = (extremal_low, extremal_high) if n % 2 == 0 else (extremal_low,)
+    entropy = (int(seed), n, 1)
+    _, estimate, _, _ = _search(n, p, budget, entropy, _schatten_quotient, families)
     return float(estimate), opnorm_constant(n, p)

@@ -5,7 +5,9 @@ collinear sets and power-of-two scalings.  Each row of a stack must equal the
 batch of one bit for bit, the batch of one must agree with a scalar oracle
 built from densela.lp_norm, symfun.esf and symfun.prefix_products_hold, the
 audit report must not depend on the slice size, and each single-family
-function must return exactly check_all's rows for its family.
+function must return exactly check_all's rows for its family, at every order
+of the default grid.  A power sum must not depend on which other orders are
+asked with it.
 """
 
 import numpy as np
@@ -187,7 +189,7 @@ def test_audit_bytes_do_not_depend_on_slice_size(tmp_path, monkeypatch):
 def test_single_family_functions_equal_check_all_rows(rng):
     """One implementation per certificate: each single-family function
     returns exactly the rows check_all gives for its family."""
-    grid = [1.0, 1.75, 3.0]
+    grid = DEFAULT_P_GRID
     for n in (2, 3, 5, 8):
         for _ in range(5):
             cfg = ZeroConfig(tuple(random_centered(rng, n)), centered=True)
@@ -201,3 +203,15 @@ def test_single_family_functions_equal_check_all_rows(rng):
                 ]
             for cert in singles:
                 assert cert == rows[(cert.name, cert.p)]
+
+
+def test_sweep_rows_equal_single_order_certificates():
+    """A power sum is one number per (row, p): sweep_p over the default grid
+    gives, bit for bit, the sides schoenberg_order_p gives one order at a
+    time."""
+    for n in (3, 5, 8):
+        for seed in range(300):
+            cfg = harness.sample_config(n, "disk", seed)
+            for row in harness.sweep_p(cfg, DEFAULT_P_GRID):
+                cert = schoenberg_order_p(cfg, row.p)
+                assert (row.lhs, row.rhs) == (cert.lhs, cert.rhs)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from schoenberg import certs, sharpness
 from schoenberg.certs import opnorm_constant
 from schoenberg.polyzero import centroid
 from schoenberg.sharpness import (
@@ -62,6 +63,10 @@ class TestRatio:
         with pytest.raises(ValueError):
             ratio(ZeroConfig((0.0, 1.0, 2.0)), 2.0)
 
+    def test_rejects_all_zeros(self):
+        with pytest.raises(ValueError):
+            ratio(ZeroConfig((0j,) * 4, centered=True), 1.5)
+
     def test_invariant_under_scale_rotation_permutation(self, rng):
         for _ in range(10):
             n = int(rng.integers(3, 8))
@@ -106,6 +111,33 @@ class TestMaximizeRatio:
         assert res.evaluations <= 500 + 2 * (2 * (3 - 1) + 2)
         assert res.restarts >= 1
 
+    @pytest.mark.parametrize(
+        "n, p, budget, seed, evaluations, restarts",
+        [
+            # the 12th evaluation is a reflection whose expansion finishes
+            (5, 1.75, 12, 0, 13, 1),
+            # the 101st evaluation falls inside a shrink of 2(n-1) = 4
+            (3, 1.5, 101, 0, 104, 1),
+            # the first run collapses below the restart diameter
+            (5, 1.75, 1000, 1, 1001, 2),
+        ],
+    )
+    def test_evaluations_count_every_objective_call(
+        self, monkeypatch, n, p, budget, seed, evaluations, restarts
+    ):
+        calls = []
+        moduli = certs._critical_moduli
+
+        def counted(z):
+            calls.append(1)
+            return moduli(z)
+
+        monkeypatch.setattr(certs, "_critical_moduli", counted)
+        res = maximize_ratio(n, p, budget=budget, seed=seed)
+        # one call more evaluates the ratio of the best configuration
+        assert res.evaluations == len(calls) - 1
+        assert (res.evaluations, res.restarts) == (evaluations, restarts)
+
     def test_never_exceeds_one_at_proven_orders(self, rng):
         # p = 1, p = 2 and p >= 2 have interpolation-free proofs; the search
         # must cap at the extremal value there
@@ -121,6 +153,19 @@ class TestMaximizeRatio:
         res = maximize_ratio(5, 1.75, budget=20000, seed=1)
         assert res.best_ratio > 1.0 + 1e-9
         assert ratio(res.best_config, 1.75) == pytest.approx(res.best_ratio, abs=1e-12)
+
+    @pytest.mark.parametrize("p", [np.inf, np.nan])
+    def test_rejects_bad_order_before_searching(self, monkeypatch, p):
+        calls = []
+        zeros = sharpness._zeros_from_coords
+        monkeypatch.setattr(
+            sharpness, "_zeros_from_coords", lambda x: calls.append(1) or zeros(x)
+        )
+        with pytest.raises(ValueError):
+            maximize_ratio(5, p, budget=300, seed=0)
+        with pytest.raises(ValueError):
+            opnorm_lower_bound(5, p, budget=300, seed=0)
+        assert not calls
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
