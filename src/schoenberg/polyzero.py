@@ -2,14 +2,21 @@
 
 This is the "direct" route to critical points: expand p(z) = prod (z - z_j),
 differentiate, and solve p'(w) = 0 with a simultaneous Aberth-Ehrlich
-iteration.  The companion-matrix route lives in ``densela`` and is kept
-deliberately independent of this one so the two can cross-check each other.
+iteration (Aberth, Math. Comp. 27, 1973; Bini, Numer. Algorithms 13, 1996).
+``roots`` rescales the polynomial from both sides of 1, so that its roots sit
+near the unit circle, and starts the iteration on that circle.  Each double
+precision step evaluates p, p' and the rounding majorant for every iterate
+from one matrix of powers; a short polish then re-evaluates p and p' by
+Horner's rule in 80-bit arithmetic, and falls back to the double precision
+iterate when the polished one misses the residual gate.  The spectral route
+lives in ``densela`` and is kept deliberately independent of this one so the
+two can cross-check each other.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import comb
+from math import comb, log2
 
 import numpy as np
 
@@ -149,50 +156,62 @@ def derivative(poly: Polynomial) -> Polynomial:
 def roots(poly: Polynomial) -> np.ndarray:
     """All roots of a monic polynomial, with multiplicity.
 
-    Aberth-Ehrlich simultaneous iteration in two phases:
+    The polynomial is first rescaled, z = s u, with s the geometric mean of
+    a lower bound and an upper estimate of the largest root magnitude, so
+    that the largest rescaled root lies within about sqrt(m) of the unit
+    circle whether the roots are huge or tiny.  Then Aberth-Ehrlich
+    simultaneous iteration in two phases, started on the unit circle:
 
-    1. plain double precision on the rescaled polynomial until every iterate
-       is backward stable relative to the running Horner majorant th(x) =
-       sum |b_k| |x|^k (or, for cancellation-free inputs such as z^m, small
-       against the coefficient scale);
-    2. a short polishing phase re-evaluating p(x) in 80-bit arithmetic, which
-       pushes simple roots to the conditioning floor and tightens symmetric
-       functions of clustered ones.
+    1. double precision, each step evaluating p, p' and the rounding
+       majorant th(x) = sum |b_k| |x|^k for all iterates at once from one
+       matrix of powers x^k, until every iterate is backward stable,
+       |p(x)| <= 4 m eps th(x) (or, for cancellation-free inputs such as z^m,
+       small against the coefficient scale);
+    2. up to _POLISH_ITERS steps with p and p' evaluated by Horner's rule in
+       80-bit arithmetic, which pushes simple roots to the conditioning
+       floor and tightens symmetric functions of clustered ones.
 
-    The returned points satisfy |p(x)| <= TOL_ROOT * max(scale, th(x)) on the
-    conditioned polynomial, where scale is its largest coefficient magnitude.
-    Multiple roots come back as a cluster of radius roughly eps^(1/m); they
-    are returned as found, without rounding.
+    The result satisfies |p(x)| <= TOL_ROOT * max(scale, th(x)) on the
+    rescaled polynomial, where scale is its largest coefficient magnitude
+    and p is evaluated in 80-bit arithmetic.  The polished iterate is
+    returned when it passes that gate, else the phase-1 iterate when it has
+    the lower residual and passes; otherwise RootFindingError carries the
+    lower-residual of the two.  Multiple roots come back as a cluster of
+    radius roughly eps^(1/m); they are returned as found, without rounding.
     """
     c = poly.as_array()
     m = poly.degree
     if m == 1:
         return np.array([-c[1]])
 
-    # Rescale z = s*u so the u-roots are O(1).  The max of the binomially
-    # damped magnitudes (|a_k| / C(m,k))^(1/k) is a lower bound for the
-    # largest root, the raw max an upper estimate; their geometric mean keeps
-    # the scaled roots from being crushed toward zero either way.
+    # The max of the binomially damped magnitudes (|a_k| / C(m,k))^(1/k) is a
+    # lower bound for the largest root, the raw max an upper estimate; their
+    # geometric mean keeps the rescaled roots near the unit circle.
     mags = np.abs(c[1:])
     ks = np.arange(1, m + 1)
     binom = np.array([comb(m, int(k)) for k in ks], dtype=float)
-    with np.errstate(divide="ignore"):
-        s_hi = float(np.max(mags ** (1.0 / ks), initial=0.0))
-        s_lo = float(np.max((mags / binom) ** (1.0 / ks), initial=0.0))
-    s = max(1.0, float(np.sqrt(s_hi * s_lo)))
-    b = c / s ** np.arange(m + 1)
+    s_hi = float(np.max(mags ** (1.0 / ks), initial=0.0))
+    s_lo = float(np.max((mags / binom) ** (1.0 / ks), initial=0.0))
+    # s = 2^e * f with f in [2^-1/2, 2^1/2]: dividing by f^k and then by
+    # 2^(e k) in the exponent never forms s^k, which can over- or underflow
+    # where c_k / s^k does not.
+    e, f = 0, 1.0
+    if s_hi > 0:
+        log_s = (log2(s_hi) + log2(s_lo)) / 2
+        e = round(log_s)
+        f = 2.0 ** (log_s - e)
+    k = np.arange(m + 1)
+    b = _ldexp(c / f**k, -e * k)
     scale = max(1.0, float(np.abs(b).max()))
 
-    radius = 1.0 + float(np.abs(b[1:]).max(initial=0.0))
-    x = radius * np.exp(1j * (2.0 * np.pi * np.arange(m) / m + 0.4))
-
-    best_x, best_rho = x.copy(), np.inf
+    x = np.exp(1j * (2.0 * np.pi * np.arange(m) / m + 0.4))
+    best_x, best_rho = x, np.inf
     for _ in range(MAX_ITERS):
-        p, dp, th = _horner_all(b, x)
+        p, dp, th = _power_eval(b, x)
         ap = np.abs(p)
         rho = float((ap / np.maximum(scale, th)).max())
         if rho < best_rho:
-            best_rho, best_x = rho, x.copy()
+            best_rho, best_x = rho, x
         backward_ok = ap <= 4 * m * _EPS * th
         # |p| ~ th means no cancellation is possible (e.g. a multiple root at
         # the origin); there an absolute test at the coefficient scale is the
@@ -202,51 +221,71 @@ def roots(poly: Polynomial) -> np.ndarray:
             best_x = x
             break
         x = _aberth_step(x, p, dp)
-    x = best_x
 
+    x = best_x
     for _ in range(_POLISH_ITERS):
-        p = _horner_extended(b, x)
-        _, dp, _ = _horner_all(b, x)
-        x_new = _aberth_step(x, p, dp)
+        x_new = _aberth_step(x, *_horner_extended(b, x))
         step = np.abs(x_new - x)
         x = x_new
         if np.all(step <= 4 * _EPS * (1.0 + np.abs(x))):
             break
 
-    p = _horner_extended(b, x)
-    _, _, th = _horner_all(b, x)
-    gate = np.abs(p) / np.maximum(scale, th)
-    worst = float(gate.max())
+    # The polish can wander off a converged cluster; never lose the phase-1
+    # iterate to it.
+    worst = _residual(b, x, scale)
+    if worst > TOL_ROOT:
+        fallback = _residual(b, best_x, scale)
+        if fallback < worst:
+            x, worst = best_x, fallback
     if worst > TOL_ROOT:
         raise RootFindingError(
             f"root iteration stalled at residual {worst:.3e} (> {TOL_ROOT})",
-            best=x * s,
+            best=_ldexp(x * f, e),
             residual=worst,
         )
-    return x * s
+    return _ldexp(x * f, e)
 
 
-def _horner_all(b: np.ndarray, x: np.ndarray):
-    """p(x), p'(x) and the rounding majorant th(x) = sum |b_k||x|^k."""
-    ax = np.abs(x)
-    p = np.full(x.shape, b[0])
-    dp = np.zeros_like(x)
-    th = np.full(x.shape, abs(b[0]))
-    for k in range(1, b.size):
-        dp = dp * x + p
-        p = p * x + b[k]
-        th = th * ax + abs(b[k])
+def _ldexp(z: np.ndarray, e) -> np.ndarray:
+    """z * 2**e for complex z, exact unless it underflows."""
+    return np.ldexp(z.real, e) + 1j * np.ldexp(z.imag, e)
+
+
+def _power_eval(b: np.ndarray, x: np.ndarray):
+    """p(x), p'(x) and the rounding majorant th(x) = sum |b_k||x|^k.
+
+    One (len(x), m+1) matrix of powers x^k, built by a cumulative product,
+    turns each of the three into a matrix-vector product.
+    """
+    m = b.size - 1
+    powers = np.empty((x.size, m + 1), dtype=complex)
+    powers[:, 0] = 1.0
+    powers[:, 1:] = x[:, None]
+    np.cumprod(powers, axis=1, out=powers)
+    ascending = b[::-1]
+    p = powers @ ascending
+    dp = powers[:, :m] @ (ascending[1:] * np.arange(1, m + 1))
+    th = np.abs(powers) @ np.abs(ascending)
     return p, dp, th
 
 
-def _horner_extended(b: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """p(x) evaluated in 80-bit extended precision, rounded back to complex128."""
+def _horner_extended(b: np.ndarray, x: np.ndarray):
+    """p(x) and p'(x) by Horner's rule in 80-bit precision, rounded to complex128."""
     bx = b.astype(np.complex256)
     xx = x.astype(np.complex256)
     p = np.full(x.shape, bx[0], dtype=np.complex256)
+    dp = np.zeros(x.shape, dtype=np.complex256)
     for k in range(1, b.size):
+        dp = dp * xx + p
         p = p * xx + bx[k]
-    return p.astype(complex)
+    return p.astype(complex), dp.astype(complex)
+
+
+def _residual(b: np.ndarray, x: np.ndarray, scale: float) -> float:
+    """Worst gate residual |p(x)| / max(scale, th(x)), p in 80-bit precision."""
+    p, _ = _horner_extended(b, x)
+    th = _power_eval(b, x)[2]
+    return float((np.abs(p) / np.maximum(scale, th)).max())
 
 
 def _aberth_step(x: np.ndarray, p: np.ndarray, dp: np.ndarray) -> np.ndarray:

@@ -17,6 +17,7 @@ from schoenberg.certs import (
     weyl_check,
 )
 from schoenberg.densela import centering_projector, differentiator, lp_norm, schatten_norm
+from schoenberg.harness import sample_config
 from schoenberg.polyzero import ZeroConfig, center, critical_points_direct
 
 from conftest import mp_schoenberg_ratio, random_centered
@@ -145,6 +146,16 @@ class TestPereira:
             n = int(rng.integers(2, 9))
             z = rng.standard_normal(n) + 1j * rng.standard_normal(n) + 0.7
             assert pereira_bound(ZeroConfig(tuple(z)), 1.5).holds
+
+    def test_small_uncentered_config(self):
+        # uncentered zeros go through the direct route, which must read a
+        # configuration deep inside the unit disk as it reads it at scale 1
+        z = sample_config(16, "disk", 0).as_array() + 0.5
+        at_one = pereira_bound(ZeroConfig(tuple(z)), 2.0)
+        small = pereira_bound(ZeroConfig(tuple(1e-3 * z)), 2.0)
+        assert at_one.holds and small.holds
+        assert small.lhs / 1e-6 == pytest.approx(at_one.lhs, rel=1e-10)
+        assert at_one.lhs / float((np.abs(z) ** 2).sum()) == pytest.approx(0.8632, abs=1e-4)
 
 
 class TestWeyl:

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
 
+from schoenberg import polyzero
+from schoenberg.densela import critical_points_spectral
+from schoenberg.harness import sample_config
 from schoenberg.polyzero import (
     CriticalSet,
     Polynomial,
@@ -15,6 +18,20 @@ from schoenberg.polyzero import (
 )
 
 from conftest import matched_distance
+
+EPS = float(np.finfo(float).eps)
+
+
+def power_sum_disagreement(direct, spectral) -> float:
+    """max_k |s_k(direct) - s_k(spectral)| / sum |w_spectral|^k, k = 1..n-1.
+
+    The power sums s_k = sum w^k fix the multiset of critical points, so this
+    compares the two routes without matching points one to one.
+    """
+    k = np.arange(1, spectral.size + 1)
+    scale = (np.abs(spectral)[:, None] ** k).sum(axis=0)
+    diff = np.abs((direct[:, None] ** k).sum(axis=0) - (spectral[:, None] ** k).sum(axis=0))
+    return float((diff / np.maximum(scale, np.finfo(float).tiny)).max())
 
 
 class TestZeroConfig:
@@ -134,11 +151,48 @@ class TestRoots:
         assert matched_distance(got, z) / np.abs(z).max() < 1e-12
 
     def test_failure_carries_best_iterate(self):
-        # no double-precision polynomial this small should fail; build the
-        # error object directly to pin its contract instead
+        # pins the error object's fields; test_failure_keeps_lower_residual
+        # below makes roots() raise one
         err = RootFindingError("stalled", best=np.array([1j]), residual=0.5)
         assert err.residual == 0.5
         assert err.best[0] == 1j
+
+    def test_polish_that_wanders_falls_back(self, monkeypatch):
+        # the polished iterate misses the gate; the phase-1 iterate passes it
+        # and is returned instead
+        cfg = sample_config(8, "disk", 0)
+        spectral = critical_points_spectral(cfg).as_array()
+        _wandering_polish(monkeypatch)
+        got = critical_points_direct(cfg).as_array()
+        assert matched_distance(got, spectral) <= 1e-12
+
+    def test_failure_keeps_lower_residual(self, monkeypatch):
+        # the same polish under a gate nothing passes: the error carries the
+        # phase-1 iterate, not the polished one
+        cfg = sample_config(8, "disk", 0)
+        spectral = critical_points_spectral(cfg).as_array()
+        _wandering_polish(monkeypatch)
+        monkeypatch.setattr(polyzero, "TOL_ROOT", 0.0)
+        with pytest.raises(RootFindingError) as info:
+            critical_points_direct(cfg)
+        assert 0.0 < info.value.residual < 1e-13
+        assert matched_distance(info.value.best, spectral) <= 1e-12
+
+
+def _wandering_polish(monkeypatch):
+    """Shift every iterate by 0.1 on each Aberth step of the 80-bit polish."""
+    polishing = []
+    horner_extended, aberth_step = polyzero._horner_extended, polyzero._aberth_step
+
+    def evaluate(b, x):
+        polishing.append(True)
+        return horner_extended(b, x)
+
+    def step(x, p, dp):
+        return aberth_step(x, p, dp) + (0.1 if polishing else 0.0)
+
+    monkeypatch.setattr(polyzero, "_horner_extended", evaluate)
+    monkeypatch.setattr(polyzero, "_aberth_step", step)
 
 
 class TestRoundTrip:
@@ -172,6 +226,83 @@ class TestCriticalPointsDirect:
         for n in range(2, 12):
             z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
             assert len(critical_points_direct(ZeroConfig(tuple(z)))) == n - 1
+
+
+class TestPowerEval:
+    def test_matches_sequential_horner(self):
+        # the power-matrix p, p' and th against Horner's rule, one point at
+        # a time; both round like m eps times the majorant of the sum
+        rng = np.random.default_rng(64)
+        for m in range(1, 65):
+            b = np.concatenate(
+                [[1.0], rng.standard_normal(m) + 1j * rng.standard_normal(m)]
+            )
+            x = 2.0 ** rng.uniform(-8, 8, 24) * np.exp(2j * np.pi * rng.uniform(size=24))
+            p, dp, th = polyzero._power_eval(b, x)
+            for i, xi in enumerate(x):
+                hp, hdp, hth, hdth = b[0], 0j, abs(b[0]), 0.0
+                for bk in b[1:]:
+                    hdp, hdth = hdp * xi + hp, hdth * abs(xi) + hth
+                    hp, hth = hp * xi + bk, hth * abs(xi) + abs(bk)
+                assert abs(p[i] - hp) <= 8 * m * EPS * hth
+                assert abs(dp[i] - hdp) <= 8 * m * EPS * hdth
+                assert th[i] == pytest.approx(hth, rel=1e-14)
+
+
+class TestDirectAgainstSpectral:
+    @pytest.mark.parametrize("n", [3, 8, 16])
+    @pytest.mark.parametrize("dist", ["disk", "gaussian"])
+    def test_critical_moduli_at_every_scale(self, dist, n):
+        # roots far inside the unit disk must be rescaled too: left as they
+        # are, iterates on a circle around them pass the absolute test
+        worst = 0.0
+        for seed in range(20):
+            z = sample_config(n, dist, seed).as_array()
+            for k in range(-40, 41, 4):
+                cfg = ZeroConfig(tuple(z * 2.0**k))
+                direct = np.sort(np.abs(critical_points_direct(cfg).as_array()))
+                spectral = np.sort(np.abs(critical_points_spectral(cfg).as_array()))
+                worst = max(worst, np.abs(direct - spectral).max() / spectral.max())
+        assert worst <= 1e-10
+
+    @pytest.mark.parametrize("k", range(-500, 301, 100))
+    def test_ends_of_the_double_range(self, k):
+        # at n = 3 the coefficients of p' stay normal doubles from 2^-500 to
+        # 2^300; the rescale itself must not over- or underflow there
+        for seed in range(5):
+            z = sample_config(3, "disk", seed).as_array()
+            cfg = ZeroConfig(tuple(z * 2.0**k))
+            direct = np.sort(np.abs(critical_points_direct(cfg).as_array()))
+            spectral = np.sort(np.abs(critical_points_spectral(cfg).as_array()))
+            assert np.abs(direct - spectral).max() <= 1e-12 * spectral.max()
+
+    def test_one_huge_root(self):
+        # p = (z - 1e200)(z^2 - 1e-20): the rescale s ~ 5e199 has s^2 beyond
+        # the double range, while every coefficient of p and p' is finite;
+        # the tiny critical point, about -5e-221, is below the huge one's
+        # resolution
+        got = roots(derivative(from_roots(ZeroConfig((1e200, 1e-10, -1e-10)))))
+        assert matched_distance(got, [2e200 / 3, 0.0]) <= 1e-15 * 2e200 / 3
+
+    def test_pinned_cluster(self):
+        # unit 23 of the crosscheck benchmark's seed 1006: an earlier polish
+        # wandered off this config's converged iterate and raised at
+        # residual 1.7e-7
+        cfg = sample_config(32, "clustered", 3933979533)
+        direct = critical_points_direct(cfg).as_array()
+        spectral = critical_points_spectral(cfg).as_array()
+        assert power_sum_disagreement(direct, spectral) <= 1e-5
+
+    def test_clustered_n32(self):
+        # the hardest cell of the benchmark's crosscheck: two blobs of 16
+        # zeros, whose critical points are ill-conditioned clusters
+        worst = 0.0
+        for seed in range(200):
+            cfg = sample_config(32, "clustered", seed)
+            direct = critical_points_direct(cfg).as_array()
+            spectral = critical_points_spectral(cfg).as_array()
+            worst = max(worst, power_sum_disagreement(direct, spectral))
+        assert worst <= 1e-3
 
 
 class TestCentroidCenter:
