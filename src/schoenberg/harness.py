@@ -1,13 +1,15 @@
 """Randomized audits: seeded configuration sampling, batch certificate runs,
 p-sweeps and report files.
 
-An audit samples every configuration in a fixed order (n, then
-distribution, then sample index) from counter-style seeds.  The samples of
-each n are certified together as stacked arrays by the columnar evaluator
-of ``certs``, in slices sized so that their stacked arrays hold about
-_SLICE_ENTRIES entries, and the per-key totals, pass counts, largest ratios
-and violations are aggregated with array operations in sampling order, so the
-report is the same for any slice size.
+An audit samples each (n, distribution) cell from one random stream, keyed
+by the audit seed, n and the distribution's name, and draws and centers the
+cell's configurations as (rows, n) arrays.  The samples of each n are taken
+in a fixed order (distribution, then sample index) and certified together as
+stacked arrays by the columnar evaluator of ``certs``, in slices sized so
+that their stacked arrays hold about _SLICE_ENTRIES entries.  A slice reads
+the next rows of each cell it covers, and the per-key totals, pass counts,
+largest ratios and violations are aggregated with array operations in
+sampling order, so the report is the same for any slice size.
 
 Reports are written with every float rendered to 17 significant digits, which
 round-trips IEEE-754 doubles exactly, so identical audit specs produce
@@ -25,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import certs
-from .polyzero import ZeroConfig, center
+from .polyzero import ZeroConfig, center, center_rows
 
 DISTRIBUTIONS = ("disk", "gaussian", "real", "clustered", "roots_of_unity_perturbed")
 
@@ -143,40 +145,59 @@ def sample_config(n: int, dist: str, seed: int) -> ZeroConfig:
 
     disk: uniform on the unit disk; gaussian: standard complex normal;
     real: standard normal on the real axis; clustered: two blobs at +-1 with
-    spread 0.1; roots_of_unity_perturbed: the n-th roots of unity plus
-    complex Gaussian noise of scale 0.05.  Deterministic in (n, dist, seed).
+    spread 0.1, the blob of each zero being the sign of a standard normal;
+    roots_of_unity_perturbed: the n-th roots of unity plus complex Gaussian
+    noise of scale 0.05.
+
+    The result is row 0 of the audit cell (n, dist) under ``seed``: the
+    first row drawn from the stream SeedSequence(seed, spawn_key=(n,
+    DISTRIBUTIONS.index(dist))) in the row layout of ``_draw_rows``, and
+    centered by ``center_rows``.
     """
     if dist not in DISTRIBUTIONS:
         raise ValueError(f"unknown distribution {dist!r}")
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    rng = np.random.default_rng(
-        np.random.SeedSequence((int(seed), int(n), DISTRIBUTIONS.index(dist)))
-    )
+    z = center_rows(_draw_rows(_cell_generator(seed, n, dist), n, dist, 1))
+    return ZeroConfig(tuple(z[0]), centered=True)
+
+
+def _cell_generator(seed: int, n: int, dist: str) -> np.random.Generator:
+    """The one stream of cell (n, dist) under ``seed``.
+
+    It is keyed by n and the distribution's name, not by their positions in
+    a spec, so an audit of one n or one distribution draws exactly the rows
+    of that cell in a larger audit.
+    """
+    key = (int(n), DISTRIBUTIONS.index(dist))
+    return np.random.default_rng(np.random.SeedSequence(int(seed), spawn_key=key))
+
+
+def _draw_rows(rng: np.random.Generator, n: int, dist: str, rows: int) -> np.ndarray:
+    """The next ``rows`` configurations of a cell stream as (rows, n), not
+    yet centered.
+
+    Each call draws one (rows, k, n) array u, so each row's k * n variates
+    are contiguous in the stream and a cell drawn in slices equals the cell
+    drawn whole.  disk: k = 2 uniforms, radius sqrt(u0) and angle 2 pi u1;
+    gaussian and roots_of_unity_perturbed: k = 2 normals, the complex normal
+    (u0 + i u1) / sqrt 2; real: k = 1 normal; clustered: k = 3 normals, the
+    complex normal from u0 and u1 and the blob +-1 as the sign of u2.
+    """
     if dist == "disk":
-        radius = np.sqrt(rng.uniform(0.0, 1.0, n))
-        angle = rng.uniform(0.0, 2.0 * np.pi, n)
-        z = radius * np.exp(1j * angle)
-    elif dist == "gaussian":
-        z = _complex_normal(rng, n)
-    elif dist == "real":
-        z = rng.standard_normal(n).astype(complex)
-    elif dist == "clustered":
-        blob = rng.choice([-1.0, 1.0], size=n)
-        z = blob + 0.1 * _complex_normal(rng, n)
-    else:  # roots_of_unity_perturbed
-        z = np.exp(2j * np.pi * np.arange(n) / n) + 0.05 * _complex_normal(rng, n)
-    return center(ZeroConfig(tuple(z)))
-
-
-def _complex_normal(rng, n: int) -> np.ndarray:
-    return (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2.0)
-
-
-def _sample_seed(master: int, cell: int, index: int) -> int:
-    """Counter-style per-sample seed: independent of iteration order."""
-    ss = np.random.SeedSequence(entropy=int(master), spawn_key=(cell, index))
-    return int(ss.generate_state(1, dtype=np.uint64)[0])
+        u = rng.uniform(size=(rows, 2, n))
+        return np.sqrt(u[:, 0]) * np.exp(2j * np.pi * u[:, 1])
+    if dist == "real":
+        return rng.standard_normal((rows, 1, n))[:, 0].astype(complex)
+    k = 3 if dist == "clustered" else 2
+    u = rng.standard_normal((rows, k, n))
+    noise = (u[:, 0] + 1j * u[:, 1]) / np.sqrt(2.0)
+    if dist == "gaussian":
+        return noise
+    if dist == "clustered":
+        return np.copysign(1.0, u[:, 2]) + 0.1 * noise
+    # roots_of_unity_perturbed
+    return np.exp(2j * np.pi * np.arange(n) / n) + 0.05 * noise
 
 
 def _certificate_key(name: str, p: float | None) -> str:
@@ -197,48 +218,47 @@ def run_audit(spec: AuditSpec, sabotage: bool = False) -> AuditReport:
     orders = sorted(spec.p_grid)
     scale = 0.5 if sabotage else 1.0
     start = time.perf_counter()
-    per_n = len(spec.distributions) * spec.samples_per_cell
-    for n_index, n in enumerate(spec.n_values):
+    per_cell = spec.samples_per_cell
+    cells = [DISTRIBUTIONS.index(dist) for dist in spec.distributions]
+    for n in spec.n_values:
+        rngs = [_cell_generator(spec.seed, n, dist) for dist in spec.distributions]
         rows = max(1, _SLICE_ENTRIES // (n * max(n, len(orders))))
-        for first in range(0, per_n, rows):
-            chunk = [
-                _sample(spec, n, n_index, i)
-                for i in range(first, min(first + rows, per_n))
-            ]
-            _certify_slice(report, n, chunk, orders, scale)
+        # sampling order is distribution-major, then sample index; a slice
+        # takes the next rows of each cell it covers from that cell's stream
+        for first in range(0, len(cells) * per_cell, rows):
+            last = min(first + rows, len(cells) * per_cell)
+            parts, dists = [], []
+            for offset in range(first // per_cell, (last - 1) // per_cell + 1):
+                count = min(last, (offset + 1) * per_cell) - max(first, offset * per_cell)
+                parts.append(_draw_rows(rngs[offset], n, spec.distributions[offset], count))
+                dists.append(np.full(count, cells[offset]))
+            z = center_rows(np.concatenate(parts))
+            _certify_slice(report, n, z, np.concatenate(dists), orders, scale)
     report.wall_time_s = time.perf_counter() - start
     return report
 
 
-def _sample(spec: AuditSpec, n: int, n_index: int, i: int):
-    """(distribution, zeros) of the i-th sample of order n in sampling order:
-    distribution-major, then sample index."""
-    offset, index = divmod(i, spec.samples_per_cell)
-    cell = n_index * len(spec.distributions) + offset
-    dist = spec.distributions[offset]
-    return dist, sample_config(n, dist, _sample_seed(spec.seed, cell, index)).as_array()
-
-
-def _certify_slice(report: AuditReport, n: int, chunk, orders, scale: float) -> None:
-    """Certify the samples of one slice and fold them into the report.
+def _certify_slice(
+    report: AuditReport, n: int, z: np.ndarray, dists: np.ndarray, orders, scale: float
+) -> None:
+    """Certify the (B, n) zeros ``z`` of one slice, whose distributions are
+    ``DISTRIBUTIONS[dists]``, and fold them into the report.
 
     A LAPACK failure fails the whole stacked evaluation, so the slice is then
     certified one sample at a time and only the failing samples are errors.
     """
     try:
-        batch = certs._certify_batch(
-            np.array([z for _, z in chunk]), orders, scale, report.spec.tolerances
-        )
+        batch = certs._certify_batch(z, orders, scale, report.spec.tolerances)
     except ArithmeticError as exc:
-        if len(chunk) == 1:
-            _record_error(report, n, chunk[0], exc)
+        if len(z) == 1:
+            _record_error(report, n, dists[0], z[0], exc)
         else:
-            for sample in chunk:
-                _certify_slice(report, n, [sample], orders, scale)
+            for row in range(len(z)):
+                one = slice(row, row + 1)
+                _certify_slice(report, n, z[one], dists[one], orders, scale)
         return
-    for sample, finite in zip(chunk, batch.finite.tolist()):
-        if not finite:
-            _record_error(report, n, sample, OverflowError(certs._NOT_FINITE))
+    for row in np.flatnonzero(~batch.finite):
+        _record_error(report, n, dists[row], z[row], OverflowError(certs._NOT_FINITE))
     rows = np.flatnonzero(batch.finite)
     if rows.size == 0:
         return
@@ -254,24 +274,24 @@ def _certify_slice(report: AuditReport, n: int, chunk, orders, scale: float) -> 
         stats.passed += passed[col]
         if best[col] > -np.inf and (stats.max_ratio is None or best[col] > stats.max_ratio):
             stats.max_ratio = best[col]
-            stats.argmax_zeros = _zeros_to_pairs(chunk[rows[best_rows[col]]][1])
+            stats.argmax_zeros = _zeros_to_pairs(z[rows[best_rows[col]]])
     for row in rows[~holds.all(axis=1)]:
-        dist, z = chunk[row]
-        pairs = _zeros_to_pairs(z)
+        pairs = _zeros_to_pairs(z[row])
         for cert in certs._certificates(
             n, batch.labels, batch.lhs[row], batch.rhs[row], batch.ratio[row], batch.holds[row]
         ):
             if not cert.holds:
                 report.violations.append(
-                    {"certificate": cert.to_dict(), "n": n, "distribution": dist,
-                     "zeros": pairs}
+                    {"certificate": cert.to_dict(), "n": n,
+                     "distribution": DISTRIBUTIONS[dists[row]], "zeros": pairs}
                 )
 
 
-def _record_error(report: AuditReport, n: int, sample, exc: ArithmeticError) -> None:
-    dist, z = sample
+def _record_error(
+    report: AuditReport, n: int, dist: int, z: np.ndarray, exc: ArithmeticError
+) -> None:
     report.errors.append(
-        {"n": n, "distribution": dist, "zeros": _zeros_to_pairs(z),
+        {"n": n, "distribution": DISTRIBUTIONS[dist], "zeros": _zeros_to_pairs(z),
          "error": f"{type(exc).__name__}: {exc}"}
     )
 

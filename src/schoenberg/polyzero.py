@@ -60,13 +60,12 @@ class ZeroConfig:
         arr = np.asarray(zeros)
         if not np.all(np.isfinite(arr.real) & np.isfinite(arr.imag)):
             raise ValueError("zeros must be finite")
-        if self.centered:
+        if self.centered and not _is_centered(arr):
             bound = TOL_CENTER * max(1.0, float(np.abs(arr).max()))
-            if abs(arr.sum()) > bound:
-                raise ValueError(
-                    f"centered flag set but |sum z_j| = {abs(arr.sum()):.3e} "
-                    f"exceeds {bound:.3e}"
-                )
+            raise ValueError(
+                f"centered flag set but |sum z_j| = {abs(arr.sum()):.3e} "
+                f"exceeds {bound:.3e}"
+            )
 
     @property
     def n(self) -> int:
@@ -128,18 +127,23 @@ def from_roots(cfg: ZeroConfig) -> Polynomial:
 
     Pairing the factors tournament-style keeps intermediate coefficient
     growth (and hence rounding) lower than a left-to-right product when the
-    roots are clustered.
+    roots are clustered.  Raises OverflowError when a coefficient leaves the
+    double range, e.g. for three zeros of modulus 2^350.
     """
     factors = [np.array([1.0 + 0j, -z]) for z in cfg.zeros]
-    while len(factors) > 1:
-        paired = [
-            np.convolve(factors[i], factors[i + 1])
-            for i in range(0, len(factors) - 1, 2)
-        ]
-        if len(factors) % 2:
-            paired.append(factors[-1])
-        factors = paired
-    return Polynomial(tuple(factors[0]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        while len(factors) > 1:
+            paired = [
+                np.convolve(factors[i], factors[i + 1])
+                for i in range(0, len(factors) - 1, 2)
+            ]
+            if len(factors) % 2:
+                paired.append(factors[-1])
+            factors = paired
+    coeffs = factors[0]
+    if not np.all(np.isfinite(coeffs)):
+        raise OverflowError("a coefficient of prod (z - z_j) overflowed the double range")
+    return Polynomial(tuple(coeffs))
 
 
 def derivative(poly: Polynomial) -> Polynomial:
@@ -312,13 +316,28 @@ def centroid(cfg: ZeroConfig) -> complex:
 def center(cfg: ZeroConfig) -> ZeroConfig:
     """Shift every zero by -centroid so the result is certifiably centered.
 
-    One extra refinement pass absorbs the rounding of the first shift; the
-    result carries centered=True and passes the ZeroConfig invariant.
+    The one-row case of ``center_rows``; the result carries centered=True
+    and passes the ZeroConfig invariant.
     """
-    arr = cfg.as_array()
+    return ZeroConfig(tuple(center_rows(cfg.as_array())), centered=True)
+
+
+def center_rows(z: np.ndarray) -> np.ndarray:
+    """Each row of the (..., n) zeros ``z`` shifted by minus its centroid.
+
+    Two passes of z - mean: the second absorbs the rounding of the first,
+    and a pass whose mean is exactly zero leaves its row unchanged.  Raises
+    ValueError unless every row then meets the ZeroConfig centered bound
+    |sum z_j| <= TOL_CENTER * max(1, max |z_j|).
+    """
+    n = z.shape[-1]
     for _ in range(2):
-        mean = arr.sum() / arr.size
-        if mean == 0:
-            break
-        arr = arr - mean
-    return ZeroConfig(tuple(arr), centered=True)
+        z = z - z.sum(axis=-1, keepdims=True) / n
+    if not np.all(_is_centered(z)):
+        raise ValueError("a row is not centered to TOL_CENTER; are its zeros finite?")
+    return z
+
+
+def _is_centered(z: np.ndarray) -> np.ndarray:
+    """Per row of (..., n) zeros: |sum z_j| <= TOL_CENTER * max(1, max |z_j|)."""
+    return np.abs(z.sum(axis=-1)) <= TOL_CENTER * np.maximum(1.0, np.abs(z).max(axis=-1))

@@ -17,7 +17,6 @@ from schoenberg.certs import (
     weyl_check,
 )
 from schoenberg.densela import centering_projector, differentiator, lp_norm, schatten_norm
-from schoenberg.harness import sample_config
 from schoenberg.polyzero import ZeroConfig, center, critical_points_direct
 
 from conftest import mp_schoenberg_ratio, random_centered
@@ -124,6 +123,27 @@ class TestQuarticBounds:
 
 
 class TestPereira:
+    # sample_config(16, "disk", 0) of the per-sample sampler the audit used
+    # before its cells were drawn as arrays, to 17 significant digits
+    DISK16 = (
+        (-0.68536686044948558, 0.61552786289844852),
+        (0.34021692484672345, -0.65276005089473566),
+        (-0.52787522455226266, 0.69709004915827188),
+        (-0.20311023199890985, 0.93817282082602382),
+        (0.098229489912775081, 0.37557831454831758),
+        (-0.40850866266804975, 0.2424037362812875),
+        (-0.0022826510132898485, -0.2024048223586942),
+        (-0.68433242064442401, -0.74852336629534755),
+        (-0.10179695876474709, 0.00099694151322891542),
+        (0.49604964804135243, -0.14748389478244645),
+        (0.43557410740665436, -0.37020281229981289),
+        (0.44467971140424101, -0.19040979914251377),
+        (0.63567600814553749, -0.6540138868164278),
+        (-0.089748398533665688, -0.26062430625717486),
+        (-0.65446152444349526, 0.55793042907868751),
+        (0.90705704331104586, -0.2012772154571128),
+    )
+
     def test_pair(self):
         cert = pereira_bound(PAIR, 2.0)
         assert cert.lhs == pytest.approx(0.0, abs=1e-14)
@@ -147,10 +167,17 @@ class TestPereira:
             z = rng.standard_normal(n) + 1j * rng.standard_normal(n) + 0.7
             assert pereira_bound(ZeroConfig(tuple(z)), 1.5).holds
 
+    def test_overflowing_uncentered_config(self):
+        # uncentered zeros expand prod (z - z_j), whose constant term 2^1050
+        # leaves the double range
+        cfg = ZeroConfig((2.0**350, 2.0**350 * 1j, 2.0**351))
+        with pytest.raises(OverflowError):
+            pereira_bound(cfg, 2.0)
+
     def test_small_uncentered_config(self):
         # uncentered zeros go through the direct route, which must read a
         # configuration deep inside the unit disk as it reads it at scale 1
-        z = sample_config(16, "disk", 0).as_array() + 0.5
+        z = np.array([complex(re, im) for re, im in self.DISK16]) + 0.5
         at_one = pereira_bound(ZeroConfig(tuple(z)), 2.0)
         small = pereira_bound(ZeroConfig(tuple(1e-3 * z)), 2.0)
         assert at_one.holds and small.holds

@@ -10,8 +10,9 @@ from schoenberg.densela import differentiator
 from schoenberg.harness import (
     DISTRIBUTIONS,
     AuditSpec,
+    _cell_generator,
     _certificate_key,
-    _sample_seed,
+    _draw_rows,
     emit_report,
     format_float,
     re_evaluate_violation,
@@ -19,7 +20,7 @@ from schoenberg.harness import (
     sample_config,
     sweep_p,
 )
-from schoenberg.polyzero import ZeroConfig, centroid
+from schoenberg.polyzero import TOL_CENTER, ZeroConfig, center_rows, centroid
 from schoenberg.sharpness import extremal_high, extremal_low
 
 SMALL_SPEC = AuditSpec(
@@ -55,6 +56,77 @@ class TestSampleConfig:
     def test_unknown_distribution(self):
         with pytest.raises(ValueError):
             sample_config(4, "cauchy", 0)
+
+
+def cell(seed: int, n: int, dist: str, rows: int) -> np.ndarray:
+    """The first ``rows`` centered configurations of audit cell (n, dist)."""
+    return center_rows(_draw_rows(_cell_generator(seed, n, dist), n, dist, rows))
+
+
+class TestCellSampler:
+    @pytest.mark.parametrize("dist", DISTRIBUTIONS)
+    def test_sample_config_is_row_zero(self, dist):
+        for n in (2, 3, 8, 17):
+            for seed in (0, 1, 2**40 + 3):
+                got = sample_config(n, dist, seed).as_array()
+                np.testing.assert_array_equal(got, cell(seed, n, dist, 5)[0])
+
+    @pytest.mark.parametrize("dist", DISTRIBUTIONS)
+    def test_slices_equal_the_whole_cell(self, dist):
+        n, rows = 7, 21
+        whole = cell(4, n, dist, rows)
+        for step in (1, 3, 7):
+            rng = _cell_generator(4, n, dist)
+            parts = [center_rows(_draw_rows(rng, n, dist, step)) for _ in range(rows // step)]
+            np.testing.assert_array_equal(np.concatenate(parts), whole)
+
+    def test_sub_audit_draws_the_rows_of_its_cell(self):
+        full_spec = AuditSpec(
+            n_values=(4, 6, 7),
+            p_grid=(1.5, 1.75, 2.0),
+            distributions=("disk", "real", "clustered"),
+            samples_per_cell=30,
+            seed=8,
+        )
+        full = run_audit(full_spec)
+        seen = 0
+        for n in full_spec.n_values:
+            for dist in full_spec.distributions:
+                spec = dataclasses.replace(full_spec, n_values=(n,), distributions=(dist,))
+                sub = run_audit(spec)
+                ours = [v for v in full.violations if (v["n"], v["distribution"]) == (n, dist)]
+                assert sub.violations == ours
+                assert sub.errors == [
+                    e for e in full.errors if (e["n"], e["distribution"]) == (n, dist)
+                ]
+                seen += len(ours)
+        assert seen == len(full.violations) > 0
+
+    def test_rows_centered_real_and_blobs(self):
+        for n in (2, 5, 16, 40):
+            for dist in DISTRIBUTIONS:
+                z = cell(9, n, dist, 50)
+                bound = TOL_CENTER * np.maximum(1.0, np.abs(z).max(axis=1))
+                assert np.all(np.abs(z.sum(axis=1)) <= bound)
+            assert np.all(cell(9, n, "real", 50).imag == 0)
+            u = _cell_generator(9, n, "clustered").standard_normal((50, 3, n))
+            blobs = _draw_rows(_cell_generator(9, n, "clustered"), n, "clustered", 50)
+            noise = (u[:, 0] + 1j * u[:, 1]) / np.sqrt(2.0)
+            sign = np.where(u[:, 2] < 0, -1.0, 1.0)
+            np.testing.assert_allclose(blobs - 0.1 * noise, sign, rtol=0, atol=1e-15)
+
+    def test_one_generator_per_cell(self, monkeypatch):
+        calls = []
+        default_rng = np.random.default_rng
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return default_rng(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "default_rng", counted)
+        spec = AuditSpec(n_values=(3, 5), p_grid=(2.0,), samples_per_cell=40, seed=1)
+        run_audit(spec)
+        assert 0 < len(calls) <= len(spec.n_values) * len(spec.distributions)
 
 
 class TestAuditSpec:
@@ -172,7 +244,7 @@ class TestRunAudit:
         )
         clean = run_audit(spec)
         # the 14th sample in sampling order: the "real" cell, index 3
-        chosen = sample_config(5, "real", _sample_seed(spec.seed, 1, 3))
+        chosen = ZeroConfig(tuple(cell(spec.seed, 5, "real", 4)[3]), centered=True)
         target = differentiator(chosen)
         lost = {
             _certificate_key(c.name, c.p): c.holds
@@ -206,11 +278,12 @@ class TestRunAudit:
 
     @pytest.mark.parametrize("exponent", [150, 400, 700])
     def test_overflow_recorded_per_sample(self, monkeypatch, exponent):
-        def huge(n, dist, seed):
-            z = sample_config(n, dist, seed).as_array()  # the unpatched sampler
-            return ZeroConfig(tuple(z * 2.0**exponent), centered=True)
+        draw_rows = harness._draw_rows
 
-        monkeypatch.setattr(harness, "sample_config", huge)
+        def huge(rng, n, dist, rows):
+            return draw_rows(rng, n, dist, rows) * 2.0**exponent
+
+        monkeypatch.setattr(harness, "_draw_rows", huge)
         spec = AuditSpec(
             n_values=(6,), distributions=("disk",), samples_per_cell=1, seed=5
         )

@@ -10,6 +10,7 @@ from schoenberg.polyzero import (
     RootFindingError,
     ZeroConfig,
     center,
+    center_rows,
     centroid,
     critical_points_direct,
     derivative,
@@ -66,6 +67,11 @@ class TestPolynomial:
         with pytest.raises(ValueError):
             Polynomial((1.0,))
 
+    def test_nonfinite_coefficients_rejected(self):
+        for bad in (np.inf, np.nan, complex(0.0, np.inf)):
+            with pytest.raises(ValueError):
+                Polynomial((1.0, bad, 1.0))
+
     def test_evaluation(self):
         p = Polynomial((1.0, 0.0, -1.0))  # z^2 - 1
         assert p(2.0) == pytest.approx(3.0)
@@ -85,6 +91,13 @@ class TestFromRoots:
     def test_binomial_expansion(self):
         poly = from_roots(ZeroConfig((1.0, 1.0, 1.0, 1.0)))
         np.testing.assert_allclose(poly.as_array(), [1, -4, 6, -4, 1], atol=1e-12)
+
+    @pytest.mark.parametrize("expand", [from_roots, critical_points_direct])
+    def test_overflow_is_an_arithmetic_error(self, expand):
+        # finite zeros whose product 2^1050 leaves the double range
+        cfg = ZeroConfig((2.0**350, 2.0**350 * 1j, -(2.0**350)))
+        with pytest.raises(OverflowError):
+            expand(cfg)
 
     def test_matches_numpy_poly(self, rng):
         for _ in range(25):
@@ -250,6 +263,44 @@ class TestPowerEval:
 
 
 class TestDirectAgainstSpectral:
+    # sample_config(32, "clustered", 3933979533) of the per-sample sampler
+    # the audit used before its cells were drawn as arrays (unit 23 of the
+    # crosscheck benchmark's seed 1006), to 17 significant digits
+    PINNED_CLUSTER = (
+        (1.3632701611720841, 0.0093061487788881764),
+        (1.4457919257148206, 0.049625129287984425),
+        (-0.63272817702322592, 0.17287437120323279),
+        (-0.56632268815852316, 0.091910243376888329),
+        (-0.70594779526543483, 0.038067971504028179),
+        (-0.43323889610868915, 0.042745339870930349),
+        (-0.62942812520775726, -0.02413598507350067),
+        (-0.69232611035147629, 0.12465618631091463),
+        (-0.5982887813887442, -0.0069039063779192137),
+        (-0.6379478572959999, 0.024435512864679668),
+        (-0.74505283820318813, -0.076124235132788237),
+        (-0.68942080838286646, -0.12055094238094644),
+        (-0.6690330215738679, 0.065020158135492653),
+        (1.2877301592383832, -0.0097930412983959249),
+        (-0.49056235601526776, 0.05165263519078396),
+        (1.3981682375768989, -0.022911502503950604),
+        (1.3832339042821493, -0.11739752039951523),
+        (1.398103999634881, 0.02626239284423636),
+        (-0.62621471216022895, -0.084277177566357275),
+        (1.2281707457155866, -0.083992830232259424),
+        (-0.55403083839737566, 0.037577695565276181),
+        (-0.67542735973949697, 0.024711070365240253),
+        (-0.58843701237340185, -0.010819928443617885),
+        (-0.69452471088223955, -0.06282166235678846),
+        (-0.57302161557304909, 0.0025269526550376212),
+        (-0.72231396018514193, -0.040242121936663842),
+        (1.4708879587300163, 0.1122408962309995),
+        (-0.55649956260678202, -0.039860375361280384),
+        (-0.761861188277975, -0.12190525900428387),
+        (1.4689949680041126, -0.071982251023799293),
+        (1.5256686737310878, 0.04021512714340935),
+        (-0.72739231862928844, -0.020109092235955722),
+    )
+
     @pytest.mark.parametrize("n", [3, 8, 16])
     @pytest.mark.parametrize("dist", ["disk", "gaussian"])
     def test_critical_moduli_at_every_scale(self, dist, n):
@@ -285,10 +336,11 @@ class TestDirectAgainstSpectral:
         assert matched_distance(got, [2e200 / 3, 0.0]) <= 1e-15 * 2e200 / 3
 
     def test_pinned_cluster(self):
-        # unit 23 of the crosscheck benchmark's seed 1006: an earlier polish
-        # wandered off this config's converged iterate and raised at
-        # residual 1.7e-7
-        cfg = sample_config(32, "clustered", 3933979533)
+        # an earlier polish wandered off this config's converged iterate and
+        # raised at residual 1.7e-7
+        cfg = ZeroConfig(
+            tuple(complex(re, im) for re, im in self.PINNED_CLUSTER), centered=True
+        )
         direct = critical_points_direct(cfg).as_array()
         spectral = critical_points_spectral(cfg).as_array()
         assert power_sum_disagreement(direct, spectral) <= 1e-5
@@ -328,6 +380,12 @@ class TestCentroidCenter:
         cfg = ZeroConfig((1.0, -1.0, 2j, -2j))
         out = center(cfg)
         assert out.zeros == cfg.zeros
+
+    def test_center_rows_rejects_a_row_it_cannot_center(self):
+        z = np.array([[1.0, 2.0, 3.0], [1.0, np.nan, 0.0]], dtype=complex)
+        with pytest.raises(ValueError):
+            center_rows(z)
+        np.testing.assert_allclose(center_rows(z[:1])[0], [-1, 0, 1], atol=1e-15)
 
     def test_centroid_after_center(self, rng):
         for _ in range(40):
