@@ -26,6 +26,7 @@ OverflowError, never a verdict.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -110,11 +111,14 @@ def schoenberg_constant(n: int, p: float) -> float:
 
     The two branches agree at p = 2, where the bound is the classical
     quadratic Schoenberg inequality.  The 1 < p < 2 branch is the claimed
-    interpolated constant, not a proven bound: it is refuted for n >= 5 by
-    a centered real quintuple whose ratio is 1.00168280036673 at p = 1.75
-    (pinned in tests/test_certs.py::TestIntermediateOrderCounterexample).
-    PAPER.md gives only the abstract, so it does not settle whether the
-    paper states this constant or another one.
+    interpolated constant, not a proven bound: it is refuted for every
+    n >= 4, on an interval p0(n) < p < 2 with p0(4) ~ 1.760.  At n = 4,
+    (z - 1)(z + 1/3)^3 has the ratio 1.0009149692779185 at p = 1.9 (pinned
+    in tests/test_sharpness.py::TestOrderFourWitness); at n = 5 a centered
+    real quintuple has the ratio 1.00168280036673 at p = 1.75 (pinned in
+    tests/test_certs.py::TestIntermediateOrderCounterexample).  PAPER.md
+    gives only the abstract, so it does not settle whether the paper states
+    this constant or another one.
     """
     _check_order(p)
     base = (n - 2) / n
@@ -126,10 +130,10 @@ def opnorm_constant(n: int, p: float) -> float:
     the differentiator map from the centered l^p space into the Schatten
     p-class.
 
-    For 1 < p < 2 this is the claimed interpolated constant, refuted for
-    n >= 5: the Schatten norm of the pinned witness in
-    tests/test_certs.py::TestIntermediateOrderCounterexample exceeds it at
-    p = 1.75, and opnorm searches exceed it at (5, 1.5) and (8, 1.5).  The
+    For 1 < p < 2 this is the claimed interpolated constant, refuted where
+    schoenberg_constant is, for n >= 4 and p0(n) < p < 2: sum sigma^p >=
+    sum |w|^p (Weyl), so the Schatten norm of each Schoenberg witness
+    exceeds it, and opnorm searches exceed it at (5, 1.5) and (8, 1.5).  The
     proven bound on all of l^p is ((n-1)/n)^(1/p), by Riesz-Thorin between
     p = 1 and p = 2.  PAPER.md does not settle which constant the paper
     states.
@@ -167,22 +171,26 @@ def _power_sums(mods: np.ndarray, orders) -> np.ndarray:
     """
     top = mods.max(axis=-1)
     scaled = mods / np.where(top > 0, top, 1.0)[..., None]  # a zero row stays zero
-    columns = []
-    for p in orders:
+    sums = np.empty(top.shape + (len(orders),))
+    for col, p in enumerate(orders):
         if p == 1:
             norm = mods.sum(axis=-1)
         elif p == 2:
             norm = np.sqrt((mods**2).sum(axis=-1))
         else:
             norm = top * (scaled**p).sum(axis=-1) ** (1.0 / p)
-        columns.append(norm**p)
-    return np.stack(columns, axis=-1)
+        sums[..., col] = norm**p
+    return sums
 
 
 def _critical_moduli(z: np.ndarray) -> np.ndarray:
     """Eigenvalue moduli of Q diag(z) Q for each row of the zeros z,
     nonincreasing, so the structural zero comes last: (..., n)."""
-    lam = densela._eigvals(densela._differentiator(z))
+    return _descending_moduli(densela._eigvals(densela._differentiator(z)))
+
+
+def _descending_moduli(lam: np.ndarray) -> np.ndarray:
+    """|lam| sorted nonincreasing along the last axis."""
     # negating twice keeps the array contiguous, so every transcendental on
     # the moduli takes the same vector path for a stack as for a batch of one
     return -np.sort(-np.abs(lam), axis=-1)
@@ -208,10 +216,10 @@ def _weyl(orders, lam_sums, sigma_sums) -> _Block:
     return _Block([("weyl", p) for p in orders], lam_sums, sigma_sums)
 
 
-def _quartic(n, z, w_mod) -> _Block:
-    """The dBS and KT quartic bounds and the dominance of KT by dBS."""
+def _quartic(n, z, w_mod, pow2, pow4) -> _Block:
+    """The dBS and KT quartic bounds and the dominance of KT by dBS, from
+    the power sums ``pow2`` and ``pow4`` of |z|."""
     lhs = (w_mod**4).sum(axis=-1)
-    pow4, pow2 = np.moveaxis(_power_sums(np.abs(z), (4.0, 2.0)), -1, 0)
     sum_sq = np.abs((z**2).sum(axis=-1)) ** 2
     rhs_dbs = (n - 4) / n * pow4 + 2.0 / n**2 * pow2**2
     rhs_kt = (n - 4) / n * pow4 + (pow2**2 + sum_sq) / n**2
@@ -222,9 +230,9 @@ def _quartic(n, z, w_mod) -> _Block:
     )
 
 
-def _endpoint(n, sigma, z_mod) -> _Block:
-    """S1, S2 (an equality) and S-infinity bounds on A = Q diag(z) Q."""
-    pow1, pow2 = np.moveaxis(_power_sums(z_mod, (1.0, 2.0)), -1, 0)
+def _endpoint(n, sigma, z_mod, pow1, pow2) -> _Block:
+    """S1, S2 (an equality) and S-infinity bounds on A = Q diag(z) Q, from
+    the power sums ``pow1`` and ``pow2`` of |z|."""
     return _Block(
         [("endpoint_s1", None), ("endpoint_s2", None), ("endpoint_sinf", None)],
         np.stack((sigma.sum(axis=-1), (sigma**2).sum(axis=-1), sigma[..., 0]), axis=-1),
@@ -321,7 +329,7 @@ class _Batch(NamedTuple):
     sides are all finite; the others are an OverflowError.
     """
 
-    labels: list[_Label]
+    labels: tuple[_Label, ...]
     lhs: np.ndarray
     rhs: np.ndarray
     ratio: np.ndarray
@@ -329,35 +337,45 @@ class _Batch(NamedTuple):
     finite: np.ndarray
 
 
+# the orders of the |z| power sums that the endpoint and quartic families read
+_FIXED_ORDERS = (1.0, 2.0, 4.0)
+
+
 def _certify_batch(z: np.ndarray, orders, constant_scale: float, tols) -> _Batch:
     """Every certificate of check_all for each row of the (B, n) centered
     zeros ``z``, at the sorted ``orders``.
 
-    One batched eigendecomposition of the differentiators of z and one
-    batched SVD of those and of the differentiators of |z|; a LAPACK failure
-    anywhere in the stack raises ConvergenceError for the whole stack.
+    The differentiators of z and of |z| are built once, as one stack: one
+    batched eigendecomposition of its z half and one batched SVD of both.
+    The power sums of |z| are taken once, over the orders and 1, 2 and 4,
+    for every family that reads them.  A LAPACK failure anywhere in the
+    stack raises ConvergenceError for the whole stack.
     """
     n = z.shape[-1]
+    grid = sorted({*orders, *_FIXED_ORDERS})
     with _arithmetic():
         z_mod = np.abs(z)
-        lam_mod = _critical_moduli(z)
+        d = densela._differentiator(np.stack((z, z_mod)))
+        lam_mod = _descending_moduli(densela._eigvals(d[0]))
         w_mod = lam_mod[..., :-1]  # less the structural zero
-        sigma, sigma_abs = densela._svdvals(densela._differentiator(np.stack((z, z_mod))))
+        sigma, sigma_abs = densela._svdvals(d)
         w_sums = _power_sums(w_mod, orders)
-        z_sums, lam_sums, sigma_sums = _power_sums(
-            np.stack((z_mod, lam_mod, sigma)), orders
-        )
+        sums = _power_sums(np.stack((z_mod, lam_mod, sigma)), grid)
+        pow1, pow2, pow4 = (sums[0, :, grid.index(p)] for p in _FIXED_ORDERS)
+        if len(grid) > len(orders):
+            sums = sums[..., [grid.index(p) for p in orders]]
+        z_sums, lam_sums, sigma_sums = sums
         sv_block, sv_holds, sv_ratio = _sv_product(sigma, sigma_abs)
         blocks = [
-            _endpoint(n, sigma, z_mod),
+            _endpoint(n, sigma, z_mod, pow1, pow2),
             _esf(n, sigma, z_mod),
-            _quartic(n, z, w_mod),
+            _quartic(n, z, w_mod, pow2, pow4),
             _schoenberg(n, orders, w_sums, z_sums, constant_scale),
             _pereira(n, orders, w_sums, z_sums),
             _weyl(orders, lam_sums, sigma_sums),
             sv_block,
         ]
-        labels = [label for block in blocks for label in block.labels]
+        labels = tuple(label for block in blocks for label in block.labels)
         lhs = np.concatenate([block.lhs for block in blocks], axis=-1)
         rhs = np.concatenate([block.rhs for block in blocks], axis=-1)
         holds = _judge(labels, lhs, rhs, tols)
@@ -366,15 +384,24 @@ def _certify_batch(z: np.ndarray, orders, constant_scale: float, tols) -> _Batch
         holds[:, -n:] = sv_holds
         ratio[:, -n:] = sv_ratio
         finite = np.isfinite(lhs).all(axis=-1) & np.isfinite(rhs).all(axis=-1)
-    order = sorted(range(len(labels)), key=lambda i: _sort_key(labels[i]))
+    sorted_labels, order = _sorted_columns(labels)
     return _Batch(
-        [labels[i] for i in order],
+        sorted_labels,
         lhs[:, order],
         rhs[:, order],
         ratio[:, order],
         holds[:, order],
         finite,
     )
+
+
+@functools.lru_cache(maxsize=64)
+def _sorted_columns(labels: tuple[_Label, ...]) -> tuple[tuple[_Label, ...], np.ndarray]:
+    """The labels in check_all's (name, p) order and the permutation of the
+    columns that puts them there.  The labels depend on n and the orders
+    alone, so an audit computes this once per n."""
+    order = sorted(range(len(labels)), key=lambda i: _sort_key(labels[i]))
+    return tuple(labels[i] for i in order), np.array(order)
 
 
 def _sort_key(label: _Label) -> tuple[str, float]:
@@ -429,7 +456,8 @@ def quartic_bounds(cfg: ZeroConfig) -> tuple[Certificate, Certificate, Certifica
     _require_centered(cfg, "the quartic certificates")
     z = cfg.as_array()[None]
     with _arithmetic():
-        block = _quartic(cfg.n, z, _critical_moduli(z)[..., :-1])
+        pow2, pow4 = np.moveaxis(_power_sums(np.abs(z), (2.0, 4.0)), -1, 0)
+        block = _quartic(cfg.n, z, _critical_moduli(z)[..., :-1], pow2, pow4)
         dbs, kt, dominance = _single(cfg.n, block)
     return dbs, kt, dominance
 
@@ -477,8 +505,10 @@ def endpoint_checks(
     """
     _require_centered(cfg, "the endpoint certificates")
     sigma = densela.singular_values(densela.differentiator(cfg))
+    z_mod = np.abs(cfg.as_array())[None]
     with _arithmetic():
-        block = _endpoint(cfg.n, sigma[None], np.abs(cfg.as_array())[None])
+        pow1, pow2 = np.moveaxis(_power_sums(z_mod, (1.0, 2.0)), -1, 0)
+        block = _endpoint(cfg.n, sigma[None], z_mod, pow1, pow2)
         s1, s2, sinf = _single(cfg.n, block)
     return s1, s2, sinf
 

@@ -82,6 +82,11 @@ def _print_certificates(rows: list[certs.Certificate]) -> None:
         )
 
 
+def _print_json(fields: dict[str, str]) -> None:
+    """One JSON object line from rendered field values, in the given order."""
+    sys.stdout.write("{" + ", ".join(f'"{key}": {text}' for key, text in fields.items()) + "}\n")
+
+
 def _cmd_check(args) -> int:
     cfg = center(parse_zeros(args.zeros))
     rows = certs.check_all(cfg, _parse_float_list(args.p))
@@ -124,16 +129,19 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_sharpness(args) -> int:
     result = sharpness.maximize_ratio(args.n, args.p, args.budget, args.seed)
-    payload = {
-        "n": result.n,
-        "p": result.p,
-        "best_ratio": result.best_ratio,
-        "evaluations": result.evaluations,
-        "restarts": result.restarts,
-        "seed": result.seed,
-        "best_zeros": [[z.real, z.imag] for z in result.best_config.zeros],
-    }
-    sys.stdout.write(harness.dumps_report(payload))
+    _print_json(
+        {
+            "n": str(result.n),
+            "p": harness.format_float(result.p),
+            "best_ratio": harness.format_float(result.best_ratio),
+            "evaluations": str(result.evaluations),
+            "restarts": str(result.restarts),
+            "seed": str(result.seed),
+            "best_zeros": harness._json_pairs(
+                [(z.real, z.imag) for z in result.best_config.zeros]
+            ),
+        }
+    )
     if result.best_ratio > 1.0 + certs.REL_TOL:
         print("WARNING: ratio exceeds 1; this contradicts the order-p bound",
               file=sys.stderr)
@@ -145,8 +153,14 @@ def _cmd_opnorm(args) -> int:
     estimate, bound = sharpness.opnorm_lower_bound(
         args.n, args.p, budget=args.budget, seed=args.seed
     )
-    payload = {"n": args.n, "p": args.p, "estimate": estimate, "bound": bound}
-    sys.stdout.write(harness.dumps_report(payload))
+    _print_json(
+        {
+            "n": str(args.n),
+            "p": harness.format_float(args.p),
+            "estimate": harness.format_float(estimate),
+            "bound": harness.format_float(bound),
+        }
+    )
     if estimate > bound * (1.0 + certs.REL_TOL):
         print("WARNING: estimate exceeds the closed-form bound", file=sys.stderr)
         return 2

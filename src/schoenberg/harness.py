@@ -7,22 +7,31 @@ cell's configurations as (rows, n) arrays.  The samples of each n are taken
 in a fixed order (distribution, then sample index) and certified together as
 stacked arrays by the columnar evaluator of ``certs``, in slices sized so
 that their stacked arrays hold about _SLICE_ENTRIES entries.  A slice reads
-the next rows of each cell it covers, and the per-key totals, pass counts,
-largest ratios and violations are aggregated with array operations in
-sampling order, so the report is the same for any slice size.
+the next rows of each cell it covers.  The verdicts of one n are folded
+into columnar arrays, one column per certificate key: the pass counts, the
+largest ratio and the first sample in sampling order that attains it.
+The report's keys take these totals once per n, and the (re, im) pairs of
+each distinct argmax sample are built once, at the end of the audit.
+Violations and errors are entries in sampling order.  So the report is the
+same for any slice size.
 
-Reports are written with every float rendered to 17 significant digits, which
-round-trips IEEE-754 doubles exactly, so identical audit specs produce
-byte-identical JSON.  Wall time is tracked on the in-memory report but never
+Reports have a fixed schema, and JSON is written field by field by a flat
+writer: every float rendered to 17 significant digits, which round-trips
+IEEE-754 doubles exactly, so identical audit specs produce byte-identical
+JSON; strings escaped per RFC 8259; a pairs list that several entries share
+rendered once.  Wall time is tracked on the in-memory report but never
 serialized for that reason.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import io
+import math
+import re
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -55,7 +64,12 @@ class AuditSpec:
     tolerances: tuple[float, float] = (certs.ABS_TOL, certs.REL_TOL)
 
     def __post_init__(self):
-        object.__setattr__(self, "n_values", tuple(int(n) for n in self.n_values))
+        n_values = tuple(_integer(n, "every n") for n in self.n_values)
+        object.__setattr__(self, "n_values", n_values)
+        object.__setattr__(
+            self, "samples_per_cell", _integer(self.samples_per_cell, "samples_per_cell")
+        )
+        object.__setattr__(self, "seed", _integer(self.seed, "seed"))
         object.__setattr__(self, "p_grid", tuple(float(p) for p in self.p_grid))
         object.__setattr__(self, "distributions", tuple(self.distributions))
         if not self.n_values or min(self.n_values) < 2:
@@ -73,6 +87,8 @@ class AuditSpec:
                 raise ValueError(f"unknown distribution {dist!r}")
         if self.samples_per_cell < 1:
             raise ValueError("samples_per_cell must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
     def to_dict(self) -> dict:
         return {
@@ -86,25 +102,33 @@ class AuditSpec:
 
     @staticmethod
     def from_dict(data: dict) -> "AuditSpec":
-        known = {}
-        for key in (
-            "n_values",
-            "p_grid",
-            "distributions",
-            "samples_per_cell",
-            "seed",
-            "tolerances",
-        ):
-            if key in data:
-                known[key] = data[key]
+        """The spec of a dict such as to_dict writes; absent keys take their
+        defaults and an unknown key is a ValueError."""
+        names = {spec_field.name for spec_field in fields(AuditSpec)}
+        unknown = [key for key in data if key not in names]
+        if unknown:
+            raise ValueError(f"unknown audit spec keys: {unknown}")
+        known = dict(data)
         if "tolerances" in known:
             known["tolerances"] = tuple(known["tolerances"])
         return AuditSpec(**known)
 
 
+def _integer(value, what: str) -> int:
+    """``value`` as a plain int: a Python or numpy integer.  Anything else,
+    a bool or an integral float included, is a ValueError."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass
 class CertStats:
-    """Aggregate over one certificate key within an audit."""
+    """Aggregate over one certificate key within an audit.
+
+    Keys whose largest ratio fell first on the same sample share one
+    ``argmax_zeros`` list.
+    """
 
     total: int = 0
     passed: int = 0
@@ -133,7 +157,7 @@ class AuditReport:
 
 
 def _zeros_to_pairs(z: np.ndarray) -> list[list[float]]:
-    return [[float(v.real), float(v.imag)] for v in z]
+    return np.stack((z.real, z.imag), axis=-1).tolist()
 
 
 def _pairs_to_config(pairs) -> ZeroConfig:
@@ -214,13 +238,15 @@ def run_audit(spec: AuditSpec, sabotage: bool = False) -> AuditReport:
     machinery works.  Per-sample numeric failures are recorded under
     ``errors`` and never abort the audit.  Deterministic in the spec.
     """
-    report = AuditReport(spec=spec, sabotage=sabotage)
+    report = AuditReport(spec=spec, sabotage=bool(sabotage))
     orders = sorted(spec.p_grid)
     scale = 0.5 if sabotage else 1.0
     start = time.perf_counter()
     per_cell = spec.samples_per_cell
     cells = [DISTRIBUTIONS.index(dist) for dist in spec.distributions]
+    winners: dict[str, tuple[tuple[int, int], np.ndarray]] = {}
     for n in spec.n_values:
+        fold = _Fold(n)
         rngs = [_cell_generator(spec.seed, n, dist) for dist in spec.distributions]
         rows = max(1, _SLICE_ENTRIES // (n * max(n, len(orders))))
         # sampling order is distribution-major, then sample index; a slice
@@ -233,20 +259,92 @@ def run_audit(spec: AuditSpec, sabotage: bool = False) -> AuditReport:
                 parts.append(_draw_rows(rngs[offset], n, spec.distributions[offset], count))
                 dists.append(np.full(count, cells[offset]))
             z = center_rows(np.concatenate(parts))
-            _certify_slice(report, n, z, np.concatenate(dists), orders, scale)
+            _certify_slice(report, fold, first, z, np.concatenate(dists), orders, scale)
+        fold.merge(report, winners)
+    # keys whose first maximum fell on the same sample share its pairs
+    pairs: dict[tuple[int, int], list[list[float]]] = {}
+    for key, (sample, z) in winners.items():
+        if sample not in pairs:
+            pairs[sample] = _zeros_to_pairs(z)
+        report.per_certificate[key].argmax_zeros = pairs[sample]
     report.wall_time_s = time.perf_counter() - start
     return report
 
 
+class _Fold:
+    """The per-key aggregates of one n as arrays across its slices: one
+    count of certified samples, and per column of the batch labels the pass
+    count, the largest ratio and the sample that first attained it (its
+    index in sampling order and its zeros)."""
+
+    def __init__(self, n: int):
+        self.n = n
+        self.labels: tuple | None = None  # set by the first certified slice
+        self.total = 0
+
+    def add(self, batch: certs._Batch, z: np.ndarray, rows: np.ndarray, first: int) -> None:
+        """Fold in the finite ``rows`` of a slice whose first sample has
+        index ``first`` in sampling order."""
+        if self.labels is None:
+            self.labels = batch.labels
+            self.passed = np.zeros(len(batch.labels), dtype=np.int64)
+            self.best = np.full(len(batch.labels), -np.inf)
+            self.best_at = np.zeros(len(batch.labels), dtype=np.int64)
+            self.best_zeros = np.zeros((len(batch.labels), self.n), dtype=complex)
+        ratio = batch.ratio[rows]
+        ratio[np.isnan(ratio)] = -np.inf
+        top = ratio.argmax(axis=0)  # the first maximum of the slice
+        best = ratio.max(axis=0)
+        self.total += rows.size
+        self.passed += batch.holds[rows].sum(axis=0)
+        better = best > self.best  # an earlier slice keeps a tie
+        self.best[better] = best[better]
+        self.best_at[better] = first + rows[top[better]]
+        self.best_zeros[better] = z[rows[top[better]]]
+
+    def merge(self, report: AuditReport, winners: dict) -> None:
+        """Add the totals to the report's keys, and record in ``winners`` the
+        keys whose largest ratio this n raised, with its sample and zeros;
+        an earlier n keeps a tie."""
+        if self.labels is None:  # no sample of this n was certified
+            return
+        per_cert = report.per_certificate
+        columns = zip(self.passed.tolist(), self.best.tolist(), self.best_at.tolist())
+        for col, (key, (passed, best, at)) in enumerate(zip(_keys(self.labels), columns)):
+            stats = per_cert.get(key)
+            if stats is None:
+                stats = per_cert[key] = CertStats()
+            stats.total += self.total
+            stats.passed += passed
+            if best > -math.inf and (stats.max_ratio is None or best > stats.max_ratio):
+                stats.max_ratio = best
+                winners[key] = ((self.n, at), self.best_zeros[col])
+
+
+@functools.lru_cache(maxsize=64)
+def _keys(labels: tuple) -> tuple[str, ...]:
+    """The report key of each batch label."""
+    return tuple(_certificate_key(name, p) for name, p in labels)
+
+
 def _certify_slice(
-    report: AuditReport, n: int, z: np.ndarray, dists: np.ndarray, orders, scale: float
+    report: AuditReport,
+    fold: _Fold,
+    first: int,
+    z: np.ndarray,
+    dists: np.ndarray,
+    orders,
+    scale: float,
 ) -> None:
     """Certify the (B, n) zeros ``z`` of one slice, whose distributions are
-    ``DISTRIBUTIONS[dists]``, and fold them into the report.
+    ``DISTRIBUTIONS[dists]`` and whose first sample has index ``first`` in
+    sampling order; fold the verdicts into ``fold`` and record violations
+    and errors in the report.
 
     A LAPACK failure fails the whole stacked evaluation, so the slice is then
     certified one sample at a time and only the failing samples are errors.
     """
+    n = fold.n
     try:
         batch = certs._certify_batch(z, orders, scale, report.spec.tolerances)
     except ArithmeticError as exc:
@@ -255,27 +353,15 @@ def _certify_slice(
         else:
             for row in range(len(z)):
                 one = slice(row, row + 1)
-                _certify_slice(report, n, z[one], dists[one], orders, scale)
+                _certify_slice(report, fold, first + row, z[one], dists[one], orders, scale)
         return
     for row in np.flatnonzero(~batch.finite):
         _record_error(report, n, dists[row], z[row], OverflowError(certs._NOT_FINITE))
     rows = np.flatnonzero(batch.finite)
     if rows.size == 0:
         return
-    ratio = np.where(np.isnan(batch.ratio[rows]), -np.inf, batch.ratio[rows])
-    holds = batch.holds[rows]
-    best_rows = ratio.argmax(axis=0)  # the first maximum wins
-    best = ratio[best_rows, np.arange(len(batch.labels))].tolist()
-    passed = holds.sum(axis=0).tolist()
-    for col, (name, p) in enumerate(batch.labels):
-        key = _certificate_key(name, p)
-        stats = report.per_certificate.setdefault(key, CertStats())
-        stats.total += rows.size
-        stats.passed += passed[col]
-        if best[col] > -np.inf and (stats.max_ratio is None or best[col] > stats.max_ratio):
-            stats.max_ratio = best[col]
-            stats.argmax_zeros = _zeros_to_pairs(z[rows[best_rows[col]]])
-    for row in rows[~holds.all(axis=1)]:
+    fold.add(batch, z, rows, first)
+    for row in rows[~batch.holds[rows].all(axis=1)]:
         pairs = _zeros_to_pairs(z[row])
         for cert in certs._certificates(
             n, batch.labels, batch.lhs[row], batch.rhs[row], batch.ratio[row], batch.holds[row]
@@ -334,62 +420,95 @@ def format_float(value: float) -> str:
     return format(float(value), ".17g")
 
 
-def _render_json(obj, out: list[str]) -> None:
-    if isinstance(obj, dict):
-        out.append("{")
-        for i, (key, val) in enumerate(obj.items()):
-            if i:
-                out.append(", ")
-            out.append(f'"{key}": ')
-            _render_json(val, out)
-        out.append("}")
-    elif isinstance(obj, (list, tuple)):
-        out.append("[")
-        for i, val in enumerate(obj):
-            if i:
-                out.append(", ")
-            _render_json(val, out)
-        out.append("]")
-    elif isinstance(obj, bool):
-        out.append("true" if obj else "false")
-    elif isinstance(obj, (int, np.integer)):
-        out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        out.append(format_float(obj))
-    elif obj is None:
-        out.append("null")
-    elif isinstance(obj, str):
-        out.append('"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"')
-    else:
-        raise TypeError(f"cannot render {type(obj).__name__} as JSON")
+# RFC 8259 escapes: a quote, a backslash and every control character, with
+# the short forms for newline and tab
+_ESCAPES = {code: f"\\u{code:04x}" for code in range(0x20)}
+_ESCAPES.update({ord('"'): '\\"', ord("\\"): "\\\\", ord("\n"): "\\n", ord("\t"): "\\t"})
+_NEEDS_ESCAPE = re.compile(r'["\\\x00-\x1f]')
 
 
-def dumps_report(obj) -> str:
-    """Deterministic JSON text with 17-significant-digit floats."""
-    out: list[str] = []
-    _render_json(obj, out)
-    return "".join(out) + "\n"
+def _json_str(text: str) -> str:
+    """A JSON string literal of ``text``."""
+    if _NEEDS_ESCAPE.search(text):
+        text = text.translate(_ESCAPES)
+    return f'"{text}"'
 
 
-def _report_to_dict(report: AuditReport) -> dict:
-    per_cert = {}
-    for key in sorted(report.per_certificate):
-        stats = report.per_certificate[key]
-        per_cert[key] = {
-            "total": stats.total,
-            "passed": stats.passed,
-            "max_ratio": stats.max_ratio,
-            "argmax_zeros": stats.argmax_zeros,
-        }
-    return {
-        "spec": report.spec.to_dict(),
-        "sabotage": report.sabotage,
-        "total": report.total,
-        "passed": report.passed,
-        "per_certificate": per_cert,
-        "violations": report.violations,
-        "errors": report.errors,
-    }
+def _json_float(value: float | None) -> str:
+    return "null" if value is None else format(value, ".17g")
+
+
+def _json_pairs(pairs) -> str:
+    """A list of (re, im) pairs as nested JSON arrays; None is null."""
+    if pairs is None:
+        return "null"
+    return "[" + ", ".join(f"[{re:.17g}, {im:.17g}]" for re, im in pairs) + "]"
+
+
+def _json_certificate(cert: dict) -> str:
+    """A certificate in its wire schema (Certificate.to_dict)."""
+    return (
+        f'{{"name": {_json_str(cert["name"])}, "n": {cert["n"]}, '
+        f'"p": {_json_float(cert["p"])}, "lhs": {cert["lhs"]:.17g}, '
+        f'"rhs": {cert["rhs"]:.17g}, "slack": {cert["slack"]:.17g}, '
+        f'"ratio": {_json_float(cert["ratio"])}, '
+        f'"holds": {"true" if cert["holds"] else "false"}}}'
+    )
+
+
+def _audit_json(report: AuditReport) -> str:
+    """The fixed schema of an audit report: spec, sabotage, totals, the
+    per-key aggregates sorted by key, violations and errors."""
+    spec = report.spec
+    rendered: dict[int, str] = {}
+
+    def zeros(pairs) -> str:
+        # a pairs list shared by several entries (the keys whose maximum fell
+        # on one sample, the violations of one sample) is rendered once
+        text = rendered.get(id(pairs))
+        if text is None:
+            text = rendered[id(pairs)] = _json_pairs(pairs)
+        return text
+
+    spec_text = (
+        f'{{"n_values": [{", ".join(map(str, spec.n_values))}], '
+        f'"p_grid": [{", ".join(map(format_float, spec.p_grid))}], '
+        f'"distributions": [{", ".join(map(_json_str, spec.distributions))}], '
+        f'"samples_per_cell": {spec.samples_per_cell}, "seed": {spec.seed}, '
+        f'"tolerances": [{", ".join(map(format_float, spec.tolerances))}]}}'
+    )
+    per_cert = ", ".join(
+        f'{_json_str(key)}: {{"total": {stats.total}, "passed": {stats.passed}, '
+        f'"max_ratio": {_json_float(stats.max_ratio)}, '
+        f'"argmax_zeros": {zeros(stats.argmax_zeros)}}}'
+        for key, stats in sorted(report.per_certificate.items())
+    )
+    violations = ", ".join(
+        f'{{"certificate": {_json_certificate(entry["certificate"])}, "n": {entry["n"]}, '
+        f'"distribution": {_json_str(entry["distribution"])}, '
+        f'"zeros": {zeros(entry["zeros"])}}}'
+        for entry in report.violations
+    )
+    errors = ", ".join(
+        f'{{"n": {entry["n"]}, "distribution": {_json_str(entry["distribution"])}, '
+        f'"zeros": {zeros(entry["zeros"])}, "error": {_json_str(entry["error"])}}}'
+        for entry in report.errors
+    )
+    return (
+        f'{{"spec": {spec_text}, "sabotage": {"true" if report.sabotage else "false"}, '
+        f'"total": {report.total}, "passed": {report.passed}, '
+        f'"per_certificate": {{{per_cert}}}, '
+        f'"violations": [{violations}], "errors": [{errors}]}}\n'
+    )
+
+
+def dumps_report(report) -> str:
+    """The JSON text of an audit report or of a batch of certificates, one
+    line with every float rendered by format_float."""
+    if isinstance(report, AuditReport):
+        return _audit_json(report)
+    items = ", ".join(_json_certificate(cert.to_dict()) for cert in report)
+    return f'{{"certificates": [{items}]}}\n'
 
 
 def _certificates_of(report) -> list[certs.Certificate]:
@@ -412,11 +531,7 @@ def emit_report(report, path, format: str = "json") -> None:
     if format not in ("json", "csv"):
         raise ValueError(f"format must be 'json' or 'csv', got {format!r}")
     if format == "json":
-        if isinstance(report, AuditReport):
-            payload = _report_to_dict(report)
-        else:
-            payload = {"certificates": [c.to_dict() for c in report]}
-        text = dumps_report(payload)
+        text = dumps_report(report)
     else:
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")

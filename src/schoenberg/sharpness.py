@@ -3,7 +3,8 @@
 Two explicit families attain the claimed order-p constants: n/2 zeros at
 each of +1/-1 (for p >= 2, n even) and n-2 zeros at the origin plus one at
 each of +1/-1 (for 1 <= p <= 2).  For 1 < p < 2 the claimed constant is the
-interpolated one, refuted for n >= 5 (witness pinned in
+interpolated one, refuted for n >= 4 on p0(n) < p < 2, with p0(4) ~ 1.760
+(witnesses pinned in tests/test_sharpness.py::TestOrderFourWitness and
 tests/test_certs.py::TestIntermediateOrderCounterexample), so there the
 second family attains it without being extremal; PAPER.md does not settle
 which constant the paper states.  Both searches share one routine, which
@@ -67,9 +68,9 @@ def extremal_low(n: int) -> ZeroConfig:
 def ratio(cfg: ZeroConfig, p: float) -> float:
     """sum |w_k|^p divided by C(n,p) sum |z_j|^p, the order-p certificate's ratio.
 
-    In [0, 1] wherever the claimed constant C(n, p) holds; for 1 < p < 2 and
-    n >= 5 it is refuted and the ratio can exceed 1 (1.00168280036673 at
-    p = 1.75 on the pinned witness).
+    In [0, 1] wherever the claimed constant C(n, p) holds; for n >= 4 and
+    p0(n) < p < 2, with p0(4) ~ 1.760, it is refuted and the ratio can
+    exceed 1 (1.0009149692779185 for (z - 1)(z + 1/3)^3 at p = 1.9).
     """
     if cfg.n == 2:
         raise ValueError("n = 2 is degenerate: the bound's right side vanishes")
@@ -242,8 +243,9 @@ def opnorm_lower_bound(
     matching p-range) plus random restarts, and returns
     (estimate, c(n, p)) with c(n, p) = ((n-2)/n)^min(1/p, 1/2).  For
     1 < p < 2, c(n, p) is the claimed interpolated constant, refuted for
-    n >= 5, so the estimate may exceed it; it never exceeds the proven
-    ((n-1)/n)^(1/p), the norm of z -> Q diag(z) Q on all of l^p.
+    n >= 4 on p0(n) < p < 2, so the estimate may exceed it; it never
+    exceeds the proven ((n-1)/n)^(1/p), the norm of z -> Q diag(z) Q on
+    all of l^p.
     """
     p = float(p)
     families = (extremal_low, extremal_high) if n % 2 == 0 else (extremal_low,)

@@ -53,3 +53,65 @@ def random_centered(rng, n: int, radius: float = 1.0) -> np.ndarray:
     theta = rng.uniform(0.0, 2.0 * np.pi, n)
     z = r * np.exp(1j * theta)
     return z - z.mean()
+
+
+def reference_json(obj) -> str:
+    """The recursive JSON renderer that the flat report writer replaced, kept
+    as the writer's oracle: dicts, lists and tuples, bools, ints, floats with
+    17 significant digits, None and strings (escaping only quotes and
+    backslashes), one line."""
+    out: list[str] = []
+    _render(obj, out)
+    return "".join(out) + "\n"
+
+
+def _render(obj, out: list[str]) -> None:
+    if isinstance(obj, dict):
+        out.append("{")
+        for i, (key, val) in enumerate(obj.items()):
+            if i:
+                out.append(", ")
+            out.append(f'"{key}": ')
+            _render(val, out)
+        out.append("}")
+    elif isinstance(obj, (list, tuple)):
+        out.append("[")
+        for i, val in enumerate(obj):
+            if i:
+                out.append(", ")
+            _render(val, out)
+        out.append("]")
+    elif isinstance(obj, bool):
+        out.append("true" if obj else "false")
+    elif isinstance(obj, (int, np.integer)):
+        out.append(str(int(obj)))
+    elif isinstance(obj, (float, np.floating)):
+        out.append(format(float(obj), ".17g"))
+    elif obj is None:
+        out.append("null")
+    elif isinstance(obj, str):
+        out.append('"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"')
+    else:
+        raise TypeError(f"cannot render {type(obj).__name__} as JSON")
+
+
+def report_to_dict(report) -> dict:
+    """An audit report as the nested dict the oracle renders, keys sorted."""
+    per_cert = {}
+    for key in sorted(report.per_certificate):
+        stats = report.per_certificate[key]
+        per_cert[key] = {
+            "total": stats.total,
+            "passed": stats.passed,
+            "max_ratio": stats.max_ratio,
+            "argmax_zeros": stats.argmax_zeros,
+        }
+    return {
+        "spec": report.spec.to_dict(),
+        "sabotage": report.sabotage,
+        "total": report.total,
+        "passed": report.passed,
+        "per_certificate": per_cert,
+        "violations": report.violations,
+        "errors": report.errors,
+    }

@@ -5,11 +5,17 @@ lines as they complete.
 
 For 1 < p < 2 the repo encodes the claimed interpolated constants
 C(n,p) = ((n-2)/n)^(p/2) and c(n,p) = ((n-2)/n)^(1/2).  They are refuted
-once n >= 5: the centered real quintuple pinned in
-tests/test_certs.py::TestIntermediateOrderCounterexample reaches the ratio
-1.00168280036673 at p = 1.75, recomputed at 60 digits, while both endpoint
-orders p = 1 and p = 2 hold.  PAPER.md gives only the abstract, so it does
-not settle whether the paper states this constant or another one.
+for every n >= 4, on an interval p0(n) < p < 2 with p0(4) ~ 1.760 and
+p0(5) ~ 1.442, while both endpoint orders p = 1 and p = 2 hold.  At n = 4,
+(z - 1)(z + 1/3)^3 reaches the ratio 1.0009149692779185 at p = 1.9
+(tests/test_sharpness.py::TestOrderFourWitness); at n = 5 the centered real
+quintuple pinned in tests/test_certs.py::TestIntermediateOrderCounterexample
+reaches 1.00168280036673 at p = 1.75; both are recomputed at 60 digits.
+PAPER.md gives only the abstract, so it does not settle whether the paper
+states this constant or another one.  The orders these criteria sample put
+the refutation at n >= 5 alone: criterion 3's grid has no order in
+(p0(4), 2), and criterion 9 probes n = 4 only at p >= 2, so
+claimed_constant_refuted marks n >= 5 and 1 < p < 2.
 Criteria 3 and 9 therefore assert the claimed constant wherever no witness
 refutes it, and assert the refutation where one does: criterion 3 confirms
 every intermediate-order violation of the audit at 60 digits, and

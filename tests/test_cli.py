@@ -109,6 +109,15 @@ class TestAuditCommand:
         assert out.read_text().splitlines()[0] == "name,n,p,lhs,rhs,slack,ratio,holds"
 
 
+    def test_unknown_spec_key_is_an_error(self, tmp_path, capsys):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"n_values": [3], "sample_per_cell": 5}))
+        out = tmp_path / "r.json"
+        assert main(["audit", "--spec", str(spec_path), "--out", str(out)]) == 2
+        assert "sample_per_cell" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestSweepCommand:
     def test_writes_table(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"

@@ -9,10 +9,12 @@ from schoenberg.certs import ABS_TOL, Certificate, check_all, schoenberg_order_p
 from schoenberg.densela import differentiator
 from schoenberg.harness import (
     DISTRIBUTIONS,
+    AuditReport,
     AuditSpec,
     _cell_generator,
     _certificate_key,
     _draw_rows,
+    dumps_report,
     emit_report,
     format_float,
     re_evaluate_violation,
@@ -22,6 +24,8 @@ from schoenberg.harness import (
 )
 from schoenberg.polyzero import TOL_CENTER, ZeroConfig, center_rows, centroid
 from schoenberg.sharpness import extremal_high, extremal_low
+
+from conftest import reference_json, report_to_dict
 
 SMALL_SPEC = AuditSpec(
     n_values=(3, 4, 5),
@@ -181,6 +185,39 @@ class TestAuditSpec:
         with pytest.raises(ValueError):
             AuditSpec(tolerances=(-1e-12, 1e-9))
 
+    def test_fractional_n_rejected(self):
+        # was truncated: n_values=(3.7,) audited n = 3
+        with pytest.raises(ValueError, match="every n"):
+            AuditSpec(n_values=(3.7,))
+
+    def test_fractional_seed_rejected(self):
+        # audited seed 1 while the report recorded "seed": 1.5
+        with pytest.raises(ValueError, match="seed"):
+            AuditSpec(seed=1.5)
+
+    def test_float_samples_per_cell_rejected(self):
+        # was accepted, and run_audit then raised TypeError
+        with pytest.raises(ValueError, match="samples_per_cell"):
+            AuditSpec(samples_per_cell=2.0)
+
+    def test_negative_seed_rejected(self):
+        # was accepted, and run_audit then raised from SeedSequence
+        with pytest.raises(ValueError, match="seed"):
+            AuditSpec(seed=-1)
+
+    def test_numpy_integers_stored_as_plain_ints(self):
+        spec = AuditSpec(
+            n_values=np.array([3, 4]), samples_per_cell=np.int64(2), seed=np.uint32(7)
+        )
+        assert spec == AuditSpec(n_values=(3, 4), samples_per_cell=2, seed=7)
+        for value in (*spec.n_values, spec.samples_per_cell, spec.seed):
+            assert type(value) is int
+
+    def test_unknown_key_rejected(self):
+        # a typo once ran the default 200 samples per cell
+        with pytest.raises(ValueError, match="sample_per_cell"):
+            AuditSpec.from_dict({"sample_per_cell": 5})
+
 
 class TestRunAudit:
     def test_small_audit_clean(self):
@@ -313,6 +350,32 @@ class TestRunAudit:
             )
 
 
+def test_first_maximum_wins_across_slices_and_n(monkeypatch):
+    """With tied largest ratios, argmax_zeros is the first tied sample in
+    sampling order: an n's later slices and later n do not replace it."""
+    certify_batch = harness.certs._certify_batch
+    seen = []  # (report keys, zeros) of each certified sample, in sampling order
+
+    def tied(z, orders, scale, tols):
+        batch = certify_batch(z, orders, scale, tols)
+        index = np.arange(len(seen), len(seen) + len(z))
+        keys = {_certificate_key(name, p) for name, p in batch.labels}
+        seen.extend((keys, row) for row in z)
+        # every fourth sample from the third on ties for the maximum
+        ratio = np.where(index % 4 == 2, 2.0, 1.0)[:, None] * np.ones_like(batch.ratio)
+        return batch._replace(ratio=ratio)
+
+    monkeypatch.setattr(harness.certs, "_certify_batch", tied)
+    # slices of 4, 2 and 1 samples at n = 3, 4 and 5
+    monkeypatch.setattr(harness, "_SLICE_ENTRIES", 40)
+    report = run_audit(SMALL_SPEC)
+    assert len(seen) == 3 * 12
+    for key, stats in report.per_certificate.items():
+        first = next(z for i, (keys, z) in enumerate(seen) if i % 4 == 2 and key in keys)
+        assert stats.max_ratio == 2.0
+        assert stats.argmax_zeros == [[v.real, v.imag] for v in first], key
+
+
 class TestSweep:
     def test_high_family_flat_at_one(self):
         rows = sweep_p(extremal_high(4), [2.0, 3.0, 4.0])
@@ -379,3 +442,66 @@ class TestEmitReport:
     def test_unwritable_path_mentions_path(self):
         with pytest.raises(OSError, match="no/such/dir"):
             emit_report([], "no/such/dir/report.json")
+
+
+class TestFlatWriter:
+    """The flat JSON writer against the recursive renderer it replaced
+    (conftest.reference_json), byte for byte."""
+
+    @staticmethod
+    def assert_oracle_bytes(report: AuditReport) -> None:
+        assert dumps_report(report) == reference_json(report_to_dict(report))
+
+    def test_report_with_violations(self):
+        spec = AuditSpec(
+            n_values=(5, 6),
+            p_grid=(1.5, 1.75, 2.0),
+            distributions=("real", "clustered"),
+            samples_per_cell=20,
+            seed=7,
+        )
+        report = run_audit(spec)
+        assert report.violations
+        self.assert_oracle_bytes(report)
+
+    def test_report_with_overflow_errors(self, monkeypatch):
+        draw_rows = harness._draw_rows
+
+        def huge_real(rng, n, dist, rows):
+            z = draw_rows(rng, n, dist, rows)
+            return z * 2.0**400 if dist == "real" else z
+
+        monkeypatch.setattr(harness, "_draw_rows", huge_real)
+        report = run_audit(SMALL_SPEC)
+        assert len(report.errors) == 3 * 6
+        assert all(e["error"].startswith("OverflowError") for e in report.errors)
+        assert report.total > 0
+        self.assert_oracle_bytes(report)
+
+    def test_sabotage_flood(self):
+        report = run_audit(SMALL_SPEC, sabotage=True)
+        assert len(report.violations) > 20
+        self.assert_oracle_bytes(report)
+
+    def test_missing_max_ratio(self):
+        report = run_audit(AuditSpec(n_values=(3,), samples_per_cell=4, seed=2))
+        stats = report.per_certificate["sv_product_k3"]
+        assert stats.max_ratio is None and stats.argmax_zeros is None
+        self.assert_oracle_bytes(report)
+
+    def test_certificate_batch(self):
+        batch = check_all(sample_config(5, "gaussian", 4), harness.DEFAULT_P_GRID)
+        expected = reference_json({"certificates": [c.to_dict() for c in batch]})
+        assert dumps_report(batch) == expected
+
+    def test_control_characters_round_trip(self, tmp_path):
+        message = 'OverflowError: line one\nline two\tand a "quote" \\ \r\x01'
+        report = AuditReport(spec=SMALL_SPEC, sabotage=False)
+        report.errors.append(
+            {"n": 3, "distribution": "disk", "zeros": [[1.0, 0.0]], "error": message}
+        )
+        path = tmp_path / "report.json"
+        emit_report(report, path)
+        text = path.read_text()
+        assert text.count("\n") == 1 and text.endswith("}\n")
+        assert json.loads(text)["errors"][0]["error"] == message

@@ -3,7 +3,7 @@ import pytest
 
 from schoenberg import certs, sharpness
 from schoenberg.certs import opnorm_constant
-from schoenberg.polyzero import centroid
+from schoenberg.polyzero import center, centroid
 from schoenberg.sharpness import (
     extremal_high,
     extremal_low,
@@ -13,7 +13,7 @@ from schoenberg.sharpness import (
 )
 from schoenberg.polyzero import ZeroConfig
 
-from conftest import random_centered
+from conftest import mp_schoenberg_ratio, random_centered
 
 
 class TestExtremalFamilies:
@@ -149,7 +149,8 @@ class TestMaximizeRatio:
 
     def test_surfaces_exceedance_at_intermediate_orders(self):
         # genuine counterexamples to the claimed intermediate-order constant
-        # exist for n >= 5 and 1 < p < 2; the search reports them unclipped
+        # exist for n >= 4 and p0(n) < p < 2, with p0(4) ~ 1.760 and
+        # p0(5) ~ 1.442; the search reports them unclipped
         res = maximize_ratio(5, 1.75, budget=20000, seed=1)
         assert res.best_ratio > 1.0 + 1e-9
         assert ratio(res.best_config, 1.75) == pytest.approx(res.best_ratio, abs=1e-12)
@@ -176,6 +177,24 @@ class TestMaximizeRatio:
             maximize_ratio(4, 2.0, budget=0, seed=0)
 
 
+class TestOrderFourWitness:
+    """(z - 1)(z + 1/3)^3 refutes the claimed constant at n = 4.
+
+    Its critical points are -1/3 (twice) and 2/3.  The closed-form ratio of
+    this one-vs-rest family exceeds 1 exactly for p0(4) ~ 1.760 < p < 2, so
+    the refutation region starts at n = 4; p = 1.9 lies inside it.
+    """
+
+    WITNESS = center(ZeroConfig((1.0, -1 / 3, -1 / 3, -1 / 3)))
+
+    def test_ratio_pinned_and_confirmed_at_60_digits(self):
+        value = ratio(self.WITNESS, 1.9)
+        assert value == pytest.approx(1.0009149692779185, rel=0, abs=1e-15)
+        assert value > 1.0 + certs.REL_TOL
+        exact = mp_schoenberg_ratio(self.WITNESS.as_array(), 1.9)
+        assert abs(value - exact) <= 1e-12
+
+
 class TestOpnormLowerBound:
     def test_order_two_is_an_identity(self):
         est, bound = opnorm_lower_bound(4, 2.0, budget=200, seed=0)
@@ -198,8 +217,8 @@ class TestOpnormLowerBound:
             assert est <= bound * (1.0 + 1e-9)
 
     def test_surfaces_excess_at_intermediate_orders(self):
-        # the closed-form constant is falsified for 1 < p < 2 once n >= 5;
-        # the search finds and reports the excess
+        # the closed-form constant is falsified for n >= 4 and p0(n) < p < 2
+        # (p0(8) ~ 1.195); the search finds and reports the excess
         est, bound = opnorm_lower_bound(8, 1.5, budget=1000, seed=0)
         assert est > bound * (1.0 + 1e-6)
 
