@@ -117,7 +117,7 @@ class AuditSpec:
 def _integer(value, what: str) -> int:
     """``value`` as a plain int: a Python or numpy integer.  Anything else,
     a bool or an integral float included, is a ValueError."""
-    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{what} must be an integer, got {value!r}")
     return int(value)
 
@@ -308,17 +308,20 @@ class _Fold:
         an earlier n keeps a tie."""
         if self.labels is None:  # no sample of this n was certified
             return
-        per_cert = report.per_certificate
-        columns = zip(self.passed.tolist(), self.best.tolist(), self.best_at.tolist())
-        for col, (key, (passed, best, at)) in enumerate(zip(_keys(self.labels), columns)):
-            stats = per_cert.get(key)
+        passed = self.passed.tolist()
+        best = self.best.tolist()
+        best_at = self.best_at.tolist()
+        for col, key in enumerate(_keys(self.labels)):
+            stats = report.per_certificate.get(key)
             if stats is None:
-                stats = per_cert[key] = CertStats()
+                stats = report.per_certificate[key] = CertStats()
             stats.total += self.total
-            stats.passed += passed
-            if best > -math.inf and (stats.max_ratio is None or best > stats.max_ratio):
-                stats.max_ratio = best
-                winners[key] = ((self.n, at), self.best_zeros[col])
+            stats.passed += passed[col]
+            if best[col] > -math.inf and (
+                stats.max_ratio is None or best[col] > stats.max_ratio
+            ):
+                stats.max_ratio = best[col]
+                winners[key] = ((self.n, best_at[col]), self.best_zeros[col])
 
 
 @functools.lru_cache(maxsize=64)
