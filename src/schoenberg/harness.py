@@ -279,8 +279,11 @@ class _Fold:
 
     def __init__(self, n: int):
         self.n = n
-        self.labels: tuple | None = None  # set by the first certified slice
         self.total = 0
+        # the batch labels and one entry per label, set by the first
+        # certified slice
+        self.labels: tuple | None = None
+        self.passed = self.best = self.best_at = self.best_zeros = None
 
     def add(self, batch: certs._Batch, z: np.ndarray, rows: np.ndarray, first: int) -> None:
         """Fold in the finite ``rows`` of a slice whose first sample has
