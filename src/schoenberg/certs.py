@@ -27,6 +27,7 @@ OverflowError, never a verdict.
 from __future__ import annotations
 
 import functools
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -92,15 +93,23 @@ def _require_centered(cfg: ZeroConfig, what: str) -> None:
         raise ValueError(f"{what} requires a centered configuration (sum z_j = 0)")
 
 
+def _real(value, what: str) -> float:
+    """``value`` as a float: a Python or numpy real number.  Anything else,
+    text or a bool included, is a ValueError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{what} must be a real number, got {value!r}")
+    return float(value)
+
+
 def _check_order(p: float) -> float:
-    p = float(p)
+    p = _real(p, "an order")
     if not 1 <= p < np.inf:
         raise ValueError(f"order must be finite and satisfy p >= 1, got {p}")
     return p
 
 
 def _check_tolerances(abs_tol: float, rel_tol: float) -> tuple[float, float]:
-    tols = (float(abs_tol), float(rel_tol))
+    tols = (_real(abs_tol, "abs_tol"), _real(rel_tol, "rel_tol"))
     if not all(np.isfinite(t) and t >= 0 for t in tols):
         raise ValueError(f"tolerances must be finite and nonnegative, got {tols}")
     return tols

@@ -70,12 +70,14 @@ class AuditSpec:
             self, "samples_per_cell", _integer(self.samples_per_cell, "samples_per_cell")
         )
         object.__setattr__(self, "seed", _integer(self.seed, "seed"))
-        object.__setattr__(self, "p_grid", tuple(float(p) for p in self.p_grid))
+        if isinstance(self.p_grid, str):
+            raise ValueError(f"p_grid must be a sequence of orders, got {self.p_grid!r}")
+        object.__setattr__(self, "p_grid", tuple(certs._check_order(p) for p in self.p_grid))
         object.__setattr__(self, "distributions", tuple(self.distributions))
         if not self.n_values or min(self.n_values) < 2:
             raise ValueError("n_values must be nonempty with every n >= 2")
-        if not self.p_grid or not all(np.isfinite(p) and p >= 1 for p in self.p_grid):
-            raise ValueError("p_grid must be nonempty with every p finite and >= 1")
+        if not self.p_grid:
+            raise ValueError("p_grid must be nonempty")
         if len(set(self.p_grid)) != len(self.p_grid):
             raise ValueError(f"p_grid repeats an order: {self.p_grid}")
         if len(self.tolerances) != 2:

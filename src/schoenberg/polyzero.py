@@ -4,19 +4,26 @@ This is the "direct" route to critical points: expand p(z) = prod (z - z_j),
 differentiate, and solve p'(w) = 0 with a simultaneous Aberth-Ehrlich
 iteration (Aberth, Math. Comp. 27, 1973; Bini, Numer. Algorithms 13, 1996).
 ``roots`` rescales the polynomial from both sides of 1, so that its roots sit
-near the unit circle, and starts the iteration on that circle.  Each double
+near the unit circle, and starts the iteration on that circle.  The tables
+that depend on the degree alone (rescale weights, exponents, starting
+circle) are cached per degree, and the evaluation data of the rescaled
+polynomial (ascending coefficients, derivative weights, magnitudes and a
+buffer for the matrix of powers) is built once per call.  Each double
 precision step evaluates p, p' and the rounding majorant for every iterate
-from one matrix of powers; a short polish then re-evaluates p and p' by
+from that matrix of powers; a short polish then re-evaluates p and p' by
 Horner's rule in 80-bit arithmetic, and falls back to the double precision
-iterate when the polished one misses the residual gate.  The spectral route
-lives in ``densela`` and is kept deliberately independent of this one so the
-two can cross-check each other.
+iterate when the polished one misses the residual gate, which reads the
+majorant from the same matrix.  The spectral route lives in ``densela`` and
+is kept deliberately independent of this one so the two can cross-check
+each other.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import comb, log2
+from typing import NamedTuple
 
 import numpy as np
 
@@ -130,7 +137,9 @@ def from_roots(cfg: ZeroConfig) -> Polynomial:
     roots are clustered.  Raises OverflowError when a coefficient leaves the
     double range, e.g. for three zeros of modulus 2^350.
     """
-    factors = [np.array([1.0 + 0j, -z]) for z in cfg.zeros]
+    linear = np.ones((cfg.n, 2), dtype=complex)
+    linear[:, 1] = -cfg.as_array()
+    factors = list(linear)
     with np.errstate(over="ignore", invalid="ignore"):
         while len(factors) > 1:
             paired = [
@@ -163,8 +172,13 @@ def roots(poly: Polynomial) -> np.ndarray:
     The polynomial is first rescaled, z = s u, with s the geometric mean of
     a lower bound and an upper estimate of the largest root magnitude, so
     that the largest rescaled root lies within about sqrt(m) of the unit
-    circle whether the roots are huge or tiny.  Then Aberth-Ehrlich
-    simultaneous iteration in two phases, started on the unit circle:
+    circle whether the roots are huge or tiny.  The rescale weights, the
+    starting circle and the exponents depend only on the degree m and are
+    cached per degree; everything phase 1 and the residual gate need to
+    evaluate the rescaled polynomial (its ascending coefficients, the
+    derivative weights, the magnitudes and the matrix of powers) is built
+    once per call, in one ``_PowerEval``.  Then Aberth-Ehrlich simultaneous
+    iteration in two phases, started on the unit circle:
 
     1. double precision, each step evaluating p, p' and the rounding
        majorant th(x) = sum |b_k| |x|^k for all iterates at once from one
@@ -191,11 +205,10 @@ def roots(poly: Polynomial) -> np.ndarray:
     # The max of the binomially damped magnitudes (|a_k| / C(m,k))^(1/k) is a
     # lower bound for the largest root, the raw max an upper estimate; their
     # geometric mean keeps the rescaled roots near the unit circle.
+    tables = _degree_tables(m)
     mags = np.abs(c[1:])
-    ks = np.arange(1, m + 1)
-    binom = np.array([comb(m, int(k)) for k in ks], dtype=float)
-    s_hi = float(np.max(mags ** (1.0 / ks), initial=0.0))
-    s_lo = float(np.max((mags / binom) ** (1.0 / ks), initial=0.0))
+    s_hi = float(np.max(mags**tables.inverse, initial=0.0))
+    s_lo = float(np.max((mags / tables.binomial) ** tables.inverse, initial=0.0))
     # s = 2^e * f with f in [2^-1/2, 2^1/2]: dividing by f^k and then by
     # 2^(e k) in the exponent never forms s^k, which can over- or underflow
     # where c_k / s^k does not.
@@ -204,14 +217,15 @@ def roots(poly: Polynomial) -> np.ndarray:
         log_s = (log2(s_hi) + log2(s_lo)) / 2
         e = round(log_s)
         f = 2.0 ** (log_s - e)
-    k = np.arange(m + 1)
+    k = tables.exponents
     b = _ldexp(c / f**k, -e * k)
     scale = max(1.0, float(np.abs(b).max()))
+    evaluate = _PowerEval(b, m)
 
-    x = np.exp(1j * (2.0 * np.pi * np.arange(m) / m + 0.4))
+    x = tables.start
     best_x, best_rho = x, np.inf
     for _ in range(MAX_ITERS):
-        p, dp, th = _power_eval(b, x)
+        p, dp, th = evaluate(x)
         ap = np.abs(p)
         rho = float((ap / np.maximum(scale, th)).max())
         if rho < best_rho:
@@ -221,7 +235,7 @@ def roots(poly: Polynomial) -> np.ndarray:
         # the origin); there an absolute test at the coefficient scale is the
         # correct notion of converged.
         flat_ok = (ap <= 64 * _EPS * scale) & (ap >= 0.25 * th)
-        if np.all(backward_ok | flat_ok):
+        if (backward_ok | flat_ok).all():
             best_x = x
             break
         x = _aberth_step(x, p, dp)
@@ -231,14 +245,14 @@ def roots(poly: Polynomial) -> np.ndarray:
         x_new = _aberth_step(x, *_horner_extended(b, x))
         step = np.abs(x_new - x)
         x = x_new
-        if np.all(step <= 4 * _EPS * (1.0 + np.abs(x))):
+        if (step <= 4 * _EPS * (1.0 + np.abs(x))).all():
             break
 
     # The polish can wander off a converged cluster; never lose the phase-1
     # iterate to it.
-    worst = _residual(b, x, scale)
+    worst = _residual(evaluate, x, scale)
     if worst > TOL_ROOT:
-        fallback = _residual(b, best_x, scale)
+        fallback = _residual(evaluate, best_x, scale)
         if fallback < worst:
             x, worst = best_x, fallback
     if worst > TOL_ROOT:
@@ -250,27 +264,73 @@ def roots(poly: Polynomial) -> np.ndarray:
     return _ldexp(x * f, e)
 
 
+class _DegreeTables(NamedTuple):
+    """What ``roots`` needs of the degree m alone, read-only."""
+
+    exponents: np.ndarray  # k = 0..m
+    inverse: np.ndarray  # 1/k, k = 1..m
+    binomial: np.ndarray  # C(m, k), k = 1..m
+    start: np.ndarray  # the m starting points on the unit circle
+
+
+@lru_cache(maxsize=64)
+def _degree_tables(m: int) -> _DegreeTables:
+    exponents = np.arange(m + 1)
+    tables = _DegreeTables(
+        exponents=exponents,
+        inverse=1.0 / exponents[1:],
+        binomial=np.array([comb(m, k) for k in range(1, m + 1)], dtype=float),
+        start=np.exp(1j * (2.0 * np.pi * np.arange(m) / m + 0.4)),
+    )
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
 def _ldexp(z: np.ndarray, e) -> np.ndarray:
     """z * 2**e for complex z, exact unless it underflows."""
     return np.ldexp(z.real, e) + 1j * np.ldexp(z.imag, e)
 
 
-def _power_eval(b: np.ndarray, x: np.ndarray):
-    """p(x), p'(x) and the rounding majorant th(x) = sum |b_k||x|^k.
+class _PowerEval:
+    """p(x), p'(x) and the rounding majorant th(x) = sum |b_k||x|^k of the
+    polynomial with descending coefficients ``b``, for ``size`` points x.
 
-    One (len(x), m+1) matrix of powers x^k, built by a cumulative product,
-    turns each of the three into a matrix-vector product.
+    The ascending coefficients, the derivative weights k b_k and the
+    magnitudes |b_k| are made once, as is one (size, m+1) buffer of powers
+    x^k; each evaluation refills the buffer by one cumulative product and
+    turns each of p, p' and th into a matrix-vector product.
     """
-    m = b.size - 1
-    powers = np.empty((x.size, m + 1), dtype=complex)
-    powers[:, 0] = 1.0
-    powers[:, 1:] = x[:, None]
-    np.cumprod(powers, axis=1, out=powers)
-    ascending = b[::-1]
-    p = powers @ ascending
-    dp = powers[:, :m] @ (ascending[1:] * np.arange(1, m + 1))
-    th = np.abs(powers) @ np.abs(ascending)
-    return p, dp, th
+
+    def __init__(self, b: np.ndarray, size: int):
+        m = b.size - 1
+        self.b = b
+        # a view, not a copy: numpy multiplies by a reversed vector on
+        # another path than by a contiguous one, with other last bits
+        self.ascending = b[::-1]
+        self.weighted = self.ascending[1:] * np.arange(1, m + 1)
+        self.magnitudes = np.abs(self.ascending)
+        self.powers = np.empty((size, m + 1), dtype=complex)
+        self.powers[:, 0] = 1.0
+        self.moduli = np.empty((size, m + 1))
+
+    def __call__(self, x: np.ndarray):
+        powers = self._powers(x)
+        p = powers @ self.ascending
+        dp = powers[:, :-1] @ self.weighted
+        return p, dp, self._majorant(powers)
+
+    def majorant(self, x: np.ndarray) -> np.ndarray:
+        return self._majorant(self._powers(x))
+
+    def _powers(self, x: np.ndarray) -> np.ndarray:
+        powers = self.powers
+        powers[:, 1:] = x[:, None]
+        powers.cumprod(axis=1, out=powers)  # column 0 stays 1
+        return powers
+
+    def _majorant(self, powers: np.ndarray) -> np.ndarray:
+        return np.abs(powers, out=self.moduli) @ self.magnitudes
 
 
 def _horner_extended(b: np.ndarray, x: np.ndarray):
@@ -279,27 +339,28 @@ def _horner_extended(b: np.ndarray, x: np.ndarray):
     xx = x.astype(np.complex256)
     p = np.full(x.shape, bx[0], dtype=np.complex256)
     dp = np.zeros(x.shape, dtype=np.complex256)
-    for k in range(1, b.size):
-        dp = dp * xx + p
-        p = p * xx + bx[k]
+    for bk in bx[1:]:
+        dp *= xx
+        dp += p
+        p *= xx
+        p += bk
     return p.astype(complex), dp.astype(complex)
 
 
-def _residual(b: np.ndarray, x: np.ndarray, scale: float) -> float:
+def _residual(evaluate: _PowerEval, x: np.ndarray, scale: float) -> float:
     """Worst gate residual |p(x)| / max(scale, th(x)), p in 80-bit precision."""
-    p, _ = _horner_extended(b, x)
-    th = _power_eval(b, x)[2]
-    return float((np.abs(p) / np.maximum(scale, th)).max())
+    p, _ = _horner_extended(evaluate.b, x)
+    return float((np.abs(p) / np.maximum(scale, evaluate.majorant(x))).max())
 
 
 def _aberth_step(x: np.ndarray, p: np.ndarray, dp: np.ndarray) -> np.ndarray:
+    w = np.divide(p, dp, out=np.zeros(p.shape, dtype=complex), where=dp != 0)
+    diff = np.subtract.outer(x, x)
+    diff.reshape(-1)[:: x.size + 1] = np.inf  # the diagonal
     with np.errstate(divide="ignore", invalid="ignore"):
-        w = np.where(dp != 0, p / np.where(dp != 0, dp, 1.0), 0.0)
-        diff = x[:, None] - x[None, :]
-        np.fill_diagonal(diff, np.inf)
-        repulsion = (1.0 / diff).sum(axis=1)
+        repulsion = np.divide(1.0, diff, out=diff).sum(axis=1)
     denom = 1.0 - w * repulsion
-    denom = np.where(np.abs(denom) < 1e-300, 1.0, denom)
+    denom[np.abs(denom) < 1e-300] = 1.0
     return x - w / denom
 
 

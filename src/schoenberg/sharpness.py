@@ -7,15 +7,17 @@ interpolated one, refuted for n >= 4 on p0(n) < p < 2, with p0(4) ~ 1.760
 (witnesses pinned in tests/test_sharpness.py::TestOrderFourWitness and
 tests/test_certs.py::TestIntermediateOrderCounterexample), so there the
 second family attains it without being extremal; PAPER.md does not settle
-which constant the paper states.  Both searches share one routine, which
-validates the arguments, parametrizes the centered subspace by the first n-1
-zeros (the last is minus their sum, so the constraint is exact by
-construction) and runs restarted Nelder-Mead on a simplex held as arrays.
-One search maximizes the Schoenberg certificate ratio, evaluated by the
-``certs`` formulas on a batch of one, as ``ratio`` and the audit evaluate
-it; the other maximizes the Schatten-to-l^p quotient of the differentiator
-map.  Eigenvalues cross at multiplicity changes, so the objective is
-continuous but not smooth; a simplex method is the right tool.
+which constant the paper states.  Both searches validate the order as
+``certs`` does and share one routine, which checks n and the budget,
+parametrizes the centered subspace by the first n-1 zeros (the last is
+minus their sum, so the constraint is exact by construction) and runs
+restarted Nelder-Mead on a simplex held as arrays.  One search maximizes
+the Schoenberg certificate ratio, evaluated by the ``certs`` formulas on a
+batch of one, as ``ratio`` and the audit evaluate it; the other maximizes
+the Schatten-to-l^p quotient of the differentiator map, from the ``certs``
+power sums of its singular values and of |z|.  Eigenvalues cross at
+multiplicity changes, so the objective is continuous but not smooth; a
+simplex method is the right tool.
 """
 
 from __future__ import annotations
@@ -109,9 +111,10 @@ def _nelder_mead(objective, x0: np.ndarray, budget: int) -> tuple[np.ndarray, fl
     while used < budget:
         order = np.argsort(values, kind="stable")
         pts, values = pts[order], values[order]
-        if np.linalg.norm(pts[1:] - pts[0], axis=1).max() < _NM_RESTART_DIAMETER:
+        d = pts[1:] - pts[0]
+        if np.sqrt((d * d).sum(axis=1)).max() < _NM_RESTART_DIAMETER:
             break
-        centroid = pts[:-1].mean(axis=0)
+        centroid = pts[:-1].sum(axis=0) / dim
         reflected = centroid + _NM_REFLECT * (centroid - pts[-1])
         fr = objective(reflected)
         used += 1
@@ -156,7 +159,6 @@ def _search(n: int, p: float, budget: int, entropy, value_at, families=()):
     SeedSequence(entropy).  Returns (best coordinates, best value,
     evaluations, restarts), not counting the up-front evaluations.
     """
-    certs._check_order(p)
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
     if budget < 1:
@@ -200,13 +202,16 @@ def _schoenberg_ratio(n: int, p: float):
 
 
 def _schatten_quotient(n: int, p: float):
-    """||Q diag(z) Q||_Sp / ||z||_p as a function of n zeros, 0 at z = 0."""
+    """||Q diag(z) Q||_Sp / ||z||_p as a function of n zeros, 0 at z = 0:
+    the p-th root of the certs power sums of the singular values over
+    those of |z|."""
 
     def value(z: np.ndarray) -> float:
-        norm_z = densela.lp_norm(z, p)
-        if norm_z == 0.0:
+        denom = certs._power_sums(np.abs(z), [p])[0]
+        if denom == 0.0:
             return 0.0
-        return densela.schatten_norm(densela._differentiator(z), p) / norm_z
+        sigma = densela._svdvals(densela._differentiator(z))
+        return (certs._power_sums(sigma, [p])[0] / denom) ** (1.0 / p)
 
     return value
 
@@ -219,7 +224,7 @@ def maximize_ratio(n: int, p: float, budget: int, seed: int) -> SharpnessResult:
     best ratio beyond 1 + 1e-9 would contradict the order-p bound and is
     surfaced as-is for the caller to report, never clipped.
     """
-    p = float(p)
+    p = certs._check_order(p)
     best_x, _, spent, restarts = _search(n, p, budget, (int(seed), n), _schoenberg_ratio)
     best_config = center(ZeroConfig(tuple(_zeros_from_coords(best_x))))
     return SharpnessResult(
@@ -247,7 +252,7 @@ def opnorm_lower_bound(
     exceeds the proven ((n-1)/n)^(1/p), the norm of z -> Q diag(z) Q on
     all of l^p.
     """
-    p = float(p)
+    p = certs._check_order(p)
     families = (extremal_low, extremal_high) if n % 2 == 0 else (extremal_low,)
     entropy = (int(seed), n, 1)
     _, estimate, _, _ = _search(n, p, budget, entropy, _schatten_quotient, families)

@@ -364,6 +364,15 @@ class TestCheckAll:
                 with pytest.raises(ValueError):
                     call()
 
+    @pytest.mark.parametrize("p", ["2", True, np.True_])
+    def test_text_and_bool_orders_rejected(self, p):
+        # "2" once returned the p = 2 certificates, True the p = 1 ones
+        with pytest.raises(ValueError, match="real number"):
+            check_all(LOW3, [p])
+
+    def test_numpy_orders_accepted(self):
+        assert check_all(LOW3, [np.float32(2.0), np.int64(1)]) == check_all(LOW3, [2.0, 1.0])
+
     def test_deterministic_order(self):
         a = check_all(LOW3, [2.0, 1.0])
         b = check_all(LOW3, [1.0, 2.0])

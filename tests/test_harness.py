@@ -185,6 +185,30 @@ class TestAuditSpec:
         with pytest.raises(ValueError):
             AuditSpec(tolerances=(-1e-12, 1e-9))
 
+    def test_text_p_grid_rejected(self):
+        # was (2.0,): a JSON spec with "p_grid": "2" audited p = 2
+        with pytest.raises(ValueError, match="p_grid"):
+            AuditSpec(p_grid="2")
+
+    def test_text_order_rejected(self):
+        with pytest.raises(ValueError, match="real number"):
+            AuditSpec(p_grid=("1.5", 2.0))
+
+    def test_bool_order_rejected(self):
+        # True was taken as p = 1
+        with pytest.raises(ValueError, match="real number"):
+            AuditSpec(p_grid=(1.5, True))
+
+    def test_text_tolerances_rejected(self):
+        with pytest.raises(ValueError, match="real number"):
+            AuditSpec(tolerances=("1e-12", "1e-9"))
+
+    def test_numpy_orders_stored_as_plain_floats(self):
+        spec = AuditSpec(p_grid=np.array([1.5, 2.0]), tolerances=(np.float32(0.0), 1e-9))
+        assert spec == AuditSpec(p_grid=(1.5, 2.0), tolerances=(0.0, 1e-9))
+        for value in (*spec.p_grid, *spec.tolerances):
+            assert type(value) is float
+
     def test_fractional_n_rejected(self):
         # was truncated: n_values=(3.7,) audited n = 3
         with pytest.raises(ValueError, match="every n"):

@@ -3,7 +3,7 @@ import pytest
 
 from schoenberg import polyzero
 from schoenberg.densela import critical_points_spectral
-from schoenberg.harness import sample_config
+from schoenberg.harness import DISTRIBUTIONS, sample_config
 from schoenberg.polyzero import (
     CriticalSet,
     Polynomial,
@@ -18,7 +18,7 @@ from schoenberg.polyzero import (
     roots,
 )
 
-from conftest import matched_distance
+from conftest import matched_distance, reference_roots
 
 EPS = float(np.finfo(float).eps)
 
@@ -244,14 +244,17 @@ class TestCriticalPointsDirect:
 class TestPowerEval:
     def test_matches_sequential_horner(self):
         # the power-matrix p, p' and th against Horner's rule, one point at
-        # a time; both round like m eps times the majorant of the sum
+        # a time; both round like m eps times the majorant of the sum, and
+        # the majorant alone is the one the full evaluation returns
         rng = np.random.default_rng(64)
         for m in range(1, 65):
             b = np.concatenate(
                 [[1.0], rng.standard_normal(m) + 1j * rng.standard_normal(m)]
             )
             x = 2.0 ** rng.uniform(-8, 8, 24) * np.exp(2j * np.pi * rng.uniform(size=24))
-            p, dp, th = polyzero._power_eval(b, x)
+            evaluate = polyzero._PowerEval(b, x.size)
+            p, dp, th = evaluate(x)
+            assert np.array_equal(evaluate.majorant(x), th)
             for i, xi in enumerate(x):
                 hp, hdp, hth, hdth = b[0], 0j, abs(b[0]), 0.0
                 for bk in b[1:]:
@@ -355,6 +358,56 @@ class TestDirectAgainstSpectral:
             spectral = critical_points_spectral(cfg).as_array()
             worst = max(worst, power_sum_disagreement(direct, spectral))
         assert worst <= 1e-3
+
+
+class TestRootsOracle:
+    """roots against the loop it replaced (conftest.reference_roots): the
+    same roots bit for bit, or the same RootFindingError."""
+
+    @staticmethod
+    def assert_same(poly):
+        outcomes = []
+        for find in (roots, reference_roots):
+            try:
+                outcomes.append(find(poly))
+            except RootFindingError as err:
+                outcomes.append((str(err), err.best, err.residual))
+        got, expected = outcomes
+        if isinstance(expected, tuple):
+            assert isinstance(got, tuple), f"expected RootFindingError {expected[0]}"
+            assert got[0] == expected[0] and got[2] == expected[2]
+            got, expected = got[1], expected[1]
+        assert np.array_equal(got, expected)
+
+    @staticmethod
+    def direct(zeros, centered=False):
+        return derivative(from_roots(ZeroConfig(tuple(zeros), centered=centered)))
+
+    @pytest.mark.parametrize("n", [3, 8, 16, 32])
+    def test_sampled_cells(self, n):
+        for dist in DISTRIBUTIONS:
+            for seed in range(20):
+                self.assert_same(self.direct(sample_config(n, dist, seed).zeros))
+
+    def test_edge_inputs(self):
+        pinned = [complex(re, im) for re, im in TestDirectAgainstSpectral.PINNED_CLUSTER]
+        self.assert_same(self.direct(pinned, centered=True))
+        for n in (8, 16):
+            for seed in range(5):
+                # roots well inside the unit disk, which the rescale must move
+                self.assert_same(self.direct(sample_config(n, "disk", seed).as_array() * 1e-3))
+        self.assert_same(self.direct((1e200, 1e-10, -1e-10)))
+        # an exact multiple root, polished on rounding noise
+        self.assert_same(self.direct([1] * 5))
+
+    def test_failures_carry_the_same_fields(self, monkeypatch):
+        # under a gate nothing passes both loops raise, from the same iterate
+        monkeypatch.setattr(polyzero, "TOL_ROOT", 0.0)
+        for n, dist in ((3, "disk"), (8, "clustered"), (16, "real")):
+            poly = self.direct(sample_config(n, dist, 0).zeros)
+            with pytest.raises(RootFindingError):
+                roots(poly)
+            self.assert_same(poly)
 
 
 class TestCentroidCenter:

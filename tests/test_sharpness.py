@@ -168,6 +168,14 @@ class TestMaximizeRatio:
             opnorm_lower_bound(5, p, budget=300, seed=0)
         assert not calls
 
+    @pytest.mark.parametrize("p", ["2", True])
+    def test_rejects_text_and_bool_orders(self, p):
+        # both were taken through float(): "2" searched p = 2, True p = 1
+        with pytest.raises(ValueError, match="real number"):
+            maximize_ratio(5, p, budget=100, seed=0)
+        with pytest.raises(ValueError, match="real number"):
+            opnorm_lower_bound(5, p, budget=100, seed=0)
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             maximize_ratio(2, 2.0, budget=100, seed=0)
