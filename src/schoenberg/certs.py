@@ -20,14 +20,15 @@ audit certifies a (B, n) stack of configurations with that helper and one
 batched singular value decomposition (of the differentiators of z and of
 |z|), and judges every verdict at once under the tolerance pair.  The
 single-family functions feed the same formulas with only the spectra their
-family reads.  A side that overflows to a non-finite value is an
-OverflowError, never a verdict.
+family reads.  A power sum is a direct sum of powers, one order at a time.
+A side that overflows to a non-finite value is an OverflowError, and a
+power sum of the moduli of nonzero zeros that underflows below the smallest
+normal float is an UnderflowError: neither is ever a verdict.
 """
 
 from __future__ import annotations
 
 import functools
-import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -43,6 +44,13 @@ _TOLS = (ABS_TOL, REL_TOL)
 # the one statement judged in both directions
 _EQUALITIES = frozenset({"endpoint_s2"})
 _NOT_FINITE = "a certificate side overflowed to a non-finite value"
+_UNDERFLOWED = "a power sum of |z| underflowed below the smallest normal float"
+_TINY = np.finfo(float).tiny
+
+
+class UnderflowError(ArithmeticError):
+    """A power sum of the moduli of nonzero zeros fell below the smallest
+    normal float, so the certificates that read it would be vacuous."""
 
 
 @dataclass(frozen=True)
@@ -93,23 +101,15 @@ def _require_centered(cfg: ZeroConfig, what: str) -> None:
         raise ValueError(f"{what} requires a centered configuration (sum z_j = 0)")
 
 
-def _real(value, what: str) -> float:
-    """``value`` as a float: a Python or numpy real number.  Anything else,
-    text or a bool included, is a ValueError."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{what} must be a real number, got {value!r}")
-    return float(value)
-
-
 def _check_order(p: float) -> float:
-    p = _real(p, "an order")
+    p = densela._real(p, "an order")
     if not 1 <= p < np.inf:
         raise ValueError(f"order must be finite and satisfy p >= 1, got {p}")
     return p
 
 
 def _check_tolerances(abs_tol: float, rel_tol: float) -> tuple[float, float]:
-    tols = (_real(abs_tol, "abs_tol"), _real(rel_tol, "rel_tol"))
+    tols = (densela._real(abs_tol, "abs_tol"), densela._real(rel_tol, "rel_tol"))
     if not all(np.isfinite(t) and t >= 0 for t in tols):
         raise ValueError(f"tolerances must be finite and nonnegative, got {tols}")
     return tols
@@ -171,25 +171,35 @@ def _arithmetic():
 
 
 def _power_sums(mods: np.ndarray, orders) -> np.ndarray:
-    """densela.lp_norm(mods, p) ** p along the last axis, one column per
-    order: (..., P).  Each column is computed on its own, so a sum does not
-    depend on which other orders are asked with it.  As in lp_norm, the peak
-    is factored out so that large p does not underflow, and p = 1 and p = 2
-    are a plain sum and a root of squares; numpy's vectorised power can
-    differ from lp_norm's scalar one in the last bit.
+    """sum(mods ** p) along the last axis, one column per order: (..., P).
+
+    A direct sum of the powers, with no scaling.  Scaling by the peak would
+    buy no range: the result is the power sum itself, which is at least its
+    largest term, so it is out of range however it is computed, and it
+    underflows only when every term does (_z_power_sums and _certify_batch
+    report that).  Each column is computed on its own, so a sum
+    does not depend on which other orders are asked with it.
     """
-    top = mods.max(axis=-1)
-    scaled = mods / np.where(top > 0, top, 1.0)[..., None]  # a zero row stays zero
-    sums = np.empty(top.shape + (len(orders),))
+    sums = np.empty(mods.shape[:-1] + (len(orders),))
     for col, p in enumerate(orders):
-        if p == 1:
-            norm = mods.sum(axis=-1)
-        elif p == 2:
-            norm = np.sqrt((mods**2).sum(axis=-1))
-        else:
-            norm = top * (scaled**p).sum(axis=-1) ** (1.0 / p)
-        sums[..., col] = norm**p
+        sums[..., col] = (mods**p).sum(axis=-1)
     return sums
+
+
+def _z_power_sums(z_mod: np.ndarray, orders) -> np.ndarray:
+    """_power_sums of the moduli ``z_mod`` of zeros.  A sum below the
+    smallest normal float, in a row that is not all zero, raises
+    UnderflowError."""
+    sums = _power_sums(z_mod, orders)
+    if _underflowed(z_mod, sums).any():
+        raise UnderflowError(_UNDERFLOWED)
+    return sums
+
+
+def _underflowed(z_mod: np.ndarray, z_sums: np.ndarray) -> np.ndarray:
+    """The rows of ``z_mod`` that are not all zero and have a power sum in
+    ``z_sums`` below the smallest normal float: (...,)."""
+    return (z_sums < _TINY).any(axis=-1) & (z_mod > 0).any(axis=-1)
 
 
 def _critical_moduli(z: np.ndarray) -> np.ndarray:
@@ -335,7 +345,8 @@ class _Batch(NamedTuple):
 
     The K labels come in check_all's (name, p) order; lhs, rhs, ratio (NaN
     where missing) and holds are (B, K).  ``finite`` marks the rows whose
-    sides are all finite; the others are an OverflowError.
+    sides are all finite; the others are an OverflowError.  ``underflow``
+    marks the rows with an underflowed power sum of |z|, an UnderflowError.
     """
 
     labels: tuple[_Label, ...]
@@ -344,6 +355,17 @@ class _Batch(NamedTuple):
     ratio: np.ndarray
     holds: np.ndarray
     finite: np.ndarray
+    underflow: np.ndarray
+
+
+def _row_error(batch: _Batch, row: int) -> ArithmeticError | None:
+    """The error that replaces the certificates of one row of a batch, or
+    None when they stand."""
+    if not batch.finite[row]:
+        return OverflowError(_NOT_FINITE)
+    if batch.underflow[row]:
+        return UnderflowError(_UNDERFLOWED)
+    return None
 
 
 # the orders of the |z| power sums that the endpoint and quartic families read
@@ -357,8 +379,9 @@ def _certify_batch(z: np.ndarray, orders, constant_scale: float, tols) -> _Batch
     The differentiators of z and of |z| are built once, as one stack: one
     batched eigendecomposition of its z half and one batched SVD of both.
     The power sums of |z| are taken once, over the orders and 1, 2 and 4,
-    for every family that reads them.  A LAPACK failure anywhere in the
-    stack raises ConvergenceError for the whole stack.
+    for every family that reads them, and any of them that underflows marks
+    its row.  A LAPACK failure anywhere in the stack raises ConvergenceError
+    for the whole stack.
     """
     n = z.shape[-1]
     grid = sorted({*orders, *_FIXED_ORDERS})
@@ -370,6 +393,7 @@ def _certify_batch(z: np.ndarray, orders, constant_scale: float, tols) -> _Batch
         sigma, sigma_abs = densela._svdvals(d)
         w_sums = _power_sums(w_mod, orders)
         sums = _power_sums(np.stack((z_mod, lam_mod, sigma)), grid)
+        underflow = _underflowed(z_mod, sums[0])
         pow1, pow2, pow4 = (sums[0, :, grid.index(p)] for p in _FIXED_ORDERS)
         if len(grid) > len(orders):
             sums = sums[..., [grid.index(p) for p in orders]]
@@ -401,6 +425,7 @@ def _certify_batch(z: np.ndarray, orders, constant_scale: float, tols) -> _Batch
         ratio[:, order],
         holds[:, order],
         finite,
+        underflow,
     )
 
 
@@ -442,11 +467,12 @@ def _schoenberg_orders(
     _require_centered(cfg, "the order-p Schoenberg certificate")
     z = cfg.as_array()[None]
     with _arithmetic():
+        z_sums = _z_power_sums(np.abs(z), orders)
         block = _schoenberg(
             cfg.n,
             orders,
             _power_sums(_critical_moduli(z)[..., :-1], orders),
-            _power_sums(np.abs(z), orders),
+            z_sums,
             constant_scale,
         )
         return _single(cfg.n, block)
@@ -465,7 +491,7 @@ def quartic_bounds(cfg: ZeroConfig) -> tuple[Certificate, Certificate, Certifica
     _require_centered(cfg, "the quartic certificates")
     z = cfg.as_array()[None]
     with _arithmetic():
-        pow2, pow4 = np.moveaxis(_power_sums(np.abs(z), (2.0, 4.0)), -1, 0)
+        pow2, pow4 = np.moveaxis(_z_power_sums(np.abs(z), (2.0, 4.0)), -1, 0)
         block = _quartic(cfg.n, z, _critical_moduli(z)[..., :-1], pow2, pow4)
         dbs, kt, dominance = _single(cfg.n, block)
     return dbs, kt, dominance
@@ -485,9 +511,8 @@ def pereira_bound(cfg: ZeroConfig, p: float) -> Certificate:
     else:
         w_mod = np.abs(critical_points_direct(cfg).as_array())[None]
     with _arithmetic():
-        block = _pereira(
-            cfg.n, [p], _power_sums(w_mod, [p]), _power_sums(np.abs(z), [p])
-        )
+        z_sums = _z_power_sums(np.abs(z), [p])
+        block = _pereira(cfg.n, [p], _power_sums(w_mod, [p]), z_sums)
         return _single(cfg.n, block)[0]
 
 
@@ -516,7 +541,7 @@ def endpoint_checks(
     sigma = densela.singular_values(densela.differentiator(cfg))
     z_mod = np.abs(cfg.as_array())[None]
     with _arithmetic():
-        pow1, pow2 = np.moveaxis(_power_sums(z_mod, (1.0, 2.0)), -1, 0)
+        pow1, pow2 = np.moveaxis(_z_power_sums(z_mod, (1.0, 2.0)), -1, 0)
         block = _endpoint(cfg.n, sigma[None], z_mod, pow1, pow2)
         s1, s2, sinf = _single(cfg.n, block)
     return s1, s2, sinf
@@ -574,8 +599,9 @@ def check_all(
     verdict but the singular value product's, which has its own log-space
     slack, is judged under ``abs_tol`` and ``rel_tol``.  Results come back
     sorted by (name, p) so reports are deterministic.  A side that is not
-    finite raises OverflowError.  This is the columnar evaluator on a batch
-    of one.
+    finite raises OverflowError, and a power sum of |z| that underflows,
+    at an order of ``p_list`` or at 1, 2 or 4, raises UnderflowError.  This
+    is the columnar evaluator on a batch of one.
     """
     _require_centered(cfg, "check_all")
     orders = sorted({_check_order(p) for p in p_list})
@@ -583,6 +609,9 @@ def check_all(
         raise ValueError("p_list must not be empty")
     tols = _check_tolerances(abs_tol, rel_tol)
     batch = _certify_batch(cfg.as_array()[None], orders, constant_scale, tols)
+    error = _row_error(batch, 0)
+    if error is not None:
+        raise error
     return _certificates(
         cfg.n, batch.labels, batch.lhs[0], batch.rhs[0], batch.ratio[0], batch.holds[0]
     )

@@ -16,6 +16,8 @@ magnitude itself, so nothing is prescaled here.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 from .polyzero import CriticalSet, ZeroConfig
@@ -104,7 +106,7 @@ def _svdvals(m: np.ndarray) -> np.ndarray:
 
 def lp_norm(v, p: float) -> float:
     """The l^p norm of a complex vector; p = inf gives the max modulus."""
-    _check_order(p)
+    p = _check_order(p)
     mods = np.abs(np.asarray(v, dtype=complex))
     if mods.size == 0:
         return 0.0
@@ -128,16 +130,27 @@ def schatten_norm(m: np.ndarray, p: float) -> float:
     entries, which is both faster and exact to a few ulps; every other order
     goes through the singular values.
     """
-    _check_order(p)
+    p = _check_order(p)
     m = _check_square(m)
     if p == 2:
         return float(np.linalg.norm(m))
     return lp_norm(singular_values(m), p)
 
 
-def _check_order(p: float) -> None:
-    if not (p >= 1.0 or np.isinf(p)):
+def _real(value, what: str) -> float:
+    """``value`` as a float: a Python or numpy real number.  Anything else,
+    text or a bool included, is a ValueError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{what} must be a real number, got {value!r}")
+    return float(value)
+
+
+def _check_order(p: float) -> float:
+    """A norm order as a float: a real number p >= 1, or inf."""
+    p = _real(p, "a norm order")
+    if not p >= 1.0:
         raise ValueError(f"norm order must satisfy p >= 1, got {p}")
+    return p
 
 
 def critical_points_spectral(cfg: ZeroConfig) -> CriticalSet:

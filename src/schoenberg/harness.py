@@ -363,9 +363,10 @@ def _certify_slice(
                 one = slice(row, row + 1)
                 _certify_slice(report, fold, first + row, z[one], dists[one], orders, scale)
         return
-    for row in np.flatnonzero(~batch.finite):
-        _record_error(report, n, dists[row], z[row], OverflowError(certs._NOT_FINITE))
-    rows = np.flatnonzero(batch.finite)
+    failed = ~batch.finite | batch.underflow
+    for row in np.flatnonzero(failed):
+        _record_error(report, n, dists[row], z[row], certs._row_error(batch, row))
+    rows = np.flatnonzero(~failed)
     if rows.size == 0:
         return
     fold.add(batch, z, rows, first)
@@ -414,7 +415,7 @@ def sweep_p(cfg: ZeroConfig, grid) -> list[SweepRow]:
     """The order-p Schoenberg certificate evaluated across a grid of orders."""
     return [
         SweepRow(p=cert.p, lhs=cert.lhs, rhs=cert.rhs, ratio=cert.ratio)
-        for cert in certs._schoenberg_orders(cfg, sorted(float(p) for p in grid))
+        for cert in certs._schoenberg_orders(cfg, sorted(map(certs._check_order, grid)))
     ]
 
 

@@ -73,6 +73,7 @@ def ratio(cfg: ZeroConfig, p: float) -> float:
     In [0, 1] wherever the claimed constant C(n, p) holds; for n >= 4 and
     p0(n) < p < 2, with p0(4) ~ 1.760, it is refuted and the ratio can
     exceed 1 (1.0009149692779185 for (z - 1)(z + 1/3)^3 at p = 1.9).
+    Zeros so small that sum |z_j|^p underflows raise certs.UnderflowError.
     """
     if cfg.n == 2:
         raise ValueError("n = 2 is degenerate: the bound's right side vanishes")

@@ -73,7 +73,7 @@ def test_rows_equal_batch_of_one(case):
     for i in range(z.shape[0]):
         one = _certify_batch(z[i : i + 1], orders, 1.0, TOLS)
         assert one.labels == batch.labels
-        for field in ("lhs", "rhs", "ratio", "holds", "finite"):
+        for field in ("lhs", "rhs", "ratio", "holds", "finite", "underflow"):
             np.testing.assert_array_equal(getattr(one, field)[0], getattr(batch, field)[i])
 
 

@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 
@@ -5,6 +6,8 @@ from schoenberg.certs import (
     ABS_TOL,
     REL_TOL,
     Certificate,
+    UnderflowError,
+    _power_sums,
     check_all,
     endpoint_checks,
     esf_bounds,
@@ -17,7 +20,9 @@ from schoenberg.certs import (
     weyl_check,
 )
 from schoenberg.densela import centering_projector, differentiator, lp_norm, schatten_norm
+from schoenberg.harness import DEFAULT_P_GRID, sample_config
 from schoenberg.polyzero import ZeroConfig, center, critical_points_direct
+from schoenberg.sharpness import ratio
 
 from conftest import mp_schoenberg_ratio, random_centered
 
@@ -460,8 +465,44 @@ class TestCustomTolerances:
             assert default and default == sv_rows(cfg, abs_tol=ABS_TOL, rel_tol=1e-2)
 
 
+class TestPowerSums:
+    def test_within_eight_ulps_of_mpmath(self):
+        # a direct sum of powers; the peak-scaled round trip it replaced was
+        # off by 16.7 u (u = 2^-53) on these rows
+        rng = np.random.default_rng(0)
+        scales = np.array([1e-3, 1e-1, 1.0, 1e1, 1e3])[:, None]
+        worst = 0.0
+        with mpmath.workdps(50):
+            for n in range(3, 33):
+                mods = np.abs(rng.standard_normal((5, n)) + 1j * rng.standard_normal((5, n)))
+                mods *= scales
+                sums = _power_sums(mods, DEFAULT_P_GRID)
+                for row, got in zip(mods, sums):
+                    for p, value in zip(DEFAULT_P_GRID, got):
+                        exact = mpmath.fsum(mpmath.mpf(m) ** mpmath.mpf(p) for m in row)
+                        worst = max(worst, float(abs(value - exact) / exact))
+        assert worst <= 8 * 2.0**-53
+
+    def test_zero_row_gives_exact_zeros(self):
+        sums = _power_sums(np.zeros((2, 4)), DEFAULT_P_GRID)
+        assert sums.shape == (2, len(DEFAULT_P_GRID))
+        assert not sums.any()
+
+    def test_one_dimensional_row(self):
+        sums = _power_sums(np.array([3.0, 4.0]), (1.0, 2.0, 3.0))
+        assert sums.shape == (3,)
+        assert sums.tolist() == [7.0, 25.0, 91.0]
+
+    def test_orders_one_and_two_are_plain_sums(self, rng):
+        mods = np.abs(rng.standard_normal((6, 9)))
+        sums = _power_sums(mods, (1.0, 2.0))
+        np.testing.assert_array_equal(sums[:, 0], mods.sum(axis=-1))
+        np.testing.assert_array_equal(sums[:, 1], (mods * mods).sum(axis=-1))
+
+
 class TestNonFiniteSides:
-    """A side that overflows is an OverflowError, never a verdict."""
+    """A side that overflows is an OverflowError, and a power sum of |z|
+    that underflows is an UnderflowError, never a verdict."""
 
     GRID = [1.0, 1.75, 2.0, 4.0, 10.0]
 
@@ -477,11 +518,51 @@ class TestNonFiniteSides:
                 check_all(self.scaled(n, exponent), self.GRID)
 
     @pytest.mark.parametrize("exponent", [-150, -400, -700])
-    def test_tiny_scales_still_certify(self, exponent):
+    def test_tiny_scales_raise(self, exponent):
+        # the p = 10 sums underflow from 2^-150 on, the fixed p = 4 ones at
+        # 2^-400 and 2^-700
         for n in (3, 8):
-            rows = check_all(self.scaled(n, exponent), self.GRID)
-            assert rows and all(c.holds for c in rows)
-            assert all(np.isfinite(c.lhs) and np.isfinite(c.rhs) for c in rows)
+            with pytest.raises(UnderflowError):
+                check_all(self.scaled(n, exponent), self.GRID)
+
+    @staticmethod
+    def disk(factor):
+        z = np.array(sample_config(5, "disk", 0).zeros) * factor
+        return ZeroConfig(tuple(z), centered=True)
+
+    def test_underflow_at_ten_raises_everywhere(self):
+        cfg = self.disk(1e-40)  # |z|^10 underflows, |z|^4 does not
+        for run in (
+            lambda: check_all(cfg, DEFAULT_P_GRID),
+            lambda: check_all(cfg, [10.0]),
+            lambda: schoenberg_order_p(cfg, 10.0),
+            lambda: pereira_bound(cfg, 10.0),
+        ):
+            with pytest.raises(UnderflowError):
+                run()
+        assert check_all(cfg, [3.0])
+        assert quartic_bounds(cfg) and endpoint_checks(cfg)
+
+    def test_underflow_at_fixed_orders_raises(self):
+        cfg = self.disk(1e-120)  # |z|^3 and |z|^4 underflow, |z|^2 does not
+        for run in (
+            lambda: check_all(cfg, [1.0]),
+            lambda: schoenberg_order_p(cfg, 3.0),
+            lambda: pereira_bound(cfg, 3.0),
+            lambda: quartic_bounds(cfg),
+            lambda: ratio(cfg, 3.0),
+        ):
+            with pytest.raises(UnderflowError):
+                run()
+        assert endpoint_checks(cfg) and schoenberg_order_p(cfg, 2.0)
+
+    def test_all_zero_configuration_still_certifies(self):
+        zero = ZeroConfig((0j,) * 4, centered=True)
+        rows = check_all(zero, DEFAULT_P_GRID)
+        assert rows and all(c.holds and c.lhs == c.rhs == 0.0 for c in rows)
+        assert schoenberg_order_p(zero, 10.0).ratio is None
+        with pytest.raises(ValueError, match="all zeros vanish"):
+            ratio(zero, 3.0)
 
 
 class TestInvariances:

@@ -217,6 +217,19 @@ class TestNorms:
         with pytest.raises(ValueError):
             schatten_norm(np.eye(2), 0.9)
 
+    @pytest.mark.parametrize("p", [True, False, "2", None])
+    def test_norms_reject_orders_that_are_not_real_numbers(self, p):
+        with pytest.raises(ValueError, match="real number"):
+            lp_norm([3.0, 4.0], p)
+        with pytest.raises(ValueError, match="real number"):
+            schatten_norm(np.eye(2), p)
+
+    def test_norms_take_numpy_orders(self):
+        assert lp_norm([3.0, 4.0], np.float64(2.0)) == 5.0
+        assert lp_norm([3.0, 4.0], np.int64(1)) == 7.0
+        assert schatten_norm(np.eye(2), np.float32(2.0)) == lp_norm([1.0, 1.0], 2.0)
+        assert schatten_norm(np.eye(2), np.float64(np.inf)) == 1.0
+
 
 class TestSpectralCriticalPoints:
     def test_high_family(self):

@@ -421,6 +421,11 @@ class TestSweep:
         rows = sweep_p(extremal_low(4), [3.0, 1.0, 2.0])
         assert [row.p for row in rows] == [1.0, 2.0, 3.0]
 
+    @pytest.mark.parametrize("grid", [["2"], [True], [2.0, True], ["2", True]])
+    def test_rejects_orders_that_are_not_real_numbers(self, grid):
+        with pytest.raises(ValueError, match="real number"):
+            sweep_p(sample_config(5, "disk", 0), grid)
+
 
 class TestEmitReport:
     def test_json_round_trip_certificates(self, tmp_path):
@@ -499,6 +504,23 @@ class TestFlatWriter:
         report = run_audit(SMALL_SPEC)
         assert len(report.errors) == 3 * 6
         assert all(e["error"].startswith("OverflowError") for e in report.errors)
+        assert report.total > 0
+        self.assert_oracle_bytes(report)
+
+    def test_report_with_underflow_errors(self, monkeypatch):
+        draw_rows = harness._draw_rows
+
+        def tiny_real(rng, n, dist, rows):
+            z = draw_rows(rng, n, dist, rows)
+            return z * 2.0**-400 if dist == "real" else z  # |z|^4 underflows
+
+        monkeypatch.setattr(harness, "_draw_rows", tiny_real)
+        report = run_audit(SMALL_SPEC)
+        assert len(report.errors) == 3 * 6
+        assert all(
+            e["error"] == "UnderflowError: " + harness.certs._UNDERFLOWED
+            for e in report.errors
+        )
         assert report.total > 0
         self.assert_oracle_bytes(report)
 

@@ -119,7 +119,7 @@ class TestMaximizeRatio:
             # the 101st evaluation falls inside a shrink of 2(n-1) = 4
             (3, 1.5, 101, 0, 104, 1),
             # the first run collapses below the restart diameter
-            (5, 1.75, 1000, 1, 1001, 2),
+            (5, 1.75, 1000, 1, 1000, 2),
         ],
     )
     def test_evaluations_count_every_objective_call(
