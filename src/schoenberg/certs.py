@@ -35,7 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import densela, symfun
-from .polyzero import ZeroConfig, critical_points_direct
+from .polyzero import ZeroConfig
 
 ABS_TOL = 1e-12
 REL_TOL = 1e-9
@@ -500,27 +500,26 @@ def quartic_bounds(cfg: ZeroConfig) -> tuple[Certificate, Certificate, Certifica
 def pereira_bound(cfg: ZeroConfig, p: float) -> Certificate:
     """Pereira's certificate: sum |w_k|^p <= ((n-1)/n) sum |z_j|^p.
 
-    Holds with no centroid condition.  Centered configurations use the
-    spectral route to the critical points; others fall back to direct
-    root-finding.
+    Holds with no centroid condition.  The critical points are the spectrum
+    of Q diag(z) Q less its structural zero, for centered and uncentered
+    zeros alike (Pereira, J. Math. Anal. Appl. 285, 2003), so this takes
+    them by the one path every certificate reads and never expands the
+    polynomial.
     """
     p = _check_order(p)
     z = cfg.as_array()[None]
-    if cfg.centered:
-        w_mod = _critical_moduli(z)[..., :-1]
-    else:
-        w_mod = np.abs(critical_points_direct(cfg).as_array())[None]
     with _arithmetic():
         z_sums = _z_power_sums(np.abs(z), [p])
-        block = _pereira(cfg.n, [p], _power_sums(w_mod, [p]), z_sums)
-        return _single(cfg.n, block)[0]
+        w_sums = _power_sums(_critical_moduli(z)[..., :-1], [p])
+        return _single(cfg.n, _pereira(cfg.n, [p], w_sums, z_sums))[0]
 
 
 def weyl_check(m: np.ndarray, p: float) -> Certificate:
     """Weyl majorization certificate: sum |lambda_i|^p <= sum sigma_i^p."""
     p = _check_order(p)
-    lam_mod = np.abs(densela.eigenvalues(m))
-    sigma = densela.singular_values(m)
+    m = densela._check_square(m)
+    lam_mod = _descending_moduli(densela._eigvals(m))
+    sigma = densela._svdvals(m)
     with _arithmetic():
         block = _weyl(
             [p], _power_sums(lam_mod[None], [p]), _power_sums(sigma[None], [p])
@@ -538,11 +537,12 @@ def endpoint_checks(
     S1:          ||A||_S1 <= sqrt((n-2)/n) ||z||_1
     """
     _require_centered(cfg, "the endpoint certificates")
-    sigma = densela.singular_values(densela.differentiator(cfg))
-    z_mod = np.abs(cfg.as_array())[None]
+    z = cfg.as_array()[None]
+    z_mod = np.abs(z)
     with _arithmetic():
+        sigma = densela._svdvals(densela._differentiator(z))
         pow1, pow2 = np.moveaxis(_z_power_sums(z_mod, (1.0, 2.0)), -1, 0)
-        block = _endpoint(cfg.n, sigma[None], z_mod, pow1, pow2)
+        block = _endpoint(cfg.n, sigma, z_mod, pow1, pow2)
         s1, s2, sinf = _single(cfg.n, block)
     return s1, s2, sinf
 
@@ -553,9 +553,10 @@ def esf_bounds(cfg: ZeroConfig) -> list[Certificate]:
     The sigma are the singular values of the differentiator matrix, top n-1
     of them (the smallest is structurally zero).  No centroid condition.
     """
-    sigma = densela.singular_values(densela.differentiator(cfg))
+    z = cfg.as_array()[None]
     with _arithmetic():
-        return _single(cfg.n, _esf(cfg.n, sigma[None], np.abs(cfg.as_array())[None]))
+        sigma = densela._svdvals(densela._differentiator(z))
+        return _single(cfg.n, _esf(cfg.n, sigma, np.abs(z)))
 
 
 def sv_product_check(x: np.ndarray, d) -> list[Certificate]:

@@ -33,11 +33,7 @@ def mp_schoenberg_ratio(zeros, p: float) -> float:
         n = len(z)
         mean = mpmath.fsum(z) / n
         z = [v - mean for v in z]
-        coeffs = [mpmath.mpc(1)]  # highest degree first
-        for root in z:
-            coeffs = [a - root * b for a, b in zip(coeffs + [0], [0] + coeffs)]
-        deriv = [(n - k) * c for k, c in enumerate(coeffs[:-1])]
-        w = mpmath.polyroots(deriv, maxsteps=200, extraprec=200)
+        w = mp_critical_points(z)
         p = mpmath.mpf(p)
         constant = mpmath.mpf(n - 2) / n
         if p < 2:
@@ -45,6 +41,19 @@ def mp_schoenberg_ratio(zeros, p: float) -> float:
         lhs = mpmath.fsum(abs(v) ** p for v in w)
         rhs = constant * mpmath.fsum(abs(v) ** p for v in z)
         return float(lhs / rhs)
+
+
+def mp_critical_points(zeros) -> list:
+    """The critical points of prod (z - z_j) at the working mpmath precision:
+    the polynomial is expanded from the ``zeros`` and its derivative solved
+    by ``mp.polyroots``."""
+    z = [mpmath.mpc(v) for v in zeros]
+    n = len(z)
+    coeffs = [mpmath.mpc(1)]  # highest degree first
+    for root in z:
+        coeffs = [a - root * b for a, b in zip(coeffs + [0], [0] + coeffs)]
+    deriv = [(n - k) * c for k, c in enumerate(coeffs[:-1])]
+    return mpmath.polyroots(deriv, maxsteps=200, extraprec=200)
 
 
 @pytest.fixture

@@ -24,7 +24,7 @@ from schoenberg.harness import DEFAULT_P_GRID, sample_config
 from schoenberg.polyzero import ZeroConfig, center, critical_points_direct
 from schoenberg.sharpness import ratio
 
-from conftest import mp_schoenberg_ratio, random_centered
+from conftest import mp_critical_points, mp_schoenberg_ratio, random_centered
 
 LOW3 = ZeroConfig((0.0, 1.0, -1.0), centered=True)
 HIGH4 = ZeroConfig((1.0, -1.0, 1.0, -1.0), centered=True)
@@ -172,16 +172,43 @@ class TestPereira:
             z = rng.standard_normal(n) + 1j * rng.standard_normal(n) + 0.7
             assert pereira_bound(ZeroConfig(tuple(z)), 1.5).holds
 
+    def test_uncentered_against_mpmath(self, rng):
+        # the spectral route reads uncentered zeros as well as centered ones;
+        # the Aberth route it replaced read up to 5.8e-9 here
+        worst = 0.0
+        for _ in range(60):
+            n = int(rng.integers(3, 12))
+            offset = complex(*rng.uniform(-3.0, 3.0, 2))
+            z = rng.standard_normal(n) + 1j * rng.standard_normal(n) + offset
+            lhs = pereira_bound(ZeroConfig(tuple(z)), 2.0).lhs
+            with mpmath.mp.workdps(50):
+                exact = float(mpmath.fsum(abs(w) ** 2 for w in mp_critical_points(z)))
+            worst = max(worst, abs(lhs - exact) / exact)
+        assert worst <= 1e-13
+
+    @pytest.mark.parametrize("exponent", [350, -350])
+    def test_uncentered_scale_equivariance(self, rng, exponent):
+        for _ in range(10):
+            n = int(rng.integers(3, 12))
+            z = rng.standard_normal(n) + 1j * rng.standard_normal(n) + 1.5
+            at_one = pereira_bound(ZeroConfig(tuple(z)), 2.0)
+            scaled = pereira_bound(ZeroConfig(tuple(z * 2.0**exponent)), 2.0)
+            assert scaled.holds
+            assert scaled.ratio == at_one.ratio
+            assert scaled.lhs == at_one.lhs * 2.0 ** (2 * exponent)
+
     def test_overflowing_uncentered_config(self):
-        # uncentered zeros expand prod (z - z_j), whose constant term 2^1050
-        # leaves the double range
-        cfg = ZeroConfig((2.0**350, 2.0**350 * 1j, 2.0**351))
-        with pytest.raises(OverflowError):
-            pereira_bound(cfg, 2.0)
+        # prod (z - z_j) has the constant term 2^1050, out of the double
+        # range, but the spectral route never expands it: scaling by a power
+        # of two leaves the ratio bit for bit
+        cert = pereira_bound(ZeroConfig((2.0**350, 2.0**350 * 1j, 2.0**351)), 2.0)
+        assert cert.holds
+        assert cert.ratio == pereira_bound(ZeroConfig((1.0, 1j, 2.0)), 2.0).ratio
 
     def test_small_uncentered_config(self):
-        # uncentered zeros go through the direct route, which must read a
-        # configuration deep inside the unit disk as it reads it at scale 1
+        # uncentered zeros go through the spectral route like centered ones,
+        # which must read a configuration deep inside the unit disk as it
+        # reads it at scale 1
         z = np.array([complex(re, im) for re, im in self.DISK16]) + 0.5
         at_one = pereira_bound(ZeroConfig(tuple(z)), 2.0)
         small = pereira_bound(ZeroConfig(tuple(1e-3 * z)), 2.0)
