@@ -20,10 +20,15 @@ audit certifies a (B, n) stack of configurations with that helper and one
 batched singular value decomposition (of the differentiators of z and of
 |z|), and judges every verdict at once under the tolerance pair.  The
 single-family functions feed the same formulas with only the spectra their
-family reads.  A power sum is a direct sum of powers, one order at a time.
-A side that overflows to a non-finite value is an OverflowError, and a
-power sum of the moduli of nonzero zeros that underflows below the smallest
-normal float is an UnderflowError: neither is ever a verdict.
+family reads; each spectrum is built from the zeros by the private
+constructors of ``densela``, whose checks are for matrices from outside the
+program.  A power sum is a direct sum of powers, one order at a time.  A
+side that overflows to a non-finite value, or a differentiator that does,
+is an OverflowError.  A right side that underflows below the smallest
+normal float where it is not an exact zero is an UnderflowError: a power
+sum of the moduli of nonzero zeros, an e_k(|z|) of at least k nonzero
+moduli, or a prefix product of singular values above the rank floor.
+Neither is ever a verdict.
 """
 
 from __future__ import annotations
@@ -44,13 +49,15 @@ _TOLS = (ABS_TOL, REL_TOL)
 # the one statement judged in both directions
 _EQUALITIES = frozenset({"endpoint_s2"})
 _NOT_FINITE = "a certificate side overflowed to a non-finite value"
-_UNDERFLOWED = "a power sum of |z| underflowed below the smallest normal float"
+_UNDERFLOWED = "a right side underflowed below the smallest normal float"
 _TINY = np.finfo(float).tiny
 
 
 class UnderflowError(ArithmeticError):
-    """A power sum of the moduli of nonzero zeros fell below the smallest
-    normal float, so the certificates that read it would be vacuous."""
+    """A right side that is not an exact zero fell below the smallest normal
+    float, so the certificates that read it would be vacuous: a power sum of
+    the moduli of nonzero zeros, an e_k(|z|) of at least k nonzero moduli, or
+    a prefix product of singular values above the rank floor."""
 
 
 @dataclass(frozen=True)
@@ -262,32 +269,42 @@ def _endpoint(n, sigma, z_mod, pow1, pow2) -> _Block:
     )
 
 
-def _esf(n, sigma, z_mod) -> _Block:
-    """e_k(sigma_1..sigma_{n-1}) <= ((n-k)/n) e_k(|z|) for k = 1 .. n-1."""
+def _esf(n, sigma, z_mod) -> tuple[_Block, np.ndarray]:
+    """e_k(sigma_1..sigma_{n-1}) <= ((n-k)/n) e_k(|z|) for k = 1 .. n-1.
+
+    Besides the block, returns the rows where an e_k(|z|) is below the
+    smallest normal float although at least k of the |z| are nonzero: (B,).
+    """
     # the structurally zero sigma_n is replaced by an exact zero, which leaves
     # every e_k of the other n - 1 values unchanged
     top = np.concatenate((sigma[..., :-1], np.zeros_like(sigma[..., :1])), axis=-1)
     table = symfun.esf_table(np.stack((top, z_mod)))[..., 1:n]
     k = np.arange(1, n)
-    return _Block([(f"esf_k{j}", None) for j in k], table[0], (n - k) / n * table[1])
+    nonzero = np.count_nonzero(z_mod, axis=-1)[..., None]
+    underflow = ((table[1] < _TINY) & (k <= nonzero)).any(axis=-1)
+    block = _Block([(f"esf_k{j}", None) for j in k], table[0], (n - k) / n * table[1])
+    return block, underflow
 
 
-def _sv_product(sig_d, sig_abs) -> tuple[_Block, np.ndarray, np.ndarray]:
+def _sv_product(sig_d, sig_abs) -> tuple[_Block, np.ndarray, np.ndarray, np.ndarray]:
     """Prefix products of sigma(X* D X) against sigma(X* |D| X).
 
     Besides the block, returns the prefix verdicts of
-    symfun.prefix_products_hold and the ratios, missing (NaN) once the right
-    prefix has crossed the rank floor: its product is then the shadow of an
-    exact zero and the quotient is meaningless.
+    symfun.prefix_products_hold, the ratios, missing (NaN) once the right
+    prefix has crossed the rank floor (its product is then the shadow of an
+    exact zero and the quotient is meaningless), and the rows where a right
+    prefix falls below the smallest normal float before that: (B,).
     """
     block = _Block(
         [(f"sv_product_k{k}", None) for k in range(1, sig_d.shape[-1] + 1)],
         np.cumprod(sig_d, axis=-1),
         np.cumprod(sig_abs, axis=-1),
     )
+    crossed = symfun.rank_floor_crossed(sig_abs)
     ratio = _ratio(block.lhs, block.rhs)
-    ratio[symfun.rank_floor_crossed(sig_abs)] = np.nan
-    return block, symfun.prefix_products_hold(sig_d, sig_abs), ratio
+    ratio[crossed] = np.nan
+    underflow = ((block.rhs < _TINY) & ~crossed).any(axis=-1)
+    return block, symfun.prefix_products_hold(sig_d, sig_abs), ratio, underflow
 
 
 def _judge(labels: list[_Label], lhs, rhs, tols) -> np.ndarray:
@@ -346,7 +363,7 @@ class _Batch(NamedTuple):
     The K labels come in check_all's (name, p) order; lhs, rhs, ratio (NaN
     where missing) and holds are (B, K).  ``finite`` marks the rows whose
     sides are all finite; the others are an OverflowError.  ``underflow``
-    marks the rows with an underflowed power sum of |z|, an UnderflowError.
+    marks the rows with an underflowed right side, an UnderflowError.
     """
 
     labels: tuple[_Label, ...]
@@ -379,9 +396,10 @@ def _certify_batch(z: np.ndarray, orders, constant_scale: float, tols) -> _Batch
     The differentiators of z and of |z| are built once, as one stack: one
     batched eigendecomposition of its z half and one batched SVD of both.
     The power sums of |z| are taken once, over the orders and 1, 2 and 4,
-    for every family that reads them, and any of them that underflows marks
-    its row.  A LAPACK failure anywhere in the stack raises ConvergenceError
-    for the whole stack.
+    for every family that reads them.  A power sum, an e_k(|z|) or a
+    singular value prefix product that underflows marks its row.  A LAPACK
+    failure anywhere in the stack raises ConvergenceError for the whole
+    stack, and a differentiator that overflows raises OverflowError.
     """
     n = z.shape[-1]
     grid = sorted({*orders, *_FIXED_ORDERS})
@@ -398,10 +416,12 @@ def _certify_batch(z: np.ndarray, orders, constant_scale: float, tols) -> _Batch
         if len(grid) > len(orders):
             sums = sums[..., [grid.index(p) for p in orders]]
         z_sums, lam_sums, sigma_sums = sums
-        sv_block, sv_holds, sv_ratio = _sv_product(sigma, sigma_abs)
+        sv_block, sv_holds, sv_ratio, sv_underflow = _sv_product(sigma, sigma_abs)
+        esf_block, esf_underflow = _esf(n, sigma, z_mod)
+        underflow |= esf_underflow | sv_underflow
         blocks = [
             _endpoint(n, sigma, z_mod, pow1, pow2),
-            _esf(n, sigma, z_mod),
+            esf_block,
             _quartic(n, z, w_mod, pow2, pow4),
             _schoenberg(n, orders, w_sums, z_sums, constant_scale),
             _pereira(n, orders, w_sums, z_sums),
@@ -551,12 +571,18 @@ def esf_bounds(cfg: ZeroConfig) -> list[Certificate]:
     """Per-k certificates e_k(sigma_1..sigma_{n-1}) <= ((n-k)/n) e_k(|z|).
 
     The sigma are the singular values of the differentiator matrix, top n-1
-    of them (the smallest is structurally zero).  No centroid condition.
+    of them (the smallest is structurally zero).  No centroid condition.  An
+    e_k(|z|) that underflows while at least k of the |z| are nonzero raises
+    UnderflowError.
     """
     z = cfg.as_array()[None]
     with _arithmetic():
         sigma = densela._svdvals(densela._differentiator(z))
-        return _single(cfg.n, _esf(cfg.n, sigma, np.abs(z)))
+        block, underflow = _esf(cfg.n, sigma, np.abs(z))
+        rows = _single(cfg.n, block)
+    if underflow.any():
+        raise UnderflowError(_UNDERFLOWED)
+    return rows
 
 
 def sv_product_check(x: np.ndarray, d) -> list[Certificate]:
@@ -564,7 +590,8 @@ def sv_product_check(x: np.ndarray, d) -> list[Certificate]:
 
     One certificate per k = 1..n comparing the k-fold products of the two
     singular value sequences, judged with the weak log-majorization slack
-    (zeros short-circuit in log space).
+    (zeros short-circuit in log space).  A right prefix that underflows
+    above the rank floor raises UnderflowError.
     """
     x = np.asarray(x, dtype=complex)
     d = np.asarray(d, dtype=complex).ravel()
@@ -577,10 +604,11 @@ def sv_product_check(x: np.ndarray, d) -> list[Certificate]:
     sig_d = densela.singular_values(xh @ np.diag(d) @ x)
     sig_abs = densela.singular_values(xh @ np.diag(np.abs(d).astype(complex)) @ x)
     with _arithmetic():
-        block, holds, ratio = _sv_product(sig_d[None], sig_abs[None])
-        return _certificates(
-            n, block.labels, block.lhs[0], block.rhs[0], ratio[0], holds[0]
-        )
+        block, holds, ratio, underflow = _sv_product(sig_d[None], sig_abs[None])
+        rows = _certificates(n, block.labels, block.lhs[0], block.rhs[0], ratio[0], holds[0])
+    if underflow[0]:
+        raise UnderflowError(_UNDERFLOWED)
+    return rows
 
 
 def check_all(
@@ -600,9 +628,10 @@ def check_all(
     verdict but the singular value product's, which has its own log-space
     slack, is judged under ``abs_tol`` and ``rel_tol``.  Results come back
     sorted by (name, p) so reports are deterministic.  A side that is not
-    finite raises OverflowError, and a power sum of |z| that underflows,
-    at an order of ``p_list`` or at 1, 2 or 4, raises UnderflowError.  This
-    is the columnar evaluator on a batch of one.
+    finite raises OverflowError.  A power sum of |z| that underflows, at an
+    order of ``p_list`` or at 1, 2 or 4, raises UnderflowError, as does an
+    e_k(|z|) or a singular value prefix product that underflows where it is
+    not an exact zero.  This is the columnar evaluator on a batch of one.
     """
     _require_centered(cfg, "check_all")
     orders = sorted({_check_order(p) for p in p_list})

@@ -10,31 +10,15 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import re
 import sys
 
 from . import certs, harness, sharpness
 from .polyzero import ZeroConfig, center
 
-_IMAG_ONLY = re.compile(r"^[+-]?(\d+\.?\d*([eE][+-]?\d+)?)?[ij]$")
-
 
 def _parse_complex_literal(text: str) -> complex:
-    s = text.strip().replace(" ", "")
-    if not s:
-        raise ValueError("empty complex literal")
-    if _IMAG_ONLY.match(s):
-        body = s[:-1]
-        if body in ("", "+"):
-            body = "1"
-        elif body == "-":
-            body = "-1"
-        return complex(0.0, float(body))
-    s = s.replace("i", "j")
-    # bare trailing j after a sign, as in "2-j"
-    s = re.sub(r"([+-])j$", r"\g<1>1j", s)
     try:
-        return complex(s)
+        return complex(text.replace(" ", "").replace("i", "j"))
     except ValueError as exc:
         raise ValueError(f"cannot parse complex literal {text!r}") from exc
 

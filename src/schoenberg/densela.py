@@ -92,7 +92,7 @@ def _eigvals(m: np.ndarray) -> np.ndarray:
     try:
         return np.linalg.eigvals(m)
     except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"eigenvalue iteration failed: {exc}") from exc
+        raise _lapack_error("eigenvalue", m, exc) from exc
 
 
 def _svdvals(m: np.ndarray) -> np.ndarray:
@@ -101,7 +101,16 @@ def _svdvals(m: np.ndarray) -> np.ndarray:
     try:
         return np.linalg.svd(m, compute_uv=False)
     except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"singular value iteration failed: {exc}") from exc
+        raise _lapack_error("singular value", m, exc) from exc
+
+
+def _lapack_error(what: str, m: np.ndarray, exc: Exception) -> ArithmeticError:
+    """A failed decomposition of ``m``: OverflowError when an entry is not
+    finite, which is how an overflowed differentiator reaches LAPACK, and
+    ConvergenceError otherwise."""
+    if not np.isfinite(m).all():
+        return OverflowError(f"a matrix entry is not finite, so the {what} iteration failed")
+    return ConvergenceError(f"{what} iteration failed: {exc}")
 
 
 def lp_norm(v, p: float) -> float:

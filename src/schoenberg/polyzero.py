@@ -13,9 +13,13 @@ precision step evaluates p, p' and the rounding majorant for every iterate
 from that matrix of powers; a short polish then re-evaluates p and p' by
 Horner's rule in 80-bit arithmetic, and falls back to the double precision
 iterate when the polished one misses the residual gate, which reads the
-majorant from the same matrix.  The spectral route lives in ``densela`` and
-is kept deliberately independent of this one so the two can cross-check
-each other.
+majorant from the same matrix.  Roots that miss the trace identity get one
+restart from the starting circle turned by half a step.
+
+No certificate reads this route.  Every certificate takes its critical
+points from the spectrum of Q diag(z) Q in ``densela``, centered or not;
+this route is kept deliberately independent of that one, as its
+cross-check.
 """
 
 from __future__ import annotations
@@ -30,6 +34,11 @@ import numpy as np
 TOL_CENTER = 1e-12
 TOL_ROOT = 1e-13
 MAX_ITERS = 200
+# |sum x + b_1| / sum |x| for the roots x of x^m + b_1 x^(m-1) + ...: over
+# 18,000 listings of sampled clustered n = 32 zeros its 99th percentile is
+# 3.3e-6, and each of the 27 listings above 2e-5 had roots that a restart
+# moved below 3e-6.  A root caught in the wrong cluster reads up to 0.65.
+TOL_TRACE = 1e-4
 
 _EPS = float(np.finfo(float).eps)
 _POLISH_ITERS = 12
@@ -194,8 +203,13 @@ def roots(poly: Polynomial) -> np.ndarray:
     and p is evaluated in 80-bit arithmetic.  The polished iterate is
     returned when it passes that gate, else the phase-1 iterate when it has
     the lower residual and passes; otherwise RootFindingError carries the
-    lower-residual of the two.  Multiple roots come back as a cluster of
-    radius roughly eps^(1/m); they are returned as found, without rounding.
+    lower-residual of the two.  The residual gate is blind to a root caught
+    in the wrong cluster, so the result must also meet the trace identity
+    sum x = -b_1 to TOL_TRACE relative to sum |x|; when it misses, both
+    phases run once more from the starting circle turned by half the
+    spacing of its points, and a second miss is a RootFindingError.
+    Multiple roots come back as a cluster of radius roughly eps^(1/m); they
+    are returned as found, without rounding.
     """
     c = poly.as_array()
     m = poly.degree
@@ -222,7 +236,29 @@ def roots(poly: Polynomial) -> np.ndarray:
     scale = max(1.0, float(np.abs(b).max()))
     evaluate = _PowerEval(b, m)
 
-    x = tables.start
+    x, worst = _aberth(evaluate, scale, tables.start)
+    trace_ok = _trace_ok(x, b)
+    if worst <= TOL_ROOT and not trace_ok:
+        # a root caught in the wrong cluster can still pass the residual
+        # gate; start once more, each point midway between two of the first
+        x, worst = _aberth(evaluate, scale, tables.start * np.exp(1j * np.pi / m))
+        trace_ok = _trace_ok(x, b)
+    if worst > TOL_ROOT or not trace_ok:
+        raise RootFindingError(
+            f"root iteration stalled at residual {worst:.3e} (> {TOL_ROOT})"
+            if worst > TOL_ROOT
+            else f"the roots miss the trace identity by more than {TOL_TRACE} relative",
+            best=_ldexp(x * f, e),
+            residual=worst,
+        )
+    return _ldexp(x * f, e)
+
+
+def _aberth(evaluate: _PowerEval, scale: float, start: np.ndarray):
+    """Both phases of the iteration from ``start`` on the rescaled
+    polynomial: the iterate ``roots`` settles on and its worst gate residual."""
+    m = start.size
+    x = start
     best_x, best_rho = x, np.inf
     for _ in range(MAX_ITERS):
         p, dp, th = evaluate(x)
@@ -242,7 +278,7 @@ def roots(poly: Polynomial) -> np.ndarray:
 
     x = best_x
     for _ in range(_POLISH_ITERS):
-        x_new = _aberth_step(x, *_horner_extended(b, x))
+        x_new = _aberth_step(x, *_horner_extended(evaluate.b, x))
         step = np.abs(x_new - x)
         x = x_new
         if (step <= 4 * _EPS * (1.0 + np.abs(x))).all():
@@ -255,13 +291,13 @@ def roots(poly: Polynomial) -> np.ndarray:
         fallback = _residual(evaluate, best_x, scale)
         if fallback < worst:
             x, worst = best_x, fallback
-    if worst > TOL_ROOT:
-        raise RootFindingError(
-            f"root iteration stalled at residual {worst:.3e} (> {TOL_ROOT})",
-            best=_ldexp(x * f, e),
-            residual=worst,
-        )
-    return _ldexp(x * f, e)
+    return x, worst
+
+
+def _trace_ok(x: np.ndarray, b: np.ndarray) -> bool:
+    """Whether the roots ``x`` of the monic ``b`` meet sum x = -b_1 to
+    TOL_TRACE relative to sum |x|."""
+    return bool(abs(x.sum() + b[1]) <= TOL_TRACE * np.abs(x).sum())
 
 
 class _DegreeTables(NamedTuple):

@@ -528,8 +528,9 @@ class TestPowerSums:
 
 
 class TestNonFiniteSides:
-    """A side that overflows is an OverflowError, and a power sum of |z|
-    that underflows is an UnderflowError, never a verdict."""
+    """A side that overflows is an OverflowError, and a right side that
+    underflows where it is not an exact zero is an UnderflowError, never a
+    verdict."""
 
     GRID = [1.0, 1.75, 2.0, 4.0, 10.0]
 
@@ -582,6 +583,42 @@ class TestNonFiniteSides:
             with pytest.raises(UnderflowError):
                 run()
         assert endpoint_checks(cfg) and schoenberg_order_p(cfg, 2.0)
+
+    def test_underflowed_products_raise(self):
+        # every power sum of |z| is normal, but e_6(|z|), e_7(|z|) and the
+        # singular value prefix products from k = 6 on are not
+        cfg = ZeroConfig(tuple(np.array(sample_config(8, "disk", 0).zeros) * 1e-60), centered=True)
+        d = cfg.as_array()
+        for run in (
+            lambda: check_all(cfg, [1.0, 2.0, 4.0]),
+            lambda: esf_bounds(cfg),
+            lambda: sv_product_check(centering_projector(8), d),
+        ):
+            with pytest.raises(UnderflowError):
+                run()
+        assert endpoint_checks(cfg) and schoenberg_order_p(cfg, 4.0)
+
+    def test_exact_zero_products_stay_verdicts(self):
+        # e_3 of two nonzero moduli and the prefix products past the rank
+        # floor are exact zeros, not underflows
+        cfg = ZeroConfig((0.0, 0.0, 1.0, -1.0), centered=True)
+        rows = {c.name: c for c in check_all(cfg, [2.0])}
+        assert rows["esf_k3"].rhs == 0.0 and rows["sv_product_k4"].rhs == 0.0
+        assert esf_bounds(cfg)[2].rhs == 0.0
+
+    def test_overflowed_differentiator_raises_overflow(self):
+        # the zeros are finite, but z_1 + z_2 overflows in Q diag(z) Q
+        cfg = ZeroConfig((1e308, -1e308, 0.0), centered=True)
+        for run in (
+            lambda: check_all(cfg, [2.0]),
+            lambda: schoenberg_order_p(cfg, 2.0),
+            lambda: quartic_bounds(cfg),
+            lambda: pereira_bound(cfg, 2.0),
+            lambda: endpoint_checks(cfg),
+            lambda: esf_bounds(cfg),
+        ):
+            with pytest.raises(OverflowError):
+                run()
 
     def test_all_zero_configuration_still_certifies(self):
         zero = ZeroConfig((0j,) * 4, centered=True)

@@ -304,6 +304,61 @@ class TestDirectAgainstSpectral:
         (-0.72739231862928844, -0.020109092235955722),
     )
 
+    # sample_config(32, "clustered", 1526134747), unit 150 of the crosscheck
+    # benchmark's seed 8401, to 17 significant digits
+    WRONG_CLUSTER = (
+        (0.23594133994522046, -0.020586418258549174),
+        (0.22857427084892087, 0.06090599928904078),
+        (0.3519017363232858, 0.035950261536061554),
+        (0.2064235246271335, 0.029558721702648852),
+        (0.1872858326167348, 0.005418088441098933),
+        (0.17374095054549074, 0.06854862271702332),
+        (0.26418207262268323, 0.07994342634031545),
+        (0.24770901530329223, 0.04580765741891695),
+        (0.35122350969821803, 0.04527951837989762),
+        (0.17251582778908156, -0.03943059387157584),
+        (-1.7830334307276288, -0.1101926747905274),
+        (-1.6144521306371247, 0.019673935986602945),
+        (0.21685033605109502, -0.0026085655989602),
+        (0.2574354853635802, -0.014974879046276778),
+        (0.2716792069530173, 0.10764874951650132),
+        (0.24247463050365367, -0.026785163029257368),
+        (0.3257889723357156, 0.08677468330754362),
+        (0.17717383421208974, -0.03766459764477191),
+        (-1.7354755847074657, -0.038025303717067374),
+        (0.3458199812651793, -0.015514819631986039),
+        (0.27583298350171936, -0.0023291303380921654),
+        (0.2902748402395291, 0.033860539438729145),
+        (0.17521530537231564, -0.030666755940528756),
+        (0.3701699760518796, 0.054717918496080986),
+        (0.1737848360846713, 0.05496698292450018),
+        (0.2147580305823221, 0.02726265083778293),
+        (0.31761725970936594, 0.04506745788177067),
+        (0.19412826944089065, -0.08867786080836278),
+        (0.1254090715932323, -0.010895440789352805),
+        (-1.754986203111847, -0.15758875468048542),
+        (0.28327775031155433, -0.12477852372560644),
+        (0.21075849929219434, -0.08066573234311479),
+    )
+
+    def test_root_caught_in_the_wrong_cluster_restarts(self):
+        # from the unturned circle three roots of the cluster near -1.7 end in
+        # the one near 0.25 and pass the residual gate; the trace identity
+        # catches them and the turned circle finds them
+        cfg = ZeroConfig(tuple(complex(*pair) for pair in self.WRONG_CLUSTER), centered=True)
+        direct = critical_points_direct(cfg).as_array()
+        spectral = critical_points_spectral(cfg).as_array()
+        # the crosscheck benchmark's tolerance: 1024 n u, or 32 times the
+        # direct route's own spread over another listing of the zeros
+        again = critical_points_direct(ZeroConfig(cfg.zeros[1:] + cfg.zeros[:1])).as_array()
+        tol = max(1024 * cfg.n * np.finfo(float).eps / 2, 32 * power_sum_disagreement(direct, again))
+        assert power_sum_disagreement(direct, spectral) <= tol
+
+    def test_a_second_miss_raises(self, monkeypatch):
+        monkeypatch.setattr(polyzero, "_trace_ok", lambda x, b: False)
+        with pytest.raises(RootFindingError, match="trace identity"):
+            critical_points_direct(sample_config(8, "disk", 0))
+
     @pytest.mark.parametrize("n", [3, 8, 16])
     @pytest.mark.parametrize("dist", ["disk", "gaussian"])
     def test_critical_moduli_at_every_scale(self, dist, n):
