@@ -185,11 +185,12 @@ def _power_sums(mods: np.ndarray, orders) -> np.ndarray:
     largest term, so it is out of range however it is computed, and it
     underflows only when every term does (_z_power_sums and _certify_batch
     report that).  Each column is computed on its own, so a sum
-    does not depend on which other orders are asked with it.
+    does not depend on which other orders are asked with it; each power is
+    reduced straight into its column, with the bits of ``.sum(axis=-1)``.
     """
     sums = np.empty(mods.shape[:-1] + (len(orders),))
     for col, p in enumerate(orders):
-        sums[..., col] = (mods**p).sum(axis=-1)
+        np.add.reduce(mods**p, axis=-1, out=sums[..., col])
     return sums
 
 
@@ -399,13 +400,14 @@ def _certify_batch(z: np.ndarray, orders, constant_scale: float, tols) -> _Batch
     for every family that reads them.  A power sum, an e_k(|z|) or a
     singular value prefix product that underflows marks its row.  A LAPACK
     failure anywhere in the stack raises ConvergenceError for the whole
-    stack, and a differentiator that overflows raises OverflowError.
+    stack, and a differentiator that overflows, in either half, raises
+    OverflowError for the whole stack before any LAPACK call.
     """
     n = z.shape[-1]
     grid = sorted({*orders, *_FIXED_ORDERS})
     with _arithmetic():
         z_mod = np.abs(z)
-        d = densela._differentiator(np.stack((z, z_mod)))
+        d = densela._finite_differentiator(np.stack((z, z_mod)))
         lam_mod = _descending_moduli(densela._eigvals(d[0]))
         w_mod = lam_mod[..., :-1]  # less the structural zero
         sigma, sigma_abs = densela._svdvals(d)
@@ -560,7 +562,7 @@ def endpoint_checks(
     z = cfg.as_array()[None]
     z_mod = np.abs(z)
     with _arithmetic():
-        sigma = densela._svdvals(densela._differentiator(z))
+        sigma = densela._svdvals(densela._finite_differentiator(z))
         pow1, pow2 = np.moveaxis(_z_power_sums(z_mod, (1.0, 2.0)), -1, 0)
         block = _endpoint(cfg.n, sigma, z_mod, pow1, pow2)
         s1, s2, sinf = _single(cfg.n, block)
@@ -577,7 +579,7 @@ def esf_bounds(cfg: ZeroConfig) -> list[Certificate]:
     """
     z = cfg.as_array()[None]
     with _arithmetic():
-        sigma = densela._svdvals(densela._differentiator(z))
+        sigma = densela._svdvals(densela._finite_differentiator(z))
         block, underflow = _esf(cfg.n, sigma, np.abs(z))
         rows = _single(cfg.n, block)
     if underflow.any():
@@ -591,7 +593,9 @@ def sv_product_check(x: np.ndarray, d) -> list[Certificate]:
     One certificate per k = 1..n comparing the k-fold products of the two
     singular value sequences, judged with the weak log-majorization slack
     (zeros short-circuit in log space).  A right prefix that underflows
-    above the rank floor raises UnderflowError.
+    above the rank floor raises UnderflowError.  X and D must be finite
+    (ValueError); a product X* D X or X* |D| X that overflows raises
+    OverflowError.
     """
     x = np.asarray(x, dtype=complex)
     d = np.asarray(d, dtype=complex).ravel()
@@ -600,10 +604,14 @@ def sv_product_check(x: np.ndarray, d) -> list[Certificate]:
     n = x.shape[0]
     if d.size != n:
         raise ValueError(f"diagonal length {d.size} does not match order {n}")
+    if not (np.isfinite(x).all() and np.isfinite(d).all()):
+        raise ValueError("X and D must be finite")
     xh = x.conj().T
-    sig_d = densela.singular_values(xh @ np.diag(d) @ x)
-    sig_abs = densela.singular_values(xh @ np.diag(np.abs(d).astype(complex)) @ x)
     with _arithmetic():
+        sig_d = densela.singular_values(densela._require_finite(xh @ np.diag(d) @ x))
+        sig_abs = densela.singular_values(
+            densela._require_finite(xh @ np.diag(np.abs(d).astype(complex)) @ x)
+        )
         block, holds, ratio, underflow = _sv_product(sig_d[None], sig_abs[None])
         rows = _certificates(n, block.labels, block.lhs[0], block.rhs[0], ratio[0], holds[0])
     if underflow[0]:

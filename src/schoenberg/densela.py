@@ -43,9 +43,10 @@ def differentiator(cfg: ZeroConfig) -> np.ndarray:
 
     Multiplying out gives A_ij = delta_ij z_i - (z_i + z_j)/n + (sum z)/n^2,
     which is cheaper and rounds less than two matrix products.  Centering of
-    the zeros is not required to build the matrix.
+    the zeros is not required to build the matrix.  Zeros that are finite
+    but so large that an entry overflows raise OverflowError.
     """
-    return _differentiator(cfg.as_array())
+    return _finite_differentiator(cfg.as_array())
 
 
 def _differentiator(z: np.ndarray) -> np.ndarray:
@@ -56,6 +57,24 @@ def _differentiator(z: np.ndarray) -> np.ndarray:
     a -= (z[..., :, None] + z[..., None, :]) / n
     a += z.sum(axis=-1, keepdims=True)[..., None] / n**2
     return a
+
+
+def _finite_differentiator(z: np.ndarray) -> np.ndarray:
+    """_differentiator(z) of finite zeros, with OverflowError in place of a
+    non-finite entry, which LAPACK's SVD would take without raising (it
+    returns NaN, and OpenBLAS prints a complaint to standard output).  The
+    check is one pass over the stack; the search objectives, whose zeros
+    are O(1), leave it out."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _require_finite(_differentiator(z))
+
+
+def _require_finite(m: np.ndarray) -> np.ndarray:
+    """``m``, built from finite inputs; OverflowError when an entry is not
+    finite, which is how such a matrix shows that it overflowed."""
+    if not np.isfinite(m).all():
+        raise OverflowError("a matrix entry overflowed to a non-finite value")
+    return m
 
 
 def _check_square(m: np.ndarray) -> np.ndarray:
@@ -163,5 +182,5 @@ def critical_points_spectral(cfg: ZeroConfig) -> CriticalSet:
     choice is interchangeable with it, and every downstream quantity built
     from moduli is unaffected.
     """
-    values = eigenvalues(_differentiator(cfg.as_array()))
+    values = eigenvalues(_finite_differentiator(cfg.as_array()))
     return CriticalSet(tuple(values[:-1]))

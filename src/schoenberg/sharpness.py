@@ -11,7 +11,12 @@ which constant the paper states.  Both searches validate the order as
 ``certs`` does and share one routine, which checks n and the budget,
 parametrizes the centered subspace by the first n-1 zeros (the last is
 minus their sum, so the constraint is exact by construction) and runs
-restarted Nelder-Mead on a simplex held as arrays.  One search maximizes
+restarted Nelder-Mead on a simplex held as arrays.  The loop keeps the
+vertices in stable sorted order by inserting the one it replaces, hands
+each family's up-front value to the simplex that starts there, and makes
+its random generator only when a random restart needs it; every point it
+evaluates, and so every result, is bit for bit that of a loop that
+argsorts the simplex before every move.  One search maximizes
 the Schoenberg certificate ratio, evaluated by the ``certs`` formulas on a
 batch of one, as ``ratio`` and the audit evaluate it; the other maximizes
 the Schatten-to-l^p quotient of the differentiator map, from the ``certs``
@@ -22,6 +27,8 @@ simplex method is the right tool.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,8 +95,11 @@ def ratio(cfg: ZeroConfig, p: float) -> float:
 def _zeros_from_coords(x: np.ndarray) -> np.ndarray:
     """Map 2(n-1) real coordinates to n centered zeros (last = -sum of rest)."""
     half = x.size // 2
-    head = x[:half] + 1j * x[half:]
-    return np.concatenate([head, [-head.sum()]])
+    z = np.empty(half + 1, dtype=complex)
+    head = z[:half]
+    np.add(x[:half], 1j * x[half:], out=head)
+    z[half] = -head.sum()
+    return z
 
 
 def _coords_from_zeros(z: np.ndarray) -> np.ndarray:
@@ -97,23 +107,48 @@ def _coords_from_zeros(z: np.ndarray) -> np.ndarray:
     return np.concatenate([head.real, head.imag])
 
 
-def _nelder_mead(objective, x0: np.ndarray, budget: int) -> tuple[np.ndarray, float, int]:
+def _nelder_mead(
+    objective, x0: np.ndarray, budget: int, f0: float | None = None
+) -> tuple[np.ndarray, float, int]:
     """Minimize with standard simplex moves until the evaluation budget is spent.
 
     Returns (best point, best value, objective calls); the move that crosses
     the budget finishes.  Collapses of the simplex below the restart diameter
     end the run early and the remaining budget flows back to the caller for
-    another restart.
+    another restart.  ``f0``, when given, is the objective's value at x0,
+    which is then not evaluated again; it still counts as a call.
+
+    Each move begins from the vertices in the order of a stable sort of
+    their values, NaN last.  A move replaces only the worst vertex, so that
+    order is restored by inserting it at its stable rank, after every
+    vertex with a value no larger; a full stable sort runs after the
+    initial simplex, after a shrink and whenever a NaN is among the others.
+    The restart test takes the square root of the largest squared edge,
+    which is the largest edge exactly, since sqrt is monotone and correctly
+    rounded.  So every point evaluated and every result is bit for bit the
+    one a stable argsort before each move gives.
     """
     dim = x0.size
     pts = np.vstack((x0, x0 + _NM_INIT_SCALE * np.eye(dim)))
-    values = np.array([objective(x) for x in pts])
+    values = [objective(pts[0]) if f0 is None else f0]
+    values += [objective(x) for x in pts[1:]]
     used = dim + 1
+    resort = True
     while used < budget:
-        order = np.argsort(values, kind="stable")
-        pts, values = pts[order], values[order]
+        if resort or values[-2] != values[-2]:
+            order = np.argsort(values, kind="stable")
+            pts = pts[order]
+            values = [values[i] for i in order]
+        else:
+            rank = bisect_right(values, values[-1], 0, dim)
+            if rank < dim:
+                row = pts[-1].copy()
+                pts[rank + 1 :] = pts[rank:-1]
+                pts[rank] = row
+                values.insert(rank, values.pop())
+        resort = False
         d = pts[1:] - pts[0]
-        if np.sqrt((d * d).sum(axis=1)).max() < _NM_RESTART_DIAMETER:
+        if math.sqrt((d * d).sum(axis=1).max()) < _NM_RESTART_DIAMETER:
             break
         centroid = pts[:-1].sum(axis=0) / dim
         reflected = centroid + _NM_REFLECT * (centroid - pts[-1])
@@ -140,6 +175,7 @@ def _nelder_mead(objective, x0: np.ndarray, budget: int) -> tuple[np.ndarray, fl
         pts[1:] = pts[0] + _NM_SHRINK * (pts[1:] - pts[0])
         values[1:] = [objective(x) for x in pts[1:]]
         used += dim
+        resort = True
     best = int(np.argmin(values))
     return pts[best], values[best], used
 
@@ -156,30 +192,41 @@ def _search(n: int, p: float, budget: int, entropy, value_at, families=()):
     Nelder-Mead until ``budget`` evaluations are spent.
 
     The extremal ``families`` are evaluated up front and seed the first
-    restarts, the last first; the others start at random points drawn from
-    SeedSequence(entropy).  Returns (best coordinates, best value,
-    evaluations, restarts), not counting the up-front evaluations.
+    restarts, the last first; each hands its value to the simplex as that of
+    its first vertex, which is not evaluated again but counts against the
+    budget.  The other restarts start at random points drawn from
+    SeedSequence(entropy), whose generator is made only when the first of
+    them needs it.  Returns (best coordinates, best value, evaluations,
+    restarts), not counting the up-front evaluations.
     """
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
     if budget < 1:
         raise ValueError("budget must be positive")
     value = value_at(n, p)
-    rng = np.random.default_rng(np.random.SeedSequence(entropy))
+    rng = None
 
     def objective(x: np.ndarray) -> float:
         z = _zeros_from_coords(x)
         top = np.abs(z).max()
-        if top == 0.0 or not np.isfinite(top):
+        if top == 0.0 or not math.isfinite(top):
             return 0.0
         return -value(z - z.sum() / z.size)
 
-    starts = [_coords_from_zeros(family(n).as_array()) for family in families]
-    found = [(objective(x), x) for x in starts]
+    found = [
+        (objective(x), x)
+        for x in (_coords_from_zeros(family(n).as_array()) for family in families)
+    ]
+    starts = list(found)
     spent = 0
     while spent < budget:
-        x0 = starts.pop() if starts else _random_start(n, rng)
-        x, fx, used = _nelder_mead(objective, x0, budget - spent)
+        if starts:
+            f0, x0 = starts.pop()
+        else:
+            if rng is None:
+                rng = np.random.default_rng(np.random.SeedSequence(entropy))
+            f0, x0 = None, _random_start(n, rng)
+        x, fx, used = _nelder_mead(objective, x0, budget - spent, f0)
         spent += used
         found.append((fx, x))
     best_value, best_x = min(found, key=lambda pair: pair[0])  # the first of ties
@@ -191,13 +238,14 @@ def _schoenberg_ratio(n: int, p: float):
     centered zeros: the certs power sums on a batch of one, 0 where the
     right side vanishes."""
     constant = schoenberg_constant(n, p)
+    orders = [p]
 
     def value(z: np.ndarray) -> float:
         z = z[None]
-        denom = constant * certs._power_sums(np.abs(z), [p])[0, 0]
+        denom = constant * certs._power_sums(np.abs(z), orders)[0, 0]
         if denom == 0.0:
             return 0.0
-        return certs._power_sums(certs._critical_moduli(z)[:, :-1], [p])[0, 0] / denom
+        return certs._power_sums(certs._critical_moduli(z)[:, :-1], orders)[0, 0] / denom
 
     return value
 
@@ -206,13 +254,14 @@ def _schatten_quotient(n: int, p: float):
     """||Q diag(z) Q||_Sp / ||z||_p as a function of n zeros, 0 at z = 0:
     the p-th root of the certs power sums of the singular values over
     those of |z|."""
+    orders = [p]
 
     def value(z: np.ndarray) -> float:
-        denom = certs._power_sums(np.abs(z), [p])[0]
+        denom = certs._power_sums(np.abs(z), orders)[0]
         if denom == 0.0:
             return 0.0
         sigma = densela._svdvals(densela._differentiator(z))
-        return (certs._power_sums(sigma, [p])[0] / denom) ** (1.0 / p)
+        return (certs._power_sums(sigma, orders)[0] / denom) ** (1.0 / p)
 
     return value
 

@@ -1,3 +1,4 @@
+import ctypes
 from math import comb, log2
 
 import mpmath
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
-from schoenberg import polyzero
+from schoenberg import certs, densela, polyzero
 
 
 def matched_distance(a, b) -> float:
@@ -54,6 +55,18 @@ def mp_critical_points(zeros) -> list:
         coeffs = [a - root * b for a, b in zip(coeffs + [0], [0] + coeffs)]
     deriv = [(n - k) * c for k, c in enumerate(coeffs[:-1])]
     return mpmath.polyroots(deriv, maxsteps=200, extraprec=200)
+
+
+def c_output(capfd) -> tuple[str, str]:
+    """What the process wrote to its stdout and stderr file descriptors,
+    after flushing C stdio, which buffers OpenBLAS's messages when the
+    streams are not a terminal."""
+    fflush = ctypes.CDLL(None).fflush
+    fflush.argtypes = [ctypes.c_void_p]
+    fflush.restype = ctypes.c_int
+    fflush(None)  # every C output stream
+    captured = capfd.readouterr()
+    return captured.out, captured.err
 
 
 @pytest.fixture
@@ -236,3 +249,127 @@ def _aberth_step(x, p, dp):
     denom = 1.0 - w * repulsion
     denom = np.where(np.abs(denom) < 1e-300, 1.0, denom)
     return x - w / denom
+
+
+def reference_search(n, p, budget, entropy, value_at, families=()):
+    """The restarted Nelder-Mead search that ``sharpness._search`` ran before
+    its simplex was kept in order by insertion, kept as its oracle: a stable
+    argsort of the vertices before every move, the restart diameter as the
+    largest edge, each family start evaluated again as its first vertex and
+    the generator made up front.  ``value_at`` is one of the frozen
+    objectives below.  Returns (best coordinates, best value, evaluations,
+    restarts)."""
+    value = value_at(n, p)
+    rng = np.random.default_rng(np.random.SeedSequence(entropy))
+
+    def objective(x):
+        z = reference_zeros_from_coords(x)
+        top = np.abs(z).max()
+        if top == 0.0 or not np.isfinite(top):
+            return 0.0
+        return -value(z - z.sum() / z.size)
+
+    starts = [_coords_from_zeros(family(n).as_array()) for family in families]
+    found = [(objective(x), x) for x in starts]
+    spent = 0
+    while spent < budget:
+        x0 = starts.pop() if starts else _random_start(n, rng)
+        x, fx, used = reference_nelder_mead(objective, x0, budget - spent)
+        spent += used
+        found.append((fx, x))
+    best_value, best_x = min(found, key=lambda pair: pair[0])
+    return best_x, -best_value, spent, len(found) - len(families)
+
+
+def reference_nelder_mead(objective, x0, budget):
+    """The Nelder-Mead loop that sorted its simplex with a stable argsort
+    before every move; returns (best point, best value, objective calls)."""
+    dim = x0.size
+    pts = np.vstack((x0, x0 + 0.3 * np.eye(dim)))
+    values = np.array([objective(x) for x in pts])
+    used = dim + 1
+    while used < budget:
+        order = np.argsort(values, kind="stable")
+        pts, values = pts[order], values[order]
+        d = pts[1:] - pts[0]
+        if np.sqrt((d * d).sum(axis=1)).max() < 1e-10:
+            break
+        centroid = pts[:-1].sum(axis=0) / dim
+        reflected = centroid + 1.0 * (centroid - pts[-1])
+        fr = objective(reflected)
+        used += 1
+        if values[0] <= fr < values[-2]:
+            pts[-1], values[-1] = reflected, fr
+            continue
+        if fr < values[0]:
+            expanded = centroid + 2.0 * (reflected - centroid)
+            fe = objective(expanded)
+            used += 1
+            if fe < fr:
+                pts[-1], values[-1] = expanded, fe
+            else:
+                pts[-1], values[-1] = reflected, fr
+            continue
+        contracted = centroid + 0.5 * (pts[-1] - centroid)
+        fc = objective(contracted)
+        used += 1
+        if fc < values[-1]:
+            pts[-1], values[-1] = contracted, fc
+            continue
+        pts[1:] = pts[0] + 0.5 * (pts[1:] - pts[0])
+        values[1:] = [objective(x) for x in pts[1:]]
+        used += dim
+    best = int(np.argmin(values))
+    return pts[best], values[best], used
+
+
+def reference_zeros_from_coords(x):
+    """2(n-1) real coordinates as n zeros summing to zero, by concatenation."""
+    half = x.size // 2
+    head = x[:half] + 1j * x[half:]
+    return np.concatenate([head, [-head.sum()]])
+
+
+def _coords_from_zeros(z):
+    head = z[:-1]
+    return np.concatenate([head.real, head.imag])
+
+
+def _random_start(n, rng):
+    z = rng.standard_normal(n - 1) + 1j * rng.standard_normal(n - 1)
+    full = np.concatenate([z, [-z.sum()]])
+    full = full / np.abs(full).max()
+    return _coords_from_zeros(full)
+
+
+def _reference_power_sum(mods, p):
+    return (mods**p).sum(axis=-1)
+
+
+def reference_schoenberg_ratio(n, p):
+    """The order-p Schoenberg ratio objective, with each power sum taken by
+    ``.sum(axis=-1)``."""
+    constant = certs.schoenberg_constant(n, p)
+
+    def value(z):
+        z = z[None]
+        denom = constant * _reference_power_sum(np.abs(z), p)[0]
+        if denom == 0.0:
+            return 0.0
+        return _reference_power_sum(certs._critical_moduli(z)[:, :-1], p)[0] / denom
+
+    return value
+
+
+def reference_schatten_quotient(n, p):
+    """The Schatten-to-l^p quotient objective, with each power sum taken by
+    ``.sum(axis=-1)``."""
+
+    def value(z):
+        denom = _reference_power_sum(np.abs(z), p)
+        if denom == 0.0:
+            return 0.0
+        sigma = densela._svdvals(densela._differentiator(z))
+        return (_reference_power_sum(sigma, p) / denom) ** (1.0 / p)
+
+    return value

@@ -7,6 +7,7 @@ from schoenberg.certs import (
     REL_TOL,
     Certificate,
     UnderflowError,
+    _certify_batch,
     _power_sums,
     check_all,
     endpoint_checks,
@@ -24,7 +25,7 @@ from schoenberg.harness import DEFAULT_P_GRID, sample_config
 from schoenberg.polyzero import ZeroConfig, center, critical_points_direct
 from schoenberg.sharpness import ratio
 
-from conftest import mp_critical_points, mp_schoenberg_ratio, random_centered
+from conftest import c_output, mp_critical_points, mp_schoenberg_ratio, random_centered
 
 LOW3 = ZeroConfig((0.0, 1.0, -1.0), centered=True)
 HIGH4 = ZeroConfig((1.0, -1.0, 1.0, -1.0), centered=True)
@@ -619,6 +620,40 @@ class TestNonFiniteSides:
         ):
             with pytest.raises(OverflowError):
                 run()
+
+    # a = 0.6e308: the zeros and their differentiator are finite, but the
+    # differentiator of |z| is not, since sum |z| = 4a overflows
+    HALF_FINITE = (0.6e308, -0.6e308, 0.6e308j, -0.6e308j)
+
+    def test_overflowed_differentiator_reaches_no_lapack_call(self, capfd):
+        # LAPACK's SVD takes a non-finite matrix without raising, and
+        # OpenBLAS prints "** On entry to DLASCL parameter number 4 had an
+        # illegal value" through C stdio
+        for zeros in ((1e308, -1e308, 0.0), self.HALF_FINITE):
+            cfg = ZeroConfig(zeros, centered=True)
+            for run in (
+                lambda: check_all(cfg, [2.0]),
+                lambda: endpoint_checks(cfg),
+                lambda: esf_bounds(cfg),
+            ):
+                with pytest.raises(OverflowError):
+                    run()
+        assert c_output(capfd) == ("", "")
+
+    def test_batch_raises_for_an_overflowed_absolute_half(self, capfd):
+        z = np.array([self.HALF_FINITE, (1.0, -1.0, 1j, -1j)])
+        with pytest.raises(OverflowError):
+            _certify_batch(z, [2.0], 1.0, (ABS_TOL, REL_TOL))
+        assert len(_certify_batch(z[1:], [2.0], 1.0, (ABS_TOL, REL_TOL)).lhs) == 1
+        assert c_output(capfd) == ("", "")
+
+    def test_overflowed_product_is_an_overflow_error(self):
+        with pytest.raises(OverflowError):
+            sv_product_check(1e200 * np.eye(2), [1e200, 1.0])
+        with pytest.raises(ValueError, match="finite"):
+            sv_product_check(np.diag([np.inf, 1.0]), [1.0, 1.0])
+        with pytest.raises(ValueError, match="finite"):
+            sv_product_check(np.eye(2), [np.nan, 1.0])
 
     def test_all_zero_configuration_still_certifies(self):
         zero = ZeroConfig((0j,) * 4, centered=True)

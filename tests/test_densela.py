@@ -71,6 +71,15 @@ class TestDifferentiator:
         lam = eigenvalues(a)
         assert matched_distance(lam, [1 / np.sqrt(3), -1 / np.sqrt(3), 0]) < 1e-12
 
+    def test_overflow_is_an_overflow_error(self):
+        # the zeros are finite, but z_1 + z_2 overflows; no RuntimeWarning
+        # leaks (the suite makes one an error) and no ValueError stands in
+        cfg = ZeroConfig((1e308, -1e308, 0.0), centered=True)
+        with pytest.raises(OverflowError):
+            differentiator(cfg)
+        with pytest.raises(OverflowError):
+            critical_points_spectral(cfg)
+
     def test_scaling_equivariance(self, rng):
         z = rng.standard_normal(6) + 1j * rng.standard_normal(6)
         c = 2.7 - 1.3j

@@ -25,7 +25,7 @@ from schoenberg.harness import (
 from schoenberg.polyzero import TOL_CENTER, ZeroConfig, center_rows, centroid
 from schoenberg.sharpness import extremal_high, extremal_low
 
-from conftest import reference_json, report_to_dict
+from conftest import c_output, reference_json, report_to_dict
 
 SMALL_SPEC = AuditSpec(
     n_values=(3, 4, 5),
@@ -353,6 +353,28 @@ class TestRunAudit:
         assert report.errors[0]["error"].startswith("OverflowError")
         assert report.violations == []
         assert report.total == 0
+
+    def test_overflowed_absolute_half_recorded_per_sample(self, monkeypatch, capfd):
+        # the zeros and their differentiator are finite, the differentiator
+        # of |z| is not: only that sample is an error, and LAPACK never
+        # sees it
+        a = 0.6e308
+        draw_rows = harness._draw_rows
+
+        def one_huge(rng, n, dist, rows):
+            z = draw_rows(rng, n, dist, rows)
+            z[0] = (a, -a, a * 1j, -a * 1j)
+            return z
+
+        monkeypatch.setattr(harness, "_draw_rows", one_huge)
+        spec = AuditSpec(
+            n_values=(4,), distributions=("disk",), samples_per_cell=5, seed=5
+        )
+        report = run_audit(spec)
+        assert [e["error"].split(":")[0] for e in report.errors] == ["OverflowError"]
+        assert report.errors[0]["zeros"][0] == [a, 0.0]
+        assert {stats.total for stats in report.per_certificate.values()} == {4}
+        assert c_output(capfd) == ("", "")
 
     def test_loose_tolerances_report_no_more_violations(self):
         spec = AuditSpec(

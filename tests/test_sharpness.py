@@ -1,10 +1,13 @@
+import zlib
+
 import numpy as np
 import pytest
 
-from schoenberg import certs, sharpness
+from schoenberg import certs, densela, sharpness
 from schoenberg.certs import opnorm_constant
 from schoenberg.polyzero import center, centroid
 from schoenberg.sharpness import (
+    SharpnessResult,
     extremal_high,
     extremal_low,
     maximize_ratio,
@@ -13,7 +16,15 @@ from schoenberg.sharpness import (
 )
 from schoenberg.polyzero import ZeroConfig
 
-from conftest import mp_schoenberg_ratio, random_centered
+from conftest import (
+    mp_schoenberg_ratio,
+    random_centered,
+    reference_nelder_mead,
+    reference_schatten_quotient,
+    reference_schoenberg_ratio,
+    reference_search,
+    reference_zeros_from_coords,
+)
 
 
 class TestExtremalFamilies:
@@ -230,8 +241,131 @@ class TestOpnormLowerBound:
         est, bound = opnorm_lower_bound(8, 1.5, budget=1000, seed=0)
         assert est > bound * (1.0 + 1e-6)
 
+    @pytest.mark.parametrize("n, svds", [(5, 100), (8, 102)])
+    def test_family_starts_are_evaluated_once(self, monkeypatch, n, svds):
+        # budget 100 plus the up-front family values (1 at n = 5, 2 at
+        # n = 8), less the one that seeds the first simplex, plus the
+        # final move's overrun (1 at n = 8)
+        calls = []
+        svdvals = densela._svdvals
+
+        def counted(m):
+            calls.append(1)
+            return svdvals(m)
+
+        monkeypatch.setattr(densela, "_svdvals", counted)
+        opnorm_lower_bound(n, 1.5, budget=100, seed=0)
+        assert len(calls) == svds
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             opnorm_lower_bound(2, 2.0)
         with pytest.raises(ValueError):
             opnorm_lower_bound(4, 0.3)
+
+
+def reference_maximize_ratio(n, p, budget, seed):
+    best_x, _, spent, restarts = reference_search(
+        n, p, budget, (seed, n), reference_schoenberg_ratio
+    )
+    best_config = center(ZeroConfig(tuple(reference_zeros_from_coords(best_x))))
+    return SharpnessResult(n, p, best_config, ratio(best_config, p), spent, restarts, seed)
+
+
+def reference_opnorm_lower_bound(n, p, budget, seed):
+    families = (extremal_low, extremal_high) if n % 2 == 0 else (extremal_low,)
+    _, estimate, _, _ = reference_search(
+        n, p, budget, (seed, n, 1), reference_schatten_quotient, families
+    )
+    return float(estimate), opnorm_constant(n, p)
+
+
+class TestSearchOracle:
+    """Both searches give the bits of the loop that argsorted its simplex
+    before every move and evaluated each family start twice
+    (conftest.reference_search)."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize(
+        "n, p, budget", [(5, 1.75, 1000), (8, 3.0, 1000), (4, 2.5, 3000)]
+    )
+    def test_maximize_ratio(self, n, p, budget, seed):
+        got = maximize_ratio(n, p, budget, seed)
+        want = reference_maximize_ratio(n, p, budget, seed)
+        assert got == want
+        assert repr(got) == repr(want)  # the signs of zeros too
+
+    @pytest.mark.parametrize(
+        "n, p, budget, seed", [(5, 1.75, 12, 0), (3, 1.5, 101, 0), (5, 1.75, 1000, 1)]
+    )
+    def test_maximize_ratio_at_pinned_counts(self, n, p, budget, seed):
+        got = maximize_ratio(n, p, budget, seed)
+        assert repr(got) == repr(reference_maximize_ratio(n, p, budget, seed))
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize(
+        "n, p, budget",
+        # the benchmark calls, and an even n whose search runs from both
+        # families and then from random starts
+        [(5, 1.5, 100), (8, 1.5, 100), (4, 1.5, 3000)],
+    )
+    def test_opnorm_lower_bound(self, n, p, budget, seed):
+        got = opnorm_lower_bound(n, p, budget, seed)
+        assert repr(got) == repr(reference_opnorm_lower_bound(n, p, budget, seed))
+
+    def test_even_case_restarts_past_both_families(self):
+        _, _, _, restarts = sharpness._search(
+            4, 1.5, 3000, (0, 4, 1), sharpness._schatten_quotient,
+            (extremal_low, extremal_high),
+        )
+        assert restarts > 2
+
+    @staticmethod
+    def assert_same_run(objective, x0, budget):
+        """_nelder_mead evaluates the reference loop's points in its order
+        and returns its result, bit for bit."""
+        runs = []
+        for minimize in (sharpness._nelder_mead, reference_nelder_mead):
+            points = []
+
+            def traced(x):
+                points.append(x.tobytes())
+                return objective(x)
+
+            x, fx, used = minimize(traced, x0, budget)
+            runs.append((points, x.tobytes(), repr(float(fx)), used))
+        assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize(
+        "nan_at",
+        [
+            pytest.param(None, id="ties"),
+            pytest.param(lambda x: x[0] > 0.2, id="one-nan"),
+            pytest.param(lambda x: x[0] > 0.2 or x[1] > 0.2, id="two-nans"),
+        ],
+    )
+    def test_nelder_mead_on_ties_and_nan(self, nan_at):
+        # a staircase has many equal values, which a stable sort must keep
+        # in vertex order, and argsort puts a NaN last
+        centre = np.array([-0.7, 0.4, 1.1])
+
+        def staircase(x):
+            if nan_at is not None and nan_at(x):
+                return float("nan")
+            return float(np.floor(4.0 * ((x - centre) ** 2).sum()) / 4.0)
+
+        for budget in (10, 40, 200):
+            self.assert_same_run(staircase, np.zeros(3), budget)
+
+    @pytest.mark.parametrize("dim", [2, 3, 5])
+    def test_nelder_mead_on_hashed_values(self, dim):
+        # values drawn by a hash of the point from a few numbers and NaN:
+        # ties and NaN vertices everywhere, and a NaN among the others when
+        # the worst vertex is replaced
+        table = (0.0, 0.0, 1.0, 1.0, 2.0, -1.0, float("nan"), float("nan"))
+
+        def hashed(x):
+            return table[zlib.crc32(x.tobytes()) % len(table)]
+
+        for start in range(20):
+            self.assert_same_run(hashed, np.full(dim, 0.1 * start), 60)
