@@ -12,23 +12,24 @@ points w_k; "centered" means sum z_j = 0.
 Every family is one formula over stacked arrays, with a leading batch axis
 of configurations: power sums, one column per order, of |z|, of the
 eigenvalue moduli and of the singular values of Q diag(z) Q, elementary
-symmetric functions, and prefix products.  The eigenvalue moduli come from
-one helper, one batched eigendecomposition and one sort, which the
-evaluator, the single-family functions and the ratio search in
-``sharpness`` all read.  The columnar evaluator behind check_all and the
-audit certifies a (B, n) stack of configurations with that helper and one
-batched singular value decomposition (of the differentiators of z and of
-|z|), and judges every verdict at once under the tolerance pair.  The
-single-family functions feed the same formulas with only the spectra their
-family reads; each spectrum is built from the zeros by the private
-constructors of ``densela``, whose checks are for matrices from outside the
-program.  A power sum is a direct sum of powers, one order at a time.  A
-side that overflows to a non-finite value, or a differentiator that does,
-is an OverflowError.  A right side that underflows below the smallest
-normal float where it is not an exact zero is an UnderflowError: a power
-sum of the moduli of nonzero zeros, an e_k(|z|) of at least k nonzero
-moduli, or a prefix product of singular values above the rank floor.
-Neither is ever a verdict.
+symmetric functions, and prefix products.  The columnar evaluator behind
+the audit certifies a (B, n) stack of configurations with one batched
+eigendecomposition and one batched singular value decomposition (of the
+differentiators of z and of |z|), and judges every verdict at once under
+the tolerance pair.  Every certificate of one configuration built from its
+zeros is that evaluator on a batch of one: check_all takes all of its
+columns, and each single-family function, harness.sweep_p,
+harness.re_evaluate_violation and sharpness.ratio select their own.  Only
+weyl_check and sv_product_check, whose matrices come from outside the
+program, build their spectra themselves.  A power sum is a direct sum of
+powers, one order at a time.  A side that overflows to a non-finite value,
+or a differentiator that does, is an OverflowError.  A right side that
+underflows below the smallest normal float where it is not an exact zero
+is an UnderflowError: a power sum of the moduli of nonzero zeros, an
+e_k(|z|) of at least k nonzero moduli, or a prefix product of singular
+values above the rank floor.  Neither is ever a verdict.  The evaluator
+marks each of these per column, so a function raises only for the columns
+it returns, and OverflowError before UnderflowError.
 """
 
 from __future__ import annotations
@@ -161,14 +162,19 @@ def opnorm_constant(n: int, p: float) -> float:
 # --- the per-family formulas, over a leading batch axis ---------------------
 
 _Label = tuple[str, float | None]
+_QUARTIC = (("quartic_dbs", None), ("quartic_kt", None), ("quartic_dominance", None))
+_ENDPOINT = (("endpoint_s1", None), ("endpoint_s2", None), ("endpoint_sinf", None))
 
 
 class _Block(NamedTuple):
-    """Both sides of one family's columns: labels (k,), lhs and rhs (B, k)."""
+    """One family's columns: labels (k,); lhs, rhs and ``underflow`` (B, k).
+    ``underflow`` marks a right side that fell below the smallest normal
+    float where it is not an exact zero."""
 
     labels: list[_Label]
     lhs: np.ndarray
     rhs: np.ndarray
+    underflow: np.ndarray
 
 
 def _arithmetic():
@@ -183,31 +189,15 @@ def _power_sums(mods: np.ndarray, orders) -> np.ndarray:
     A direct sum of the powers, with no scaling.  Scaling by the peak would
     buy no range: the result is the power sum itself, which is at least its
     largest term, so it is out of range however it is computed, and it
-    underflows only when every term does (_z_power_sums and _certify_batch
-    report that).  Each column is computed on its own, so a sum
-    does not depend on which other orders are asked with it; each power is
-    reduced straight into its column, with the bits of ``.sum(axis=-1)``.
+    underflows only when every term does (_certify_batch marks that).  Each
+    column is computed on its own, so a sum does not depend on which other
+    orders are asked with it; each power is reduced straight into its
+    column, with the bits of ``.sum(axis=-1)``.
     """
     sums = np.empty(mods.shape[:-1] + (len(orders),))
     for col, p in enumerate(orders):
         np.add.reduce(mods**p, axis=-1, out=sums[..., col])
     return sums
-
-
-def _z_power_sums(z_mod: np.ndarray, orders) -> np.ndarray:
-    """_power_sums of the moduli ``z_mod`` of zeros.  A sum below the
-    smallest normal float, in a row that is not all zero, raises
-    UnderflowError."""
-    sums = _power_sums(z_mod, orders)
-    if _underflowed(z_mod, sums).any():
-        raise UnderflowError(_UNDERFLOWED)
-    return sums
-
-
-def _underflowed(z_mod: np.ndarray, z_sums: np.ndarray) -> np.ndarray:
-    """The rows of ``z_mod`` that are not all zero and have a power sum in
-    ``z_sums`` below the smallest normal float: (...,)."""
-    return (z_sums < _TINY).any(axis=-1) & (z_mod > 0).any(axis=-1)
 
 
 def _critical_moduli(z: np.ndarray) -> np.ndarray:
@@ -223,89 +213,86 @@ def _descending_moduli(lam: np.ndarray) -> np.ndarray:
     return -np.sort(-np.abs(lam), axis=-1)
 
 
-def _schoenberg(n, orders, w_sums, z_sums, constant_scale) -> _Block:
+def _schoenberg(n, orders, w_sums, z_sums, z_low, constant_scale) -> _Block:
     """sum |w_k|^p <= C(n, p) sum |z_j|^p, one column per order."""
-    constants = np.array([schoenberg_constant(n, p) for p in orders])
-    return _Block(
-        [("schoenberg", p) for p in orders],
-        w_sums,
-        constant_scale * constants * z_sums,
-    )
+    constants = constant_scale * np.array([schoenberg_constant(n, p) for p in orders])
+    return _Block([("schoenberg", p) for p in orders], w_sums, constants * z_sums, z_low)
 
 
-def _pereira(n, orders, w_sums, z_sums) -> _Block:
+def _pereira(n, orders, w_sums, z_sums, z_low) -> _Block:
     """sum |w_k|^p <= ((n-1)/n) sum |z_j|^p, one column per order."""
-    return _Block([("pereira", p) for p in orders], w_sums, (n - 1) / n * z_sums)
+    return _Block([("pereira", p) for p in orders], w_sums, (n - 1) / n * z_sums, z_low)
 
 
 def _weyl(orders, lam_sums, sigma_sums) -> _Block:
     """sum |lambda_i|^p <= sum sigma_i^p, one column per order."""
-    return _Block([("weyl", p) for p in orders], lam_sums, sigma_sums)
+    labels = [("weyl", p) for p in orders]
+    return _Block(labels, lam_sums, sigma_sums, np.zeros_like(sigma_sums, dtype=bool))
 
 
-def _quartic(n, z, w_mod, pow2, pow4) -> _Block:
+def _quartic(n, z, w_mod, pow2, pow4, low) -> _Block:
     """The dBS and KT quartic bounds and the dominance of KT by dBS, from
-    the power sums ``pow2`` and ``pow4`` of |z|."""
+    the power sums ``pow2`` and ``pow4`` of |z|; ``low`` marks the rows
+    where either underflowed."""
     lhs = (w_mod**4).sum(axis=-1)
     sum_sq = np.abs((z**2).sum(axis=-1)) ** 2
     rhs_dbs = (n - 4) / n * pow4 + 2.0 / n**2 * pow2**2
     rhs_kt = (n - 4) / n * pow4 + (pow2**2 + sum_sq) / n**2
     return _Block(
-        [("quartic_dbs", None), ("quartic_kt", None), ("quartic_dominance", None)],
+        list(_QUARTIC),
         np.stack((lhs, lhs, rhs_kt), axis=-1),
         np.stack((rhs_dbs, rhs_kt, rhs_dbs), axis=-1),
+        np.stack((low, low, low), axis=-1),
     )
 
 
-def _endpoint(n, sigma, z_mod, pow1, pow2) -> _Block:
+def _endpoint(n, sigma, z_mod, pow1, pow2, low1, low2) -> _Block:
     """S1, S2 (an equality) and S-infinity bounds on A = Q diag(z) Q, from
-    the power sums ``pow1`` and ``pow2`` of |z|."""
+    the power sums ``pow1`` and ``pow2`` of |z|, which ``low1`` and
+    ``low2`` mark where they underflowed."""
     return _Block(
-        [("endpoint_s1", None), ("endpoint_s2", None), ("endpoint_sinf", None)],
+        list(_ENDPOINT),
         np.stack((sigma.sum(axis=-1), (sigma**2).sum(axis=-1), sigma[..., 0]), axis=-1),
         np.stack(
             (np.sqrt((n - 2) / n) * pow1, (n - 2) / n * pow2, z_mod.max(axis=-1)),
             axis=-1,
         ),
+        np.stack((low1, low2, np.zeros_like(low1)), axis=-1),
     )
 
 
-def _esf(n, sigma, z_mod) -> tuple[_Block, np.ndarray]:
+def _esf(n, sigma, z_mod) -> _Block:
     """e_k(sigma_1..sigma_{n-1}) <= ((n-k)/n) e_k(|z|) for k = 1 .. n-1.
 
-    Besides the block, returns the rows where an e_k(|z|) is below the
-    smallest normal float although at least k of the |z| are nonzero: (B,).
+    An e_k(|z|) below the smallest normal float is an underflow when at
+    least k of the |z| are nonzero.
     """
     # the structurally zero sigma_n is replaced by an exact zero, which leaves
     # every e_k of the other n - 1 values unchanged
     top = np.concatenate((sigma[..., :-1], np.zeros_like(sigma[..., :1])), axis=-1)
     table = symfun.esf_table(np.stack((top, z_mod)))[..., 1:n]
     k = np.arange(1, n)
-    nonzero = np.count_nonzero(z_mod, axis=-1)[..., None]
-    underflow = ((table[1] < _TINY) & (k <= nonzero)).any(axis=-1)
-    block = _Block([(f"esf_k{j}", None) for j in k], table[0], (n - k) / n * table[1])
-    return block, underflow
+    low = (table[1] < _TINY) & (k <= np.count_nonzero(z_mod, axis=-1)[..., None])
+    return _Block([(f"esf_k{j}", None) for j in k], table[0], (n - k) / n * table[1], low)
 
 
-def _sv_product(sig_d, sig_abs) -> tuple[_Block, np.ndarray, np.ndarray, np.ndarray]:
+def _sv_product(sig_d, sig_abs) -> tuple[_Block, np.ndarray, np.ndarray]:
     """Prefix products of sigma(X* D X) against sigma(X* |D| X).
 
     Besides the block, returns the prefix verdicts of
-    symfun.prefix_products_hold, the ratios, missing (NaN) once the right
-    prefix has crossed the rank floor (its product is then the shadow of an
-    exact zero and the quotient is meaningless), and the rows where a right
-    prefix falls below the smallest normal float before that: (B,).
+    symfun.prefix_products_hold and the ratios, missing (NaN) once the
+    right prefix has crossed the rank floor (its product is then the shadow
+    of an exact zero and the quotient is meaningless).  A right prefix below
+    the smallest normal float before that is an underflow.
     """
-    block = _Block(
-        [(f"sv_product_k{k}", None) for k in range(1, sig_d.shape[-1] + 1)],
-        np.cumprod(sig_d, axis=-1),
-        np.cumprod(sig_abs, axis=-1),
-    )
+    lhs = np.cumprod(sig_d, axis=-1)
+    rhs = np.cumprod(sig_abs, axis=-1)
     crossed = symfun.rank_floor_crossed(sig_abs)
-    ratio = _ratio(block.lhs, block.rhs)
+    ratio = _ratio(lhs, rhs)
     ratio[crossed] = np.nan
-    underflow = ((block.rhs < _TINY) & ~crossed).any(axis=-1)
-    return block, symfun.prefix_products_hold(sig_d, sig_abs), ratio, underflow
+    labels = [(f"sv_product_k{k}", None) for k in range(1, sig_d.shape[-1] + 1)]
+    block = _Block(labels, lhs, rhs, (rhs < _TINY) & ~crossed)
+    return block, symfun.prefix_products_hold(sig_d, sig_abs), ratio
 
 
 def _judge(labels: list[_Label], lhs, rhs, tols) -> np.ndarray:
@@ -324,10 +311,14 @@ def _ratio(lhs, rhs) -> np.ndarray:
     return np.divide(lhs, rhs, out=np.full(lhs.shape, np.nan), where=rhs > 0)
 
 
-def _certificates(n, labels, lhs, rhs, ratio, holds) -> list[Certificate]:
-    """One row of judged columns as Certificate objects."""
+def _certificates(n, labels, lhs, rhs, ratio, holds, underflow) -> list[Certificate]:
+    """One row of judged columns as Certificate objects: OverflowError where
+    a side is not finite, then UnderflowError where ``underflow`` marks a
+    right side."""
     if not (np.isfinite(lhs).all() and np.isfinite(rhs).all()):
         raise OverflowError(_NOT_FINITE)
+    if underflow.any():
+        raise UnderflowError(_UNDERFLOWED)
     return [
         Certificate(
             name=name,
@@ -345,16 +336,6 @@ def _certificates(n, labels, lhs, rhs, ratio, holds) -> list[Certificate]:
     ]
 
 
-def _single(n: int, block: _Block) -> list[Certificate]:
-    """The certificates of one configuration's family under the default
-    tolerances."""
-    holds = _judge(block.labels, block.lhs, block.rhs, _TOLS)
-    ratio = _ratio(block.lhs, block.rhs)
-    return _certificates(
-        n, block.labels, block.lhs[0], block.rhs[0], ratio[0], holds[0]
-    )
-
-
 # --- the columnar evaluator --------------------------------------------------
 
 
@@ -362,9 +343,10 @@ class _Batch(NamedTuple):
     """Certified columns of a stack of configurations of one order n.
 
     The K labels come in check_all's (name, p) order; lhs, rhs, ratio (NaN
-    where missing) and holds are (B, K).  ``finite`` marks the rows whose
-    sides are all finite; the others are an OverflowError.  ``underflow``
-    marks the rows with an underflowed right side, an UnderflowError.
+    where missing), holds and underflow are (B, K).  ``finite`` marks the
+    rows whose sides are all finite; the others are an OverflowError.
+    ``underflow`` marks each right side that underflowed where it is not an
+    exact zero, an UnderflowError.
     """
 
     labels: tuple[_Label, ...]
@@ -375,13 +357,17 @@ class _Batch(NamedTuple):
     finite: np.ndarray
     underflow: np.ndarray
 
+    def columns(self, row: int) -> tuple[np.ndarray, ...]:
+        """lhs, rhs, ratio, holds and underflow of one row."""
+        return self.lhs[row], self.rhs[row], self.ratio[row], self.holds[row], self.underflow[row]
+
 
 def _row_error(batch: _Batch, row: int) -> ArithmeticError | None:
     """The error that replaces the certificates of one row of a batch, or
     None when they stand."""
     if not batch.finite[row]:
         return OverflowError(_NOT_FINITE)
-    if batch.underflow[row]:
+    if batch.underflow[row].any():
         return UnderflowError(_UNDERFLOWED)
     return None
 
@@ -391,20 +377,23 @@ _FIXED_ORDERS = (1.0, 2.0, 4.0)
 
 
 def _certify_batch(z: np.ndarray, orders, constant_scale: float, tols) -> _Batch:
-    """Every certificate of check_all for each row of the (B, n) centered
-    zeros ``z``, at the sorted ``orders``.
+    """Every certificate of check_all for each row of the (B, n) zeros
+    ``z``, at the sorted ``orders``, which may be empty.
 
     The differentiators of z and of |z| are built once, as one stack: one
     batched eigendecomposition of its z half and one batched SVD of both.
     The power sums of |z| are taken once, over the orders and 1, 2 and 4,
-    for every family that reads them.  A power sum, an e_k(|z|) or a
-    singular value prefix product that underflows marks its row.  A LAPACK
-    failure anywhere in the stack raises ConvergenceError for the whole
-    stack, and a differentiator that overflows, in either half, raises
-    OverflowError for the whole stack before any LAPACK call.
+    for every family that reads them.  A column is marked as underflowed
+    where a power sum of |z| that it reads (at its order; at 2 and 4 for
+    the quartic family; at 1 for S1 and 2 for S2), its e_k(|z|) or its
+    singular value prefix product underflows.  A LAPACK failure anywhere in
+    the stack raises ConvergenceError for the whole stack, and a
+    differentiator that overflows, in either half, raises OverflowError for
+    the whole stack before any LAPACK call.
     """
     n = z.shape[-1]
     grid = sorted({*orders, *_FIXED_ORDERS})
+    at = [grid.index(p) for p in orders]
     with _arithmetic():
         z_mod = np.abs(z)
         d = densela._finite_differentiator(np.stack((z, z_mod)))
@@ -413,26 +402,29 @@ def _certify_batch(z: np.ndarray, orders, constant_scale: float, tols) -> _Batch
         sigma, sigma_abs = densela._svdvals(d)
         w_sums = _power_sums(w_mod, orders)
         sums = _power_sums(np.stack((z_mod, lam_mod, sigma)), grid)
-        underflow = _underflowed(z_mod, sums[0])
+        # a power sum of |z| below the smallest normal float, in a row that
+        # is not all zero
+        low = (sums[0] < _TINY) & (z_mod > 0).any(axis=-1, keepdims=True)
         pow1, pow2, pow4 = (sums[0, :, grid.index(p)] for p in _FIXED_ORDERS)
+        low1, low2, low4 = (low[:, grid.index(p)] for p in _FIXED_ORDERS)
+        z_low = low[:, at]
         if len(grid) > len(orders):
-            sums = sums[..., [grid.index(p) for p in orders]]
+            sums = sums[..., at]
         z_sums, lam_sums, sigma_sums = sums
-        sv_block, sv_holds, sv_ratio, sv_underflow = _sv_product(sigma, sigma_abs)
-        esf_block, esf_underflow = _esf(n, sigma, z_mod)
-        underflow |= esf_underflow | sv_underflow
+        sv_block, sv_holds, sv_ratio = _sv_product(sigma, sigma_abs)
         blocks = [
-            _endpoint(n, sigma, z_mod, pow1, pow2),
-            esf_block,
-            _quartic(n, z, w_mod, pow2, pow4),
-            _schoenberg(n, orders, w_sums, z_sums, constant_scale),
-            _pereira(n, orders, w_sums, z_sums),
+            _endpoint(n, sigma, z_mod, pow1, pow2, low1, low2),
+            _esf(n, sigma, z_mod),
+            _quartic(n, z, w_mod, pow2, pow4, low2 | low4),
+            _schoenberg(n, orders, w_sums, z_sums, z_low, constant_scale),
+            _pereira(n, orders, w_sums, z_sums, z_low),
             _weyl(orders, lam_sums, sigma_sums),
             sv_block,
         ]
         labels = tuple(label for block in blocks for label in block.labels)
-        lhs = np.concatenate([block.lhs for block in blocks], axis=-1)
-        rhs = np.concatenate([block.rhs for block in blocks], axis=-1)
+        lhs, rhs, underflow = (
+            np.concatenate(parts, axis=-1) for parts in list(zip(*blocks))[1:]
+        )
         holds = _judge(labels, lhs, rhs, tols)
         ratio = _ratio(lhs, rhs)
         # the product lemma has its own log-space slack and rank floor
@@ -447,7 +439,7 @@ def _certify_batch(z: np.ndarray, orders, constant_scale: float, tols) -> _Batch
         ratio[:, order],
         holds[:, order],
         finite,
-        underflow,
+        underflow[:, order],
     )
 
 
@@ -465,6 +457,26 @@ def _sort_key(label: _Label) -> tuple[str, float]:
     return name, -1.0 if p is None else p
 
 
+def _select(
+    cfg: ZeroConfig, orders, labels=None, constant_scale: float = 1.0, tols=_TOLS
+) -> list[Certificate]:
+    """The certificates ``labels`` of one configuration, in the order given,
+    from the columnar evaluator on a batch of one at the sorted ``orders``;
+    all of its columns, in (name, p) order, when ``labels`` is None.
+
+    Only the selected columns can raise: OverflowError where a side is not
+    finite, then UnderflowError where a right side underflowed.  A label
+    the batch does not have is a KeyError.
+    """
+    batch = _certify_batch(cfg.as_array()[None], orders, constant_scale, tols)
+    if labels is None:
+        labels, cols = batch.labels, slice(None)
+    else:
+        index = {label: col for col, label in enumerate(batch.labels)}
+        cols = [index[label] for label in labels]
+    return _certificates(cfg.n, labels, *(column[cols] for column in batch.columns(0)))
+
+
 # --- the public certificates --------------------------------------------------
 
 
@@ -477,27 +489,9 @@ def schoenberg_order_p(
     and exists purely as a fault-injection hook for audit self-tests; leave
     it at 1.0 for the actual inequality.
     """
-    return _schoenberg_orders(cfg, [p], constant_scale)[0]
-
-
-def _schoenberg_orders(
-    cfg: ZeroConfig, orders, constant_scale: float = 1.0
-) -> list[Certificate]:
-    """schoenberg_order_p at each of ``orders``, in the order given, from one
-    eigendecomposition."""
-    orders = [_check_order(p) for p in orders]
+    p = _check_order(p)
     _require_centered(cfg, "the order-p Schoenberg certificate")
-    z = cfg.as_array()[None]
-    with _arithmetic():
-        z_sums = _z_power_sums(np.abs(z), orders)
-        block = _schoenberg(
-            cfg.n,
-            orders,
-            _power_sums(_critical_moduli(z)[..., :-1], orders),
-            z_sums,
-            constant_scale,
-        )
-        return _single(cfg.n, block)
+    return _select(cfg, [p], [("schoenberg", p)], constant_scale)[0]
 
 
 def quartic_bounds(cfg: ZeroConfig) -> tuple[Certificate, Certificate, Certificate]:
@@ -511,11 +505,7 @@ def quartic_bounds(cfg: ZeroConfig) -> tuple[Certificate, Certificate, Certifica
     for n < 4.
     """
     _require_centered(cfg, "the quartic certificates")
-    z = cfg.as_array()[None]
-    with _arithmetic():
-        pow2, pow4 = np.moveaxis(_z_power_sums(np.abs(z), (2.0, 4.0)), -1, 0)
-        block = _quartic(cfg.n, z, _critical_moduli(z)[..., :-1], pow2, pow4)
-        dbs, kt, dominance = _single(cfg.n, block)
+    dbs, kt, dominance = _select(cfg, [], _QUARTIC)
     return dbs, kt, dominance
 
 
@@ -529,11 +519,7 @@ def pereira_bound(cfg: ZeroConfig, p: float) -> Certificate:
     polynomial.
     """
     p = _check_order(p)
-    z = cfg.as_array()[None]
-    with _arithmetic():
-        z_sums = _z_power_sums(np.abs(z), [p])
-        w_sums = _power_sums(_critical_moduli(z)[..., :-1], [p])
-        return _single(cfg.n, _pereira(cfg.n, [p], w_sums, z_sums))[0]
+    return _select(cfg, [p], [("pereira", p)])[0]
 
 
 def weyl_check(m: np.ndarray, p: float) -> Certificate:
@@ -546,7 +532,10 @@ def weyl_check(m: np.ndarray, p: float) -> Certificate:
         block = _weyl(
             [p], _power_sums(lam_mod[None], [p]), _power_sums(sigma[None], [p])
         )
-        return _single(lam_mod.size, block)[0]
+        holds = _judge(block.labels, block.lhs, block.rhs, _TOLS)
+        ratio = _ratio(block.lhs, block.rhs)
+        columns = (block.lhs, block.rhs, ratio, holds, block.underflow)
+        return _certificates(lam_mod.size, block.labels, *(column[0] for column in columns))[0]
 
 
 def endpoint_checks(
@@ -559,13 +548,7 @@ def endpoint_checks(
     S1:          ||A||_S1 <= sqrt((n-2)/n) ||z||_1
     """
     _require_centered(cfg, "the endpoint certificates")
-    z = cfg.as_array()[None]
-    z_mod = np.abs(z)
-    with _arithmetic():
-        sigma = densela._svdvals(densela._finite_differentiator(z))
-        pow1, pow2 = np.moveaxis(_z_power_sums(z_mod, (1.0, 2.0)), -1, 0)
-        block = _endpoint(cfg.n, sigma, z_mod, pow1, pow2)
-        s1, s2, sinf = _single(cfg.n, block)
+    s1, s2, sinf = _select(cfg, [], _ENDPOINT)
     return s1, s2, sinf
 
 
@@ -577,14 +560,7 @@ def esf_bounds(cfg: ZeroConfig) -> list[Certificate]:
     e_k(|z|) that underflows while at least k of the |z| are nonzero raises
     UnderflowError.
     """
-    z = cfg.as_array()[None]
-    with _arithmetic():
-        sigma = densela._svdvals(densela._finite_differentiator(z))
-        block, underflow = _esf(cfg.n, sigma, np.abs(z))
-        rows = _single(cfg.n, block)
-    if underflow.any():
-        raise UnderflowError(_UNDERFLOWED)
-    return rows
+    return _select(cfg, [], [(f"esf_k{k}", None) for k in range(1, cfg.n)])
 
 
 def sv_product_check(x: np.ndarray, d) -> list[Certificate]:
@@ -608,21 +584,18 @@ def sv_product_check(x: np.ndarray, d) -> list[Certificate]:
         raise ValueError("X and D must be finite")
     xh = x.conj().T
     with _arithmetic():
-        sig_d = densela.singular_values(densela._require_finite(xh @ np.diag(d) @ x))
-        sig_abs = densela.singular_values(
+        sig_d = densela._svdvals(densela._require_finite(xh @ np.diag(d) @ x))
+        sig_abs = densela._svdvals(
             densela._require_finite(xh @ np.diag(np.abs(d).astype(complex)) @ x)
         )
-        block, holds, ratio, underflow = _sv_product(sig_d[None], sig_abs[None])
-        rows = _certificates(n, block.labels, block.lhs[0], block.rhs[0], ratio[0], holds[0])
-    if underflow[0]:
-        raise UnderflowError(_UNDERFLOWED)
-    return rows
+        block, holds, ratio = _sv_product(sig_d[None], sig_abs[None])
+        columns = (block.lhs, block.rhs, ratio, holds, block.underflow)
+        return _certificates(n, block.labels, *(column[0] for column in columns))
 
 
 def check_all(
     cfg: ZeroConfig,
     p_list,
-    constant_scale: float = 1.0,
     abs_tol: float = ABS_TOL,
     rel_tol: float = REL_TOL,
 ) -> list[Certificate]:
@@ -639,17 +612,12 @@ def check_all(
     finite raises OverflowError.  A power sum of |z| that underflows, at an
     order of ``p_list`` or at 1, 2 or 4, raises UnderflowError, as does an
     e_k(|z|) or a singular value prefix product that underflows where it is
-    not an exact zero.  This is the columnar evaluator on a batch of one.
+    not an exact zero.  This is every column of the columnar evaluator on a
+    batch of one, the one path of every single-configuration certificate
+    but weyl_check and sv_product_check.
     """
     _require_centered(cfg, "check_all")
     orders = sorted({_check_order(p) for p in p_list})
     if not orders:
         raise ValueError("p_list must not be empty")
-    tols = _check_tolerances(abs_tol, rel_tol)
-    batch = _certify_batch(cfg.as_array()[None], orders, constant_scale, tols)
-    error = _row_error(batch, 0)
-    if error is not None:
-        raise error
-    return _certificates(
-        cfg.n, batch.labels, batch.lhs[0], batch.rhs[0], batch.ratio[0], batch.holds[0]
-    )
+    return _select(cfg, orders, tols=_check_tolerances(abs_tol, rel_tol))

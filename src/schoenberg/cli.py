@@ -50,7 +50,8 @@ def _parse_float_list(text: str) -> list[float]:
 
 
 def _print_certificates(rows: list[certs.Certificate]) -> None:
-    fmt = "{:<16} {:>3} {:>6} {:>24} {:>24} {:>12} {:>6}"
+    width = max(len(name) for name in ["name", *(c.name for c in rows)])
+    fmt = "{:<%d} {:>3} {:>6} {:>24} {:>24} {:>12} {:>6}" % width
     print(fmt.format("name", "n", "p", "lhs", "rhs", "ratio", "holds"))
     for c in rows:
         print(

@@ -153,8 +153,7 @@ def lp_norm(v, p: float) -> float:
 
 def schatten_norm(m: np.ndarray, p: float) -> float:
     """The Schatten p-norm: the l^p norm of the singular values, at every
-    order."""
-    p = _check_order(p)
+    order; lp_norm checks the order."""
     return lp_norm(singular_values(m), p)
 
 

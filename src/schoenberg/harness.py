@@ -363,7 +363,7 @@ def _certify_slice(
                 one = slice(row, row + 1)
                 _certify_slice(report, fold, first + row, z[one], dists[one], orders, scale)
         return
-    failed = ~batch.finite | batch.underflow
+    failed = ~batch.finite | batch.underflow.any(axis=1)
     for row in np.flatnonzero(failed):
         _record_error(report, n, dists[row], z[row], certs._row_error(batch, row))
     rows = np.flatnonzero(~failed)
@@ -372,9 +372,7 @@ def _certify_slice(
     fold.add(batch, z, rows, first)
     for row in rows[~batch.holds[rows].all(axis=1)]:
         pairs = _zeros_to_pairs(z[row])
-        for cert in certs._certificates(
-            n, batch.labels, batch.lhs[row], batch.rhs[row], batch.ratio[row], batch.holds[row]
-        ):
+        for cert in certs._certificates(n, batch.labels, *batch.columns(row)):
             if not cert.holds:
                 report.violations.append(
                     {"certificate": cert.to_dict(), "n": n,
@@ -392,15 +390,13 @@ def _record_error(
 
 
 def re_evaluate_violation(entry: dict, spec: AuditSpec) -> certs.Certificate:
-    """Re-run the single certificate stored in a violation entry."""
+    """Re-run the single certificate stored in a violation entry; a name the
+    evaluator does not make is a KeyError."""
     cfg = _pairs_to_config(entry["zeros"])
     stored = certs.Certificate.from_dict(entry["certificate"])
-    p_list = [stored.p] if stored.p is not None else [2.0]
-    abs_tol, rel_tol = spec.tolerances
-    for cert in certs.check_all(cfg, p_list, abs_tol=abs_tol, rel_tol=rel_tol):
-        if cert.name == stored.name and cert.p == stored.p:
-            return cert
-    raise KeyError(f"certificate {stored.name} not reproduced")
+    orders = [] if stored.p is None else [certs._check_order(stored.p)]
+    label = (stored.name, stored.p)
+    return certs._select(cfg, orders, [label], tols=spec.tolerances)[0]
 
 
 @dataclass(frozen=True)
@@ -412,10 +408,14 @@ class SweepRow:
 
 
 def sweep_p(cfg: ZeroConfig, grid) -> list[SweepRow]:
-    """The order-p Schoenberg certificate evaluated across a grid of orders."""
+    """The order-p Schoenberg certificate evaluated across a grid of orders,
+    one row per entry of the grid, sorted by order."""
+    grid = sorted(map(certs._check_order, grid))
+    certs._require_centered(cfg, "the order-p Schoenberg certificate")
+    labels = [("schoenberg", p) for p in grid]
     return [
         SweepRow(p=cert.p, lhs=cert.lhs, rhs=cert.rhs, ratio=cert.ratio)
-        for cert in certs._schoenberg_orders(cfg, sorted(map(certs._check_order, grid)))
+        for cert in certs._select(cfg, sorted(set(grid)), labels)
     ]
 
 

@@ -61,8 +61,9 @@ class RootFindingError(ArithmeticError):
 class ZeroConfig:
     """A multiset of n >= 2 complex zeros, optionally certified as centered.
 
-    ``centered`` asserts |sum z_j| <= TOL_CENTER * max(1, max |z_j|); the
-    constructor enforces it.
+    ``centered`` asserts |sum z_j| <= TOL_CENTER * max |z_j|, a bound
+    relative to the zeros' own scale, floored at n times the smallest
+    subnormal float; the constructor enforces it.
     """
 
     zeros: tuple[complex, ...]
@@ -77,7 +78,7 @@ class ZeroConfig:
         if not np.all(np.isfinite(arr.real) & np.isfinite(arr.imag)):
             raise ValueError("zeros must be finite")
         if self.centered and not _is_centered(arr):
-            bound = TOL_CENTER * max(1.0, float(np.abs(arr).max()))
+            bound = float(_center_bound(arr))
             raise ValueError(
                 f"centered flag set but |sum z_j| = {abs(arr.sum()):.3e} "
                 f"exceeds {bound:.3e}"
@@ -425,7 +426,8 @@ def center_rows(z: np.ndarray) -> np.ndarray:
     Two passes of z - mean: the second absorbs the rounding of the first,
     and a pass whose mean is exactly zero leaves its row unchanged.  Raises
     ValueError unless every row then meets the ZeroConfig centered bound
-    |sum z_j| <= TOL_CENTER * max(1, max |z_j|).
+    |sum z_j| <= TOL_CENTER * max |z_j|, floored at n times the smallest
+    subnormal float.
     """
     n = z.shape[-1]
     for _ in range(2):
@@ -436,5 +438,13 @@ def center_rows(z: np.ndarray) -> np.ndarray:
 
 
 def _is_centered(z: np.ndarray) -> np.ndarray:
-    """Per row of (..., n) zeros: |sum z_j| <= TOL_CENTER * max(1, max |z_j|)."""
-    return np.abs(z.sum(axis=-1)) <= TOL_CENTER * np.maximum(1.0, np.abs(z).max(axis=-1))
+    """Per row of (..., n) zeros: |sum z_j| <= _center_bound(z)."""
+    return np.abs(z.sum(axis=-1)) <= _center_bound(z)
+
+
+def _center_bound(z: np.ndarray) -> np.ndarray:
+    """TOL_CENTER * max |z_j| per row, at least n times the smallest
+    subnormal float: at subnormal scale a shift by the rounded mean can
+    leave n/2 such units in each part of the sum, which no shift removes."""
+    floor = z.shape[-1] * np.finfo(float).smallest_subnormal
+    return np.maximum(TOL_CENTER * np.abs(z).max(axis=-1), floor)

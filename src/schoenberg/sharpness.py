@@ -16,13 +16,14 @@ vertices in stable sorted order by inserting the one it replaces, hands
 each family's up-front value to the simplex that starts there, and makes
 its random generator only when a random restart needs it; every point it
 evaluates, and so every result, is bit for bit that of a loop that
-argsorts the simplex before every move.  One search maximizes
-the Schoenberg certificate ratio, evaluated by the ``certs`` formulas on a
-batch of one, as ``ratio`` and the audit evaluate it; the other maximizes
-the Schatten-to-l^p quotient of the differentiator map, from the ``certs``
-power sums of its singular values and of |z|.  Eigenvalues cross at
-multiplicity changes, so the objective is continuous but not smooth; a
-simplex method is the right tool.
+argsorts the simplex before every move.  One search maximizes the
+Schoenberg certificate ratio, from the ``certs`` power sums of the critical
+moduli and of |z|; ``ratio`` reads the best configuration's value from the
+``certs`` columnar evaluator on a batch of one, as the audit does.  The
+other maximizes the Schatten-to-l^p quotient of the differentiator map,
+from the ``certs`` power sums of its singular values and of |z|.
+Eigenvalues cross at multiplicity changes, so the objective is continuous
+but not smooth; a simplex method is the right tool.
 """
 
 from __future__ import annotations
@@ -80,13 +81,15 @@ def ratio(cfg: ZeroConfig, p: float) -> float:
     In [0, 1] wherever the claimed constant C(n, p) holds; for n >= 4 and
     p0(n) < p < 2, with p0(4) ~ 1.760, it is refuted and the ratio can
     exceed 1 (1.0009149692779185 for (z - 1)(z + 1/3)^3 at p = 1.9).
-    Zeros so small that sum |z_j|^p underflows raise certs.UnderflowError.
+    This is the ratio of certs.schoenberg_order_p, the order-p column of
+    the columnar evaluator on a batch of one.  Zeros so small that
+    sum |z_j|^p underflows raise certs.UnderflowError.
     """
     if cfg.n == 2:
         raise ValueError("n = 2 is degenerate: the bound's right side vanishes")
     if not cfg.centered:
         raise ValueError("ratio requires a centered configuration")
-    value = certs._schoenberg_orders(cfg, [p])[0].ratio
+    value = certs.schoenberg_order_p(cfg, p).ratio
     if value is None:
         raise ValueError("all zeros vanish; the ratio is undefined")
     return value

@@ -6,11 +6,13 @@ batch of one bit for bit, the batch of one must agree with a scalar oracle
 built from densela.lp_norm, symfun.esf and symfun.prefix_products_hold, the
 audit report must not depend on the slice size, and each single-family
 function must return exactly check_all's rows for its family, at every order
-of the default grid.  A power sum must not depend on which other orders are
-asked with it.
+of the default grid, and raise exactly where the batch marks one of its
+columns.  A power sum must not depend on which other orders are asked with
+it.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,6 +20,7 @@ from schoenberg import densela, harness, symfun
 from schoenberg.certs import (
     ABS_TOL,
     REL_TOL,
+    UnderflowError,
     _certify_batch,
     check_all,
     endpoint_checks,
@@ -29,7 +32,7 @@ from schoenberg.certs import (
     weyl_check,
 )
 from schoenberg.harness import DEFAULT_P_GRID, AuditSpec, emit_report, run_audit
-from schoenberg.polyzero import ZeroConfig
+from schoenberg.polyzero import ZeroConfig, center_rows
 
 from conftest import random_centered
 
@@ -75,6 +78,64 @@ def test_rows_equal_batch_of_one(case):
         assert one.labels == batch.labels
         for field in ("lhs", "rhs", "ratio", "holds", "finite", "underflow"):
             np.testing.assert_array_equal(getattr(one, field)[0], getattr(batch, field)[i])
+
+
+QUARTIC = [("quartic_dbs", None), ("quartic_kt", None), ("quartic_dominance", None)]
+ENDPOINT = [("endpoint_s1", None), ("endpoint_s2", None), ("endpoint_sinf", None)]
+
+
+def family_calls(cfg: ZeroConfig, orders):
+    """Each single-family function at each order, with the batch labels of
+    the columns it returns, in its order."""
+    n = cfg.n
+    calls = [
+        (lambda: quartic_bounds(cfg), QUARTIC),
+        (lambda: endpoint_checks(cfg), ENDPOINT),
+        (lambda: esf_bounds(cfg), [(f"esf_k{k}", None) for k in range(1, n)]),
+    ]
+    for p in orders:
+        calls += [
+            (lambda p=p: [schoenberg_order_p(cfg, p)], [("schoenberg", p)]),
+            (lambda p=p: [pereira_bound(cfg, p)], [("pereira", p)]),
+            (lambda p=p: [weyl_check(densela.differentiator(cfg), p)], [("weyl", p)]),
+        ]
+    return calls
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(stacks(max_exponent=700))
+def test_single_family_errors_are_the_batch_marks_of_its_columns(case):
+    """Each single-family function raises OverflowError where the batch
+    has a non-finite side in one of its columns, else UnderflowError where
+    the batch marks one of its columns as underflowed, and otherwise
+    returns its columns of the batch row bit for bit.  The rows are
+    centered again, since a row of equal zeros keeps a residue of the size
+    of its own zeros."""
+    z, orders = case
+    z = center_rows(z)
+    batch = _certify_batch(z, orders, 1.0, TOLS)
+    index = {label: col for col, label in enumerate(batch.labels)}
+    for i, row in enumerate(z):
+        cfg = ZeroConfig(tuple(row), centered=True)
+        for call, labels in family_calls(cfg, orders):
+            cols = [index[label] for label in labels]
+            sides = np.concatenate((batch.lhs[i, cols], batch.rhs[i, cols]))
+            if not np.isfinite(sides).all():
+                with pytest.raises(OverflowError):
+                    call()
+                continue
+            if batch.underflow[i, cols].any():
+                with pytest.raises(UnderflowError):
+                    call()
+                continue
+            certs = call()
+            assert [(c.name, c.p) for c in certs] == labels
+            for cert, col in zip(certs, cols):
+                ratio = batch.ratio[i, col]
+                assert cert.lhs == batch.lhs[i, col], (cert, col)
+                assert cert.rhs == batch.rhs[i, col], (cert, col)
+                assert cert.holds == batch.holds[i, col], (cert, col)
+                assert cert.ratio == (None if np.isnan(ratio) else ratio), (cert, col)
 
 
 def scalar_oracle(z: np.ndarray, orders) -> dict:
@@ -215,3 +276,13 @@ def test_sweep_rows_equal_single_order_certificates():
             for row in harness.sweep_p(cfg, DEFAULT_P_GRID):
                 cert = schoenberg_order_p(cfg, row.p)
                 assert (row.lhs, row.rhs) == (cert.lhs, cert.rhs)
+
+
+def test_sweep_keeps_repeated_orders():
+    """sweep_p returns one row per grid entry, sorted by order, a repeated
+    order included."""
+    cfg = harness.sample_config(5, "disk", 0)
+    rows = harness.sweep_p(cfg, [2.0, 1.0, 1.0])
+    assert [row.p for row in rows] == [1.0, 1.0, 2.0]
+    assert rows[0] == rows[1]
+    assert rows[2] == harness.sweep_p(cfg, [2.0])[0]

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -53,6 +54,18 @@ class TestCheckCommand:
 
     def test_exit_zero_iff_all_hold(self):
         assert main(["check", "--zeros", "1,-1", "--p", "2"]) == 0
+
+    def test_rows_line_up_with_the_header(self, capsys):
+        # quartic_dominance is the longest name, at 17 characters
+        main(["check", "--zeros", "1,-1,0.5i,-0.5i", "--p", "2"])
+        header, *rows, _summary = capsys.readouterr().out.splitlines()
+        assert any(row.startswith("quartic_dominance ") for row in rows)
+
+        def right_edges(line):
+            return [m.end() for m in re.finditer(r"\S+", line)][1:]
+
+        for row in rows:
+            assert right_edges(row) == right_edges(header), row
 
 
 class TestAuditCommand:

@@ -110,7 +110,7 @@ class TestCellSampler:
         for n in (2, 5, 16, 40):
             for dist in DISTRIBUTIONS:
                 z = cell(9, n, dist, 50)
-                bound = TOL_CENTER * np.maximum(1.0, np.abs(z).max(axis=1))
+                bound = TOL_CENTER * np.abs(z).max(axis=1)
                 assert np.all(np.abs(z.sum(axis=1)) <= bound)
             assert np.all(cell(9, n, "real", 50).imag == 0)
             u = _cell_generator(9, n, "clustered").standard_normal((50, 3, n))

@@ -503,6 +503,22 @@ class TestCentroidCenter:
             bound = 1e-12 * max(1.0, float(np.abs(out.as_array()).max()))
             assert abs(centroid(out)) <= bound
 
+    def test_centered_bound_is_relative_to_the_zeros(self):
+        # |sum z| = 8e-13 is below TOL_CENTER but 1.6 times the largest zero
+        with pytest.raises(ValueError, match="exceeds 5.000e-25"):
+            ZeroConfig((1e-13, 2e-13, 5e-13), centered=True)
+        assert ZeroConfig((0j, 0j, 0j), centered=True).centered
+        assert center(ZeroConfig((1e-13, 2e-13, 5e-13))).centered
+
+    @pytest.mark.parametrize("exponent", [-1000, -1030, -1060, -1070])
+    def test_center_rows_at_tiny_and_subnormal_scales(self, rng, exponent):
+        for n in (2, 3, 8, 40):
+            for imag in (0.0, 1.0):
+                z = rng.standard_normal((200, n)) + 3.0 + 1j * imag * rng.standard_normal((200, n))
+                out = center_rows(z * 2.0**exponent)
+                for row in out:
+                    assert ZeroConfig(tuple(row), centered=True).centered
+
 
 class TestCriticalSet:
     def test_length(self):

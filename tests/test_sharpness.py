@@ -145,8 +145,9 @@ class TestMaximizeRatio:
 
         monkeypatch.setattr(certs, "_critical_moduli", counted)
         res = maximize_ratio(n, p, budget=budget, seed=seed)
-        # one call more evaluates the ratio of the best configuration
-        assert res.evaluations == len(calls) - 1
+        # the ratio of the best configuration comes from the batch evaluator,
+        # which reads the eigenvalues of its own differentiator stack
+        assert res.evaluations == len(calls)
         assert (res.evaluations, res.restarts) == (evaluations, restarts)
 
     def test_never_exceeds_one_at_proven_orders(self, rng):
