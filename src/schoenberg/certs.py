@@ -15,21 +15,26 @@ eigenvalue moduli and of the singular values of Q diag(z) Q, elementary
 symmetric functions, and prefix products.  The columnar evaluator behind
 the audit certifies a (B, n) stack of configurations with one batched
 eigendecomposition and one batched singular value decomposition (of the
-differentiators of z and of |z|), and judges every verdict at once under
-the tolerance pair.  Every certificate of one configuration built from its
-zeros is that evaluator on a batch of one: check_all takes all of its
-columns, and each single-family function, harness.sweep_p,
+differentiators of z and of |z|), and judges each column once: the
+singular value product by its own log-space rule, every other family in one
+pass under the tolerance pair.  Every certificate of one configuration
+built from its zeros is that evaluator on a batch of one: check_all takes
+all of its columns, and each single-family function, harness.sweep_p,
 harness.re_evaluate_violation and sharpness.ratio select their own.  Only
 weyl_check and sv_product_check, whose matrices come from outside the
-program, build their spectra themselves.  A power sum is a direct sum of
-powers, one order at a time.  A side that overflows to a non-finite value,
-or a differentiator that does, is an OverflowError.  A right side that
-underflows below the smallest normal float where it is not an exact zero
-is an UnderflowError: a power sum of the moduli of nonzero zeros, an
-e_k(|z|) of at least k nonzero moduli, or a prefix product of singular
-values above the rank floor.  Neither is ever a verdict.  The evaluator
-marks each of these per column, so a function raises only for the columns
-it returns, and OverflowError before UnderflowError.
+program, build their spectra themselves.  Every judged row becomes
+certificates or an error by one rule, _error.  The one fault-injection
+hook is run_audit(sabotage=True), which halves the Schoenberg constant.
+
+A power sum is a direct sum of powers, one order at a time.  A side that
+overflows to a non-finite value, or a differentiator that does, is an
+OverflowError.  A right side that underflows below the smallest normal
+float where it is not an exact zero is an UnderflowError: a power sum of
+the moduli of nonzero zeros, an e_k(|z|) of at least k nonzero moduli, or
+a prefix product of singular values above the rank floor.  Neither is ever
+a verdict.  The evaluator marks each of these per column, so a function
+raises only for the columns it returns, and OverflowError before
+UnderflowError.
 """
 
 from __future__ import annotations
@@ -167,14 +172,48 @@ _ENDPOINT = (("endpoint_s1", None), ("endpoint_s2", None), ("endpoint_sinf", Non
 
 
 class _Block(NamedTuple):
-    """One family's columns: labels (k,); lhs, rhs and ``underflow`` (B, k).
-    ``underflow`` marks a right side that fell below the smallest normal
-    float where it is not an exact zero."""
+    """Columns of the tolerance-rule families, not yet judged: labels (k,);
+    lhs, rhs and ``underflow`` (..., k).  ``underflow`` marks a right side
+    that fell below the smallest normal float where it is not an exact
+    zero."""
 
     labels: list[_Label]
     lhs: np.ndarray
     rhs: np.ndarray
     underflow: np.ndarray
+
+
+class _Columns(NamedTuple):
+    """Judged columns: K labels; lhs, rhs, ratio (NaN where missing), holds
+    and underflow (as in _Block), each (B, K), or (K,) for one row."""
+
+    labels: tuple[_Label, ...]
+    lhs: np.ndarray
+    rhs: np.ndarray
+    ratio: np.ndarray
+    holds: np.ndarray
+    underflow: np.ndarray
+
+    @property
+    def finite(self) -> np.ndarray:
+        """Per row, whether every side is finite (else an OverflowError)."""
+        return np.isfinite(self.lhs).all(axis=-1) & np.isfinite(self.rhs).all(axis=-1)
+
+    def row(self, i: int) -> "_Columns":
+        return _Columns(self.labels, *(column[i] for column in self[1:]))
+
+    def take(self, cols) -> "_Columns":
+        """The columns ``cols``, in that order."""
+        labels = tuple(self.labels[col] for col in cols)
+        return _Columns(labels, *(column[..., cols] for column in self[1:]))
+
+
+def _concat(parts):
+    """The columns of ``parts``, _Blocks or _Columns alike, side by side."""
+    return type(parts[0])(
+        tuple(label for part in parts for label in part.labels),
+        *(np.concatenate(arrays, axis=-1) for arrays in list(zip(*parts))[1:]),
+    )
 
 
 def _arithmetic():
@@ -213,9 +252,9 @@ def _descending_moduli(lam: np.ndarray) -> np.ndarray:
     return -np.sort(-np.abs(lam), axis=-1)
 
 
-def _schoenberg(n, orders, w_sums, z_sums, z_low, constant_scale) -> _Block:
-    """sum |w_k|^p <= C(n, p) sum |z_j|^p, one column per order."""
-    constants = constant_scale * np.array([schoenberg_constant(n, p) for p in orders])
+def _schoenberg(n, orders, w_sums, z_sums, z_low, scale) -> _Block:
+    """sum |w_k|^p <= scale * C(n, p) sum |z_j|^p, one column per order."""
+    constants = scale * np.array([schoenberg_constant(n, p) for p in orders])
     return _Block([("schoenberg", p) for p in orders], w_sums, constants * z_sums, z_low)
 
 
@@ -276,34 +315,37 @@ def _esf(n, sigma, z_mod) -> _Block:
     return _Block([(f"esf_k{j}", None) for j in k], table[0], (n - k) / n * table[1], low)
 
 
-def _sv_product(sig_d, sig_abs) -> tuple[_Block, np.ndarray, np.ndarray]:
-    """Prefix products of sigma(X* D X) against sigma(X* |D| X).
+def _sv_product(sig_d, sig_abs) -> _Columns:
+    """Prefix products of sigma(X* D X) against sigma(X* |D| X), judged.
 
-    Besides the block, returns the prefix verdicts of
-    symfun.prefix_products_hold and the ratios, missing (NaN) once the
-    right prefix has crossed the rank floor (its product is then the shadow
-    of an exact zero and the quotient is meaningless).  A right prefix below
-    the smallest normal float before that is an underflow.
+    The product lemma has its own log-space slack and rank floor, so its
+    verdicts are those of symfun.prefix_products_hold, not the tolerance
+    pair's, and its ratios are missing (NaN) once the right prefix has
+    crossed the rank floor (its product is then the shadow of an exact zero
+    and the quotient is meaningless).  A right prefix below the smallest
+    normal float before that is an underflow.
     """
     lhs = np.cumprod(sig_d, axis=-1)
     rhs = np.cumprod(sig_abs, axis=-1)
     crossed = symfun.rank_floor_crossed(sig_abs)
     ratio = _ratio(lhs, rhs)
     ratio[crossed] = np.nan
-    labels = [(f"sv_product_k{k}", None) for k in range(1, sig_d.shape[-1] + 1)]
-    block = _Block(labels, lhs, rhs, (rhs < _TINY) & ~crossed)
-    return block, symfun.prefix_products_hold(sig_d, sig_abs), ratio
+    labels = tuple((f"sv_product_k{k}", None) for k in range(1, sig_d.shape[-1] + 1))
+    holds = symfun.prefix_products_hold(sig_d, sig_abs)
+    return _Columns(labels, lhs, rhs, ratio, holds, (rhs < _TINY) & ~crossed)
 
 
-def _judge(labels: list[_Label], lhs, rhs, tols) -> np.ndarray:
-    """The tolerance rule on every column at once; _EQUALITIES both ways."""
+def _judged(block: _Block, tols) -> _Columns:
+    """The tolerance rule on every column of ``block`` at once, _EQUALITIES
+    both ways, and the ratios."""
+    labels, lhs, rhs, underflow = block
     abs_tol, rel_tol = tols
     tol = np.maximum(abs_tol, rel_tol * np.maximum(np.abs(lhs), np.abs(rhs)))
     holds = lhs <= rhs + tol
     both = [i for i, (name, _) in enumerate(labels) if name in _EQUALITIES]
     if both:
         holds[..., both] = np.abs(lhs[..., both] - rhs[..., both]) <= tol[..., both]
-    return holds
+    return _Columns(tuple(labels), lhs, rhs, _ratio(lhs, rhs), holds, underflow)
 
 
 def _ratio(lhs, rhs) -> np.ndarray:
@@ -311,14 +353,22 @@ def _ratio(lhs, rhs) -> np.ndarray:
     return np.divide(lhs, rhs, out=np.full(lhs.shape, np.nan), where=rhs > 0)
 
 
-def _certificates(n, labels, lhs, rhs, ratio, holds, underflow) -> list[Certificate]:
-    """One row of judged columns as Certificate objects: OverflowError where
-    a side is not finite, then UnderflowError where ``underflow`` marks a
-    right side."""
-    if not (np.isfinite(lhs).all() and np.isfinite(rhs).all()):
-        raise OverflowError(_NOT_FINITE)
-    if underflow.any():
-        raise UnderflowError(_UNDERFLOWED)
+def _error(row: _Columns) -> ArithmeticError | None:
+    """The error that replaces the certificates of one judged row, or None
+    when they stand: OverflowError where a side is not finite, else
+    UnderflowError where ``underflow`` marks a right side."""
+    if not row.finite:
+        return OverflowError(_NOT_FINITE)
+    if row.underflow.any():
+        return UnderflowError(_UNDERFLOWED)
+    return None
+
+
+def _certificates(n, row: _Columns) -> list[Certificate]:
+    """One judged row as Certificate objects, or the error of _error."""
+    error = _error(row)
+    if error is not None:
+        raise error
     return [
         Certificate(
             name=name,
@@ -331,7 +381,7 @@ def _certificates(n, labels, lhs, rhs, ratio, holds, underflow) -> list[Certific
             holds=h,
         )
         for (name, p), l, r, q, h in zip(
-            labels, lhs.tolist(), rhs.tolist(), ratio.tolist(), holds.tolist()
+            row.labels, row.lhs.tolist(), row.rhs.tolist(), row.ratio.tolist(), row.holds.tolist()
         )
     ]
 
@@ -339,46 +389,15 @@ def _certificates(n, labels, lhs, rhs, ratio, holds, underflow) -> list[Certific
 # --- the columnar evaluator --------------------------------------------------
 
 
-class _Batch(NamedTuple):
-    """Certified columns of a stack of configurations of one order n.
-
-    The K labels come in check_all's (name, p) order; lhs, rhs, ratio (NaN
-    where missing), holds and underflow are (B, K).  ``finite`` marks the
-    rows whose sides are all finite; the others are an OverflowError.
-    ``underflow`` marks each right side that underflowed where it is not an
-    exact zero, an UnderflowError.
-    """
-
-    labels: tuple[_Label, ...]
-    lhs: np.ndarray
-    rhs: np.ndarray
-    ratio: np.ndarray
-    holds: np.ndarray
-    finite: np.ndarray
-    underflow: np.ndarray
-
-    def columns(self, row: int) -> tuple[np.ndarray, ...]:
-        """lhs, rhs, ratio, holds and underflow of one row."""
-        return self.lhs[row], self.rhs[row], self.ratio[row], self.holds[row], self.underflow[row]
-
-
-def _row_error(batch: _Batch, row: int) -> ArithmeticError | None:
-    """The error that replaces the certificates of one row of a batch, or
-    None when they stand."""
-    if not batch.finite[row]:
-        return OverflowError(_NOT_FINITE)
-    if batch.underflow[row].any():
-        return UnderflowError(_UNDERFLOWED)
-    return None
-
-
 # the orders of the |z| power sums that the endpoint and quartic families read
 _FIXED_ORDERS = (1.0, 2.0, 4.0)
 
 
-def _certify_batch(z: np.ndarray, orders, constant_scale: float, tols) -> _Batch:
+def _certify_batch(z: np.ndarray, orders, scale: float, tols) -> _Columns:
     """Every certificate of check_all for each row of the (B, n) zeros
-    ``z``, at the sorted ``orders``, which may be empty.
+    ``z``, at the sorted ``orders``, which may be empty, in check_all's
+    (name, p) order.  ``scale`` multiplies every Schoenberg constant:
+    run_audit(sabotage=True) passes 0.5, the one fault-injection hook.
 
     The differentiators of z and of |z| are built once, as one stack: one
     batched eigendecomposition of its z half and one batched SVD of both.
@@ -386,8 +405,9 @@ def _certify_batch(z: np.ndarray, orders, constant_scale: float, tols) -> _Batch
     for every family that reads them.  A column is marked as underflowed
     where a power sum of |z| that it reads (at its order; at 2 and 4 for
     the quartic family; at 1 for S1 and 2 for S2), its e_k(|z|) or its
-    singular value prefix product underflows.  A LAPACK failure anywhere in
-    the stack raises ConvergenceError for the whole stack, and a
+    singular value prefix product underflows.  The six tolerance-rule
+    families are judged in one pass under ``tols``.  A LAPACK failure
+    anywhere in the stack raises ConvergenceError for the whole stack, and a
     differentiator that overflows, in either half, raises OverflowError for
     the whole stack before any LAPACK call.
     """
@@ -411,45 +431,24 @@ def _certify_batch(z: np.ndarray, orders, constant_scale: float, tols) -> _Batch
         if len(grid) > len(orders):
             sums = sums[..., at]
         z_sums, lam_sums, sigma_sums = sums
-        sv_block, sv_holds, sv_ratio = _sv_product(sigma, sigma_abs)
-        blocks = [
+        ruled = [
             _endpoint(n, sigma, z_mod, pow1, pow2, low1, low2),
             _esf(n, sigma, z_mod),
             _quartic(n, z, w_mod, pow2, pow4, low2 | low4),
-            _schoenberg(n, orders, w_sums, z_sums, z_low, constant_scale),
+            _schoenberg(n, orders, w_sums, z_sums, z_low, scale),
             _pereira(n, orders, w_sums, z_sums, z_low),
             _weyl(orders, lam_sums, sigma_sums),
-            sv_block,
         ]
-        labels = tuple(label for block in blocks for label in block.labels)
-        lhs, rhs, underflow = (
-            np.concatenate(parts, axis=-1) for parts in list(zip(*blocks))[1:]
-        )
-        holds = _judge(labels, lhs, rhs, tols)
-        ratio = _ratio(lhs, rhs)
-        # the product lemma has its own log-space slack and rank floor
-        holds[:, -n:] = sv_holds
-        ratio[:, -n:] = sv_ratio
-        finite = np.isfinite(lhs).all(axis=-1) & np.isfinite(rhs).all(axis=-1)
-    sorted_labels, order = _sorted_columns(labels)
-    return _Batch(
-        sorted_labels,
-        lhs[:, order],
-        rhs[:, order],
-        ratio[:, order],
-        holds[:, order],
-        finite,
-        underflow[:, order],
-    )
+        columns = _concat([_judged(_concat(ruled), tols), _sv_product(sigma, sigma_abs)])
+    return columns.take(_sorted_columns(columns.labels))
 
 
 @functools.lru_cache(maxsize=64)
-def _sorted_columns(labels: tuple[_Label, ...]) -> tuple[tuple[_Label, ...], np.ndarray]:
-    """The labels in check_all's (name, p) order and the permutation of the
-    columns that puts them there.  The labels depend on n and the orders
-    alone, so an audit computes this once per n."""
-    order = sorted(range(len(labels)), key=lambda i: _sort_key(labels[i]))
-    return tuple(labels[i] for i in order), np.array(order)
+def _sorted_columns(labels: tuple[_Label, ...]) -> np.ndarray:
+    """The permutation of the columns that puts their labels in check_all's
+    (name, p) order.  The labels depend on n and the orders alone, so an
+    audit computes this once per n."""
+    return np.array(sorted(range(len(labels)), key=lambda i: _sort_key(labels[i])))
 
 
 def _sort_key(label: _Label) -> tuple[str, float]:
@@ -457,9 +456,7 @@ def _sort_key(label: _Label) -> tuple[str, float]:
     return name, -1.0 if p is None else p
 
 
-def _select(
-    cfg: ZeroConfig, orders, labels=None, constant_scale: float = 1.0, tols=_TOLS
-) -> list[Certificate]:
+def _select(cfg: ZeroConfig, orders, labels=None, tols=_TOLS) -> list[Certificate]:
     """The certificates ``labels`` of one configuration, in the order given,
     from the columnar evaluator on a batch of one at the sorted ``orders``;
     all of its columns, in (name, p) order, when ``labels`` is None.
@@ -468,30 +465,26 @@ def _select(
     finite, then UnderflowError where a right side underflowed.  A label
     the batch does not have is a KeyError.
     """
-    batch = _certify_batch(cfg.as_array()[None], orders, constant_scale, tols)
-    if labels is None:
-        labels, cols = batch.labels, slice(None)
-    else:
-        index = {label: col for col, label in enumerate(batch.labels)}
-        cols = [index[label] for label in labels]
-    return _certificates(cfg.n, labels, *(column[cols] for column in batch.columns(0)))
+    row = _certify_batch(cfg.as_array()[None], orders, 1.0, tols).row(0)
+    if labels is not None:
+        index = {label: col for col, label in enumerate(row.labels)}
+        row = row.take([index[label] for label in labels])
+    return _certificates(cfg.n, row)
 
 
 # --- the public certificates --------------------------------------------------
 
 
-def schoenberg_order_p(
-    cfg: ZeroConfig, p: float, constant_scale: float = 1.0
-) -> Certificate:
+def schoenberg_order_p(cfg: ZeroConfig, p: float) -> Certificate:
     """Order-p Schoenberg certificate: sum |w_k|^p <= C(n,p) sum |z_j|^p.
 
-    Requires the centroid condition.  ``constant_scale`` multiplies C(n, p)
-    and exists purely as a fault-injection hook for audit self-tests; leave
-    it at 1.0 for the actual inequality.
+    Requires the centroid condition.  Audits inject faults through
+    run_audit(sabotage=True), which halves C(n, p) in the batch evaluator;
+    this certificate always states the inequality itself.
     """
     p = _check_order(p)
     _require_centered(cfg, "the order-p Schoenberg certificate")
-    return _select(cfg, [p], [("schoenberg", p)], constant_scale)[0]
+    return _select(cfg, [p], [("schoenberg", p)])[0]
 
 
 def quartic_bounds(cfg: ZeroConfig) -> tuple[Certificate, Certificate, Certificate]:
@@ -529,13 +522,8 @@ def weyl_check(m: np.ndarray, p: float) -> Certificate:
     lam_mod = _descending_moduli(densela._eigvals(m))
     sigma = densela._svdvals(m)
     with _arithmetic():
-        block = _weyl(
-            [p], _power_sums(lam_mod[None], [p]), _power_sums(sigma[None], [p])
-        )
-        holds = _judge(block.labels, block.lhs, block.rhs, _TOLS)
-        ratio = _ratio(block.lhs, block.rhs)
-        columns = (block.lhs, block.rhs, ratio, holds, block.underflow)
-        return _certificates(lam_mod.size, block.labels, *(column[0] for column in columns))[0]
+        row = _judged(_weyl([p], _power_sums(lam_mod, [p]), _power_sums(sigma, [p])), _TOLS)
+        return _certificates(lam_mod.size, row)[0]
 
 
 def endpoint_checks(
@@ -588,9 +576,7 @@ def sv_product_check(x: np.ndarray, d) -> list[Certificate]:
         sig_abs = densela._svdvals(
             densela._require_finite(xh @ np.diag(np.abs(d).astype(complex)) @ x)
         )
-        block, holds, ratio = _sv_product(sig_d[None], sig_abs[None])
-        columns = (block.lhs, block.rhs, ratio, holds, block.underflow)
-        return _certificates(n, block.labels, *(column[0] for column in columns))
+        return _certificates(n, _sv_product(sig_d, sig_abs))
 
 
 def check_all(

@@ -181,5 +181,5 @@ def critical_points_spectral(cfg: ZeroConfig) -> CriticalSet:
     choice is interchangeable with it, and every downstream quantity built
     from moduli is unaffected.
     """
-    values = eigenvalues(_finite_differentiator(cfg.as_array()))
+    values = _sort_spectrum(_eigvals(_finite_differentiator(cfg.as_array())))
     return CriticalSet(tuple(values[:-1]))

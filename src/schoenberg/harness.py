@@ -70,16 +70,18 @@ class AuditSpec:
             self, "samples_per_cell", _integer(self.samples_per_cell, "samples_per_cell")
         )
         object.__setattr__(self, "seed", _integer(self.seed, "seed"))
-        if isinstance(self.p_grid, str):
-            raise ValueError(f"p_grid must be a sequence of orders, got {self.p_grid!r}")
+        for name in ("p_grid", "distributions"):
+            if isinstance(getattr(self, name), str):
+                raise ValueError(f"{name} must be a sequence, got {getattr(self, name)!r}")
         object.__setattr__(self, "p_grid", tuple(certs._check_order(p) for p in self.p_grid))
         object.__setattr__(self, "distributions", tuple(self.distributions))
-        if not self.n_values or min(self.n_values) < 2:
-            raise ValueError("n_values must be nonempty with every n >= 2")
-        if not self.p_grid:
-            raise ValueError("p_grid must be nonempty")
-        if len(set(self.p_grid)) != len(self.p_grid):
-            raise ValueError(f"p_grid repeats an order: {self.p_grid}")
+        for name in ("n_values", "p_grid", "distributions"):
+            values = getattr(self, name)
+            # a repeat would certify the same rows twice under one key
+            if not values or len(set(values)) != len(values):
+                raise ValueError(f"{name} must be nonempty and without repeats, got {values}")
+        if min(self.n_values) < 2:
+            raise ValueError(f"every n must be >= 2, got {self.n_values}")
         if len(self.tolerances) != 2:
             raise ValueError("tolerances must be an (abs_tol, rel_tol) pair")
         tolerances = certs._check_tolerances(*self.tolerances)
@@ -235,9 +237,10 @@ def _certificate_key(name: str, p: float | None) -> str:
 def run_audit(spec: AuditSpec, sabotage: bool = False) -> AuditReport:
     """Evaluate check_all over every sampled cell of the spec.
 
-    ``sabotage`` halves the order-p Schoenberg constant, which must flood the
-    report with violations; it exists so tests can prove the detection
-    machinery works.  Per-sample numeric failures are recorded under
+    ``sabotage`` halves the order-p Schoenberg constant in the evaluator,
+    which must flood the report with violations; it is the one
+    fault-injection hook, so tests and ``audit --sabotage`` can prove the
+    detection machinery works.  Per-sample numeric failures are recorded under
     ``errors`` and never abort the audit.  Deterministic in the spec.
     """
     report = AuditReport(spec=spec, sabotage=bool(sabotage))
@@ -287,7 +290,7 @@ class _Fold:
         self.labels: tuple | None = None
         self.passed = self.best = self.best_at = self.best_zeros = None
 
-    def add(self, batch: certs._Batch, z: np.ndarray, rows: np.ndarray, first: int) -> None:
+    def add(self, batch: certs._Columns, z: np.ndarray, rows: np.ndarray, first: int) -> None:
         """Fold in the finite ``rows`` of a slice whose first sample has
         index ``first`` in sampling order."""
         if self.labels is None:
@@ -365,14 +368,14 @@ def _certify_slice(
         return
     failed = ~batch.finite | batch.underflow.any(axis=1)
     for row in np.flatnonzero(failed):
-        _record_error(report, n, dists[row], z[row], certs._row_error(batch, row))
+        _record_error(report, n, dists[row], z[row], certs._error(batch.row(row)))
     rows = np.flatnonzero(~failed)
     if rows.size == 0:
         return
     fold.add(batch, z, rows, first)
     for row in rows[~batch.holds[rows].all(axis=1)]:
         pairs = _zeros_to_pairs(z[row])
-        for cert in certs._certificates(n, batch.labels, *batch.columns(row)):
+        for cert in certs._certificates(n, batch.row(row)):
             if not cert.holds:
                 report.violations.append(
                     {"certificate": cert.to_dict(), "n": n,

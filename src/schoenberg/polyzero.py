@@ -168,8 +168,6 @@ def from_roots(cfg: ZeroConfig) -> Polynomial:
 def derivative(poly: Polynomial) -> Polynomial:
     """Monic form of p'/n; roots are those of p', degree drops by one."""
     n = poly.degree
-    if n < 1:
-        raise ValueError("cannot differentiate a constant")
     if n == 1:
         raise ValueError("derivative of a degree-1 polynomial is constant")
     coeffs = poly.as_array()[:-1] * (np.arange(n, 0, -1) / n)

@@ -30,12 +30,13 @@ import numpy as np
 import pytest
 
 from schoenberg.certs import (
+    ABS_TOL,
     REL_TOL,
+    _certify_batch,
     check_all,
     endpoint_checks,
     esf_bounds,
     quartic_bounds,
-    schoenberg_order_p,
     sv_product_check,
 )
 from schoenberg.densela import (
@@ -192,13 +193,19 @@ def test_criterion_03_order_p_audit(big_audit):
 
 
 def test_criterion_03_sabotage_detection():
+    # sample i has order 3 + i % 6; the samples of each order are certified
+    # as one stack with the Schoenberg constant halved, as the slices of
+    # run_audit(sabotage=True) are
     flagged = 0
     total = 10_000
-    for i in range(total):
-        cfg = sample_config(3 + i % 6, "real", 7_000_000 + i)
-        cert = schoenberg_order_p(cfg, 2.0, constant_scale=0.5)
-        if not cert.holds:
-            flagged += 1
+    for n in range(3, 9):
+        rows = np.array(
+            [sample_config(n, "real", 7_000_000 + i).as_array() for i in range(n - 3, total, 6)]
+        )
+        batch = _certify_batch(rows, [2.0], 0.5, (ABS_TOL, REL_TOL))
+        col = batch.labels.index(("schoenberg", 2.0))
+        assert batch.finite.all() and not batch.underflow[:, col].any()
+        flagged += int((~batch.holds[:, col]).sum())
     rate = flagged / total
     ok = rate >= 0.99
     verdict(

@@ -93,11 +93,6 @@ class TestSchoenbergOrderP:
         assert cert.ratio is None
         assert cert.lhs == pytest.approx(0.0, abs=1e-14)
 
-    def test_constant_scale_hook(self):
-        honest = schoenberg_order_p(LOW3, 1.0)
-        rigged = schoenberg_order_p(LOW3, 1.0, constant_scale=0.5)
-        assert honest.holds and not rigged.holds
-
 
 class TestQuarticBounds:
     def test_low_family_double_equality(self):

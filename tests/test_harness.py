@@ -168,6 +168,25 @@ class TestAuditSpec:
         with pytest.raises(ValueError):
             AuditSpec(p_grid=(2.0, 2.0))
 
+    def test_repeated_order_n_rejected(self):
+        # n_values=(3, 3) certified every row of n = 3 twice
+        with pytest.raises(ValueError, match="n_values must be nonempty and without repeats"):
+            AuditSpec(n_values=(3, 3))
+
+    def test_repeated_distribution_rejected(self):
+        with pytest.raises(ValueError, match="distributions must be nonempty and without repeats"):
+            AuditSpec(distributions=("disk", "real", "disk"))
+
+    def test_empty_distributions_rejected(self):
+        # certified nothing and reported "0/0 certificates hold"
+        with pytest.raises(ValueError, match="distributions must be nonempty"):
+            AuditSpec(distributions=())
+
+    def test_text_distributions_rejected(self):
+        # was split into letters and rejected as "unknown distribution 'd'"
+        with pytest.raises(ValueError, match="distributions must be a sequence"):
+            AuditSpec(distributions="disk")
+
     def test_nan_absolute_tolerance_rejected(self):
         with pytest.raises(ValueError):
             AuditSpec(tolerances=(float("nan"), 1e-9))
