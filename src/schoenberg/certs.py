@@ -1,13 +1,18 @@
 """Every inequality between zeros and critical points as a numeric certificate.
 
 A certificate records both sides of one evaluated inequality together with
-slack, ratio and a pass flag under an explicit tolerance policy:
+slack, ratio and a pass flag, judged by one rule:
 
-    holds  <=>  lhs <= rhs + max(ABS_TOL, REL_TOL * max(|lhs|, |rhs|))
+    holds  <=>  lhs <= rhs + rel_tol * max(|lhs|, |rhs|)
 
-Equality statements (the Schatten-2 identity) demand both directions.  All
-inequalities here concern a degree-n polynomial with zeros z_j and critical
-points w_k; "centered" means sum z_j = 0.
+Equality statements (the Schatten-2 identity) demand both directions.
+Every family is homogeneous in the zeros, so the rule has no absolute
+floor.  Instead the rounding shadow of an exact zero becomes one where it
+arises: a critical modulus or singular value at or below abs_tol *
+sigma_1(Q diag(|z|) Q), and a quartic side at or below abs_tol times the
+size of its terms.  Weyl reads the raw spectra.  All inequalities here
+concern a degree-n polynomial with zeros z_j and critical points w_k;
+"centered" means sum z_j = 0.
 
 Every family is one formula over stacked arrays, with a leading batch axis
 of configurations: power sums, one column per order, of |z|, of the
@@ -15,25 +20,24 @@ eigenvalue moduli and of the singular values of Q diag(z) Q, elementary
 symmetric functions, and prefix products.  The columnar evaluator behind
 the audit certifies a (B, n) stack of configurations with one batched
 eigendecomposition and one batched singular value decomposition (of the
-differentiators of z and of |z|), and judges each column once: the
-singular value product by its own log-space rule, every other family in one
-pass under the tolerance pair.  Every certificate of one configuration
-built from its zeros is that evaluator on a batch of one: check_all takes
-all of its columns, and each single-family function, harness.sweep_p,
-harness.re_evaluate_violation and sharpness.ratio select their own.  Only
-weyl_check and sv_product_check, whose matrices come from outside the
-program, build their spectra themselves.  Every judged row becomes
-certificates or an error by one rule, _error.  The one fault-injection
-hook is run_audit(sabotage=True), which halves the Schoenberg constant.
+differentiators of z and of |z|), and judges every column once, in one
+pass.  Every certificate of one configuration built from its zeros is that
+evaluator on a batch of one: check_all takes all of its columns, and each
+single-family function, harness.sweep_p, harness.re_evaluate_violation and
+sharpness.ratio select their own.  Only weyl_check and sv_product_check,
+whose matrices come from outside the program, build their spectra
+themselves.  Every judged row becomes certificates or an error by one rule,
+_error.  The one fault-injection hook is run_audit(sabotage=True), which
+halves the Schoenberg constant.
 
 A power sum is a direct sum of powers, one order at a time.  A side that
 overflows to a non-finite value, or a differentiator that does, is an
 OverflowError.  A right side that underflows below the smallest normal
 float where it is not an exact zero is an UnderflowError: a power sum of
 the moduli of nonzero zeros, an e_k(|z|) of at least k nonzero moduli, or
-a prefix product of singular values above the rank floor.  Neither is ever
-a verdict.  The evaluator marks each of these per column, so a function
-raises only for the columns it returns, and OverflowError before
+a prefix product of singular values above the shadow threshold.  Neither is
+ever a verdict.  The evaluator marks each of these per column, so a
+function raises only for the columns it returns, and OverflowError before
 UnderflowError.
 """
 
@@ -48,6 +52,7 @@ import numpy as np
 from . import densela, symfun
 from .polyzero import ZeroConfig
 
+# the shadow threshold and the slack of every verdict
 ABS_TOL = 1e-12
 REL_TOL = 1e-9
 _TOLS = (ABS_TOL, REL_TOL)
@@ -63,7 +68,7 @@ class UnderflowError(ArithmeticError):
     """A right side that is not an exact zero fell below the smallest normal
     float, so the certificates that read it would be vacuous: a power sum of
     the moduli of nonzero zeros, an e_k(|z|) of at least k nonzero moduli, or
-    a prefix product of singular values above the rank floor."""
+    a prefix product of singular values above the shadow threshold."""
 
 
 @dataclass(frozen=True)
@@ -172,10 +177,9 @@ _ENDPOINT = (("endpoint_s1", None), ("endpoint_s2", None), ("endpoint_sinf", Non
 
 
 class _Block(NamedTuple):
-    """Columns of the tolerance-rule families, not yet judged: labels (k,);
-    lhs, rhs and ``underflow`` (..., k).  ``underflow`` marks a right side
-    that fell below the smallest normal float where it is not an exact
-    zero."""
+    """Columns not yet judged: labels (k,); lhs, rhs and ``underflow``
+    (..., k).  ``underflow`` marks a right side that fell below the smallest
+    normal float where it is not an exact zero."""
 
     labels: list[_Label]
     lhs: np.ndarray
@@ -208,9 +212,9 @@ class _Columns(NamedTuple):
         return _Columns(labels, *(column[..., cols] for column in self[1:]))
 
 
-def _concat(parts):
-    """The columns of ``parts``, _Blocks or _Columns alike, side by side."""
-    return type(parts[0])(
+def _concat(parts) -> _Block:
+    """The columns of the _Blocks ``parts``, side by side."""
+    return _Block(
         tuple(label for part in parts for label in part.labels),
         *(np.concatenate(arrays, axis=-1) for arrays in list(zip(*parts))[1:]),
     )
@@ -269,20 +273,20 @@ def _weyl(orders, lam_sums, sigma_sums) -> _Block:
     return _Block(labels, lam_sums, sigma_sums, np.zeros_like(sigma_sums, dtype=bool))
 
 
-def _quartic(n, z, w_mod, pow2, pow4, low) -> _Block:
+def _quartic(n, z, w_mod, pow2, pow4, low, abs_tol) -> _Block:
     """The dBS and KT quartic bounds and the dominance of KT by dBS, from
     the power sums ``pow2`` and ``pow4`` of |z|; ``low`` marks the rows
-    where either underflowed."""
+    where either underflowed.  A side at or below ``abs_tol`` times the size
+    of its terms is a shadow (the right sides cancel for n < 4) and becomes
+    an exact zero."""
     lhs = (w_mod**4).sum(axis=-1)
     sum_sq = np.abs((z**2).sum(axis=-1)) ** 2
     rhs_dbs = (n - 4) / n * pow4 + 2.0 / n**2 * pow2**2
     rhs_kt = (n - 4) / n * pow4 + (pow2**2 + sum_sq) / n**2
-    return _Block(
-        list(_QUARTIC),
-        np.stack((lhs, lhs, rhs_kt), axis=-1),
-        np.stack((rhs_dbs, rhs_kt, rhs_dbs), axis=-1),
-        np.stack((low, low, low), axis=-1),
-    )
+    sides = np.stack((lhs, lhs, rhs_kt, rhs_dbs, rhs_kt, rhs_dbs), axis=-1)
+    terms = abs(n - 4) / n * pow4 + 2.0 / n**2 * pow2**2
+    sides[np.abs(sides) <= abs_tol * terms[..., None]] = 0.0
+    return _Block(list(_QUARTIC), sides[..., :3], sides[..., 3:], np.stack((low,) * 3, axis=-1))
 
 
 def _endpoint(n, sigma, z_mod, pow1, pow2, low1, low2) -> _Block:
@@ -303,54 +307,39 @@ def _endpoint(n, sigma, z_mod, pow1, pow2, low1, low2) -> _Block:
 def _esf(n, sigma, z_mod) -> _Block:
     """e_k(sigma_1..sigma_{n-1}) <= ((n-k)/n) e_k(|z|) for k = 1 .. n-1.
 
-    An e_k(|z|) below the smallest normal float is an underflow when at
-    least k of the |z| are nonzero.
+    ``sigma`` holds n values; the caller snaps sigma_n, the shadow of the
+    structural zero, to an exact zero, which leaves every e_k of the other
+    n - 1 values unchanged.  An e_k(|z|) below the smallest normal
+    float is an underflow when at least k of the |z| are nonzero.
     """
-    # the structurally zero sigma_n is replaced by an exact zero, which leaves
-    # every e_k of the other n - 1 values unchanged
-    top = np.concatenate((sigma[..., :-1], np.zeros_like(sigma[..., :1])), axis=-1)
-    table = symfun.esf_table(np.stack((top, z_mod)))[..., 1:n]
+    table = symfun.esf_table(np.stack((sigma, z_mod)))[..., 1:n]
     k = np.arange(1, n)
     low = (table[1] < _TINY) & (k <= np.count_nonzero(z_mod, axis=-1)[..., None])
     return _Block([(f"esf_k{j}", None) for j in k], table[0], (n - k) / n * table[1], low)
 
 
-def _sv_product(sig_d, sig_abs) -> _Columns:
-    """Prefix products of sigma(X* D X) against sigma(X* |D| X), judged.
-
-    The product lemma has its own log-space slack and rank floor, so its
-    verdicts are those of symfun.prefix_products_hold, not the tolerance
-    pair's, and its ratios are missing (NaN) once the right prefix has
-    crossed the rank floor (its product is then the shadow of an exact zero
-    and the quotient is meaningless).  A right prefix below the smallest
-    normal float before that is an underflow.
-    """
-    lhs = np.cumprod(sig_d, axis=-1)
+def _sv_product(sig_d, sig_abs) -> _Block:
+    """Prefix products of sigma(X* D X) against sigma(X* |D| X), nonincreasing
+    singular values whose shadows the caller has snapped to exact zeros.  A
+    right prefix below the smallest normal float is an underflow unless one
+    of its factors is an exact zero."""
     rhs = np.cumprod(sig_abs, axis=-1)
-    crossed = symfun.rank_floor_crossed(sig_abs)
-    ratio = _ratio(lhs, rhs)
-    ratio[crossed] = np.nan
-    labels = tuple((f"sv_product_k{k}", None) for k in range(1, sig_d.shape[-1] + 1))
-    holds = symfun.prefix_products_hold(sig_d, sig_abs)
-    return _Columns(labels, lhs, rhs, ratio, holds, (rhs < _TINY) & ~crossed)
+    labels = [(f"sv_product_k{k}", None) for k in range(1, sig_d.shape[-1] + 1)]
+    return _Block(labels, np.cumprod(sig_d, axis=-1), rhs, (rhs < _TINY) & (sig_abs > 0))
 
 
 def _judged(block: _Block, tols) -> _Columns:
-    """The tolerance rule on every column of ``block`` at once, _EQUALITIES
-    both ways, and the ratios."""
+    """The one verdict rule on every column of ``block`` at once,
+    _EQUALITIES both ways, and the ratios, NaN (missing) where the right
+    side is not positive."""
     labels, lhs, rhs, underflow = block
-    abs_tol, rel_tol = tols
-    tol = np.maximum(abs_tol, rel_tol * np.maximum(np.abs(lhs), np.abs(rhs)))
+    tol = tols[1] * np.maximum(np.abs(lhs), np.abs(rhs))
     holds = lhs <= rhs + tol
     both = [i for i, (name, _) in enumerate(labels) if name in _EQUALITIES]
     if both:
         holds[..., both] = np.abs(lhs[..., both] - rhs[..., both]) <= tol[..., both]
-    return _Columns(tuple(labels), lhs, rhs, _ratio(lhs, rhs), holds, underflow)
-
-
-def _ratio(lhs, rhs) -> np.ndarray:
-    """lhs / rhs, NaN (missing) where rhs is not positive."""
-    return np.divide(lhs, rhs, out=np.full(lhs.shape, np.nan), where=rhs > 0)
+    ratio = np.divide(lhs, rhs, out=np.full(lhs.shape, np.nan), where=rhs > 0)
+    return _Columns(tuple(labels), lhs, rhs, ratio, holds, underflow)
 
 
 def _error(row: _Columns) -> ArithmeticError | None:
@@ -402,12 +391,13 @@ def _certify_batch(z: np.ndarray, orders, scale: float, tols) -> _Columns:
     The differentiators of z and of |z| are built once, as one stack: one
     batched eigendecomposition of its z half and one batched SVD of both.
     The power sums of |z| are taken once, over the orders and 1, 2 and 4,
-    for every family that reads them.  A column is marked as underflowed
-    where a power sum of |z| that it reads (at its order; at 2 and 4 for
-    the quartic family; at 1 for S1 and 2 for S2), its e_k(|z|) or its
-    singular value prefix product underflows.  The six tolerance-rule
-    families are judged in one pass under ``tols``.  A LAPACK failure
-    anywhere in the stack raises ConvergenceError for the whole stack, and a
+    for every family that reads them, and the Weyl sums of the raw spectra;
+    then the shadows in both spectra become exact zeros.  A column is
+    marked as underflowed where a power sum of |z| that it reads (at its
+    order; at 2 and 4 for the quartic family; at 1 for S1 and 2 for S2),
+    its e_k(|z|) or its singular value prefix product underflows.  Every
+    column is judged in one pass under ``tols``.  A LAPACK failure anywhere
+    in the stack raises ConvergenceError for the whole stack, and a
     differentiator that overflows, in either half, raises OverflowError for
     the whole stack before any LAPACK call.
     """
@@ -418,10 +408,14 @@ def _certify_batch(z: np.ndarray, orders, scale: float, tols) -> _Columns:
         z_mod = np.abs(z)
         d = densela._finite_differentiator(np.stack((z, z_mod)))
         lam_mod = _descending_moduli(densela._eigvals(d[0]))
+        sv = densela._svdvals(d)
+        sums = _power_sums(np.stack((z_mod, lam_mod, sv[0])), grid)
+        shadow = tols[0] * sv[1, :, :1]
+        lam_mod[lam_mod <= shadow] = 0.0
+        sv[sv <= shadow] = 0.0
+        sigma, sigma_abs = sv
         w_mod = lam_mod[..., :-1]  # less the structural zero
-        sigma, sigma_abs = densela._svdvals(d)
         w_sums = _power_sums(w_mod, orders)
-        sums = _power_sums(np.stack((z_mod, lam_mod, sigma)), grid)
         # a power sum of |z| below the smallest normal float, in a row that
         # is not all zero
         low = (sums[0] < _TINY) & (z_mod > 0).any(axis=-1, keepdims=True)
@@ -431,15 +425,16 @@ def _certify_batch(z: np.ndarray, orders, scale: float, tols) -> _Columns:
         if len(grid) > len(orders):
             sums = sums[..., at]
         z_sums, lam_sums, sigma_sums = sums
-        ruled = [
+        blocks = [
             _endpoint(n, sigma, z_mod, pow1, pow2, low1, low2),
             _esf(n, sigma, z_mod),
-            _quartic(n, z, w_mod, pow2, pow4, low2 | low4),
+            _quartic(n, z, w_mod, pow2, pow4, low2 | low4, tols[0]),
             _schoenberg(n, orders, w_sums, z_sums, z_low, scale),
             _pereira(n, orders, w_sums, z_sums, z_low),
             _weyl(orders, lam_sums, sigma_sums),
+            _sv_product(sigma, sigma_abs),
         ]
-        columns = _concat([_judged(_concat(ruled), tols), _sv_product(sigma, sigma_abs)])
+        columns = _judged(_concat(blocks), tols)
     return columns.take(_sorted_columns(columns.labels))
 
 
@@ -555,11 +550,11 @@ def sv_product_check(x: np.ndarray, d) -> list[Certificate]:
     """Prefix-product certificates for sigma(X* D X) against sigma(X* |D| X).
 
     One certificate per k = 1..n comparing the k-fold products of the two
-    singular value sequences, judged with the weak log-majorization slack
-    (zeros short-circuit in log space).  A right prefix that underflows
-    above the rank floor raises UnderflowError.  X and D must be finite
-    (ValueError); a product X* D X or X* |D| X that overflows raises
-    OverflowError.
+    singular value sequences, judged by the one rule with shadows at or below
+    ABS_TOL * sigma_1(X* |D| X): past the rank of X* |D| X both prefixes
+    are exact zeros with no ratio.  A right prefix that underflows where no
+    factor is zero raises UnderflowError.  X and D must be finite (ValueError); a
+    product X* D X or X* |D| X that overflows raises OverflowError.
     """
     x = np.asarray(x, dtype=complex)
     d = np.asarray(d, dtype=complex).ravel()
@@ -572,11 +567,11 @@ def sv_product_check(x: np.ndarray, d) -> list[Certificate]:
         raise ValueError("X and D must be finite")
     xh = x.conj().T
     with _arithmetic():
-        sig_d = densela._svdvals(densela._require_finite(xh @ np.diag(d) @ x))
-        sig_abs = densela._svdvals(
-            densela._require_finite(xh @ np.diag(np.abs(d).astype(complex)) @ x)
+        sv = densela._svdvals(
+            densela._require_finite(np.stack((xh @ np.diag(d) @ x, xh @ np.diag(np.abs(d)) @ x)))
         )
-        return _certificates(n, _sv_product(sig_d, sig_abs))
+        sv[sv <= ABS_TOL * sv[1, 0]] = 0.0
+        return _certificates(n, _judged(_sv_product(*sv), _TOLS))
 
 
 def check_all(
@@ -592,15 +587,15 @@ def check_all(
     parameter-free ones (quartic pair and dominance, the three endpoint
     checks, the per-k elementary symmetric bounds, and the singular value
     product lemma instantiated at X = Q, D = diag(z)) run once.  Every
-    verdict but the singular value product's, which has its own log-space
-    slack, is judged under ``abs_tol`` and ``rel_tol``.  Results come back
-    sorted by (name, p) so reports are deterministic.  A side that is not
-    finite raises OverflowError.  A power sum of |z| that underflows, at an
-    order of ``p_list`` or at 1, 2 or 4, raises UnderflowError, as does an
-    e_k(|z|) or a singular value prefix product that underflows where it is
-    not an exact zero.  This is every column of the columnar evaluator on a
-    batch of one, the one path of every single-configuration certificate
-    but weyl_check and sv_product_check.
+    verdict is lhs <= rhs + rel_tol * max(|lhs|, |rhs|); ``abs_tol`` is not
+    a floor of that slack but the shadow threshold of the module docstring.
+    Results come back sorted by (name, p) so reports are deterministic.  A
+    side that is not finite raises OverflowError.  A power sum of |z| that
+    underflows, at an order of ``p_list`` or at 1, 2 or 4, raises
+    UnderflowError, as does an e_k(|z|) or a singular value prefix product
+    that underflows where it is not an exact zero.  This is every column of
+    the columnar evaluator on a batch of one, the one path of every
+    single-configuration certificate but weyl_check and sv_product_check.
     """
     _require_centered(cfg, "check_all")
     orders = sorted({_check_order(p) for p in p_list})

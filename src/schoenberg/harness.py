@@ -54,7 +54,9 @@ _SLICE_ENTRIES = 256 * 16**2
 
 @dataclass(frozen=True)
 class AuditSpec:
-    """What to sample and which orders to certify."""
+    """What to sample and which orders to certify, under the (abs_tol,
+    rel_tol) pair of certs.check_all: abs_tol is the shadow threshold, not a
+    floor of the verdict slack rel_tol * max(|lhs|, |rhs|)."""
 
     n_values: tuple[int, ...] = DEFAULT_N_VALUES
     p_grid: tuple[float, ...] = DEFAULT_P_GRID
@@ -64,15 +66,17 @@ class AuditSpec:
     tolerances: tuple[float, float] = (certs.ABS_TOL, certs.REL_TOL)
 
     def __post_init__(self):
+        for name in ("n_values", "p_grid", "distributions", "tolerances"):
+            value = getattr(self, name)
+            # np.ndim reads text, a number, a set and a mapping as 0-d
+            if np.ndim(value) != 1:
+                raise ValueError(f"{name} must be a sequence, got {value!r}")
         n_values = tuple(_integer(n, "every n") for n in self.n_values)
         object.__setattr__(self, "n_values", n_values)
         object.__setattr__(
             self, "samples_per_cell", _integer(self.samples_per_cell, "samples_per_cell")
         )
         object.__setattr__(self, "seed", _integer(self.seed, "seed"))
-        for name in ("p_grid", "distributions"):
-            if isinstance(getattr(self, name), str):
-                raise ValueError(f"{name} must be a sequence, got {getattr(self, name)!r}")
         object.__setattr__(self, "p_grid", tuple(certs._check_order(p) for p in self.p_grid))
         object.__setattr__(self, "distributions", tuple(self.distributions))
         for name in ("n_values", "p_grid", "distributions"):
@@ -108,14 +112,13 @@ class AuditSpec:
     def from_dict(data: dict) -> "AuditSpec":
         """The spec of a dict such as to_dict writes; absent keys take their
         defaults and an unknown key is a ValueError."""
+        if not isinstance(data, dict):
+            raise ValueError(f"an audit spec must be a mapping, got {data!r}")
         names = {spec_field.name for spec_field in fields(AuditSpec)}
         unknown = [key for key in data if key not in names]
         if unknown:
             raise ValueError(f"unknown audit spec keys: {unknown}")
-        known = dict(data)
-        if "tolerances" in known:
-            known["tolerances"] = tuple(known["tolerances"])
-        return AuditSpec(**known)
+        return AuditSpec(**data)
 
 
 def _integer(value, what: str) -> int:

@@ -1,4 +1,11 @@
-"""Elementary symmetric functions and weak log-majorization checks."""
+"""Elementary symmetric functions and weak log-majorization checks.
+
+The majorization checks take arbitrary sequences, with no matrix whose
+scale would tell a rounding shadow from a small entry, so they keep a rank
+floor of their own: an entry at or below RANK_REL_TOL of its sequence's
+leading value.  The certificates of ``certs`` do not use them; they snap
+shadows relative to the differentiator of |z| and judge by one rule.
+"""
 
 from __future__ import annotations
 
@@ -61,20 +68,14 @@ def prefix_products_hold(a, b) -> np.ndarray:
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    zero_a = rank_floor_crossed(a)
-    zero_b = rank_floor_crossed(b)
+    zero_a, zero_b = (
+        np.logical_or.accumulate(seq <= RANK_REL_TOL * seq[..., :1], axis=-1) for seq in (a, b)
+    )
     with np.errstate(divide="ignore"):  # zeros are settled by the masks
         logs_hold = np.cumsum(np.log(a), axis=-1) <= np.cumsum(
             np.log(b), axis=-1
         ) + np.log1p(MAJORIZATION_REL_TOL)
     return zero_a | (~zero_b & logs_hold)
-
-
-def rank_floor_crossed(seq) -> np.ndarray:
-    """Per prefix along the last axis: whether it holds an entry at or below
-    RANK_REL_TOL of the row's leading value (the shadow of an exact zero)."""
-    seq = np.asarray(seq, dtype=float)
-    return np.logical_or.accumulate(seq <= RANK_REL_TOL * seq[..., :1], axis=-1)
 
 
 def weak_log_majorization(a, b) -> bool:

@@ -21,9 +21,16 @@ from schoenberg.certs import (
     weyl_check,
 )
 from schoenberg.densela import centering_projector, differentiator, lp_norm, schatten_norm
-from schoenberg.harness import DEFAULT_P_GRID, sample_config
-from schoenberg.polyzero import ZeroConfig, center, critical_points_direct
-from schoenberg.sharpness import ratio
+from schoenberg.harness import (
+    DEFAULT_N_VALUES,
+    DEFAULT_P_GRID,
+    DISTRIBUTIONS,
+    _cell_generator,
+    _draw_rows,
+    sample_config,
+)
+from schoenberg.polyzero import ZeroConfig, center, center_rows, critical_points_direct
+from schoenberg.sharpness import extremal_high, extremal_low, ratio
 
 from conftest import c_output, mp_critical_points, mp_schoenberg_ratio, random_centered
 
@@ -478,14 +485,65 @@ class TestCustomTolerances:
         assert loose["schoenberg"].holds
         assert loose["schoenberg"].ratio == default["schoenberg"].ratio
 
-    def test_sv_product_keeps_its_own_slack(self, rng):
-        def sv_rows(cfg, **tols):
-            rows = check_all(cfg, [1.75], **tols)
-            return [c for c in rows if c.name.startswith("sv_product")]
+    def test_sv_product_is_judged_by_the_one_rule(self, rng):
+        # the product lemma has no slack of its own: every verdict is
+        # lhs <= rhs + rel_tol * max(|lhs|, |rhs|), and past the rank of
+        # Q diag(|z|) Q both prefixes are exact zeros with no ratio
+        low = ZeroConfig(tuple(2.0**40 * extremal_low(5).as_array()), centered=True)
+        for cfg in (self.WITNESS, centered_sample(rng, 6), low):
+            for rel_tol in (REL_TOL, 1e-2):
+                rows = [c for c in check_all(cfg, [1.75], rel_tol=rel_tol)
+                        if c.name.startswith("sv_product")]
+                assert rows
+                for c in rows:
+                    assert c.holds == (c.lhs <= c.rhs + rel_tol * max(abs(c.lhs), abs(c.rhs)))
+        rows = [c for c in check_all(low, [1.75]) if c.name.startswith("sv_product")]
+        assert [c.rhs > 0 for c in rows] == [True, True, False, False, False]
+        assert all(c.lhs == c.rhs == 0.0 and c.ratio is None and c.holds for c in rows[2:])
 
-        for cfg in (self.WITNESS, centered_sample(rng, 6)):
-            default = sv_rows(cfg)
-            assert default and default == sv_rows(cfg, abs_tol=ABS_TOL, rel_tol=1e-2)
+
+class TestScaleFreeVerdicts:
+    """Every family is homogeneous in the zeros, so no verdict may depend on
+    their unit: each scaling by 2^k, k in [-60, 60], is exact, and under it
+    neither side leaves the normal range on these rows.  Each row is
+    certified at every scale as one stack."""
+
+    SCALES = 2.0 ** np.arange(-60, 61)
+
+    @classmethod
+    def verdicts(cls, rows: np.ndarray, orders):
+        """The K labels and the (S, B, K) verdicts of the (B, n) rows at
+        every scale, with no side out of range."""
+        scaled = (cls.SCALES[:, None, None] * rows[None]).reshape(-1, rows.shape[-1])
+        batch = _certify_batch(scaled, orders, 1.0, (ABS_TOL, REL_TOL))
+        assert batch.finite.all() and not batch.underflow.any()
+        return batch.labels, batch.holds.reshape(len(cls.SCALES), len(rows), -1)
+
+    def test_audit_rows_keep_their_verdicts(self):
+        # at a unit-scale floor of the tolerance, the 1 < p < 2 violations
+        # of clustered rows at n = 5 and 6 held from 2^-15 down
+        for n in DEFAULT_N_VALUES:
+            rows = np.concatenate(
+                [center_rows(_draw_rows(_cell_generator(7, n, d), n, d, 4)) for d in DISTRIBUTIONS]
+            )
+            unit = _certify_batch(rows, DEFAULT_P_GRID, 1.0, (ABS_TOL, REL_TOL)).holds
+            _, holds = self.verdicts(rows, DEFAULT_P_GRID)
+            np.testing.assert_array_equal(holds, np.broadcast_to(unit, holds.shape))
+
+    def test_witnesses_fail_at_every_scale(self):
+        order_four = center(ZeroConfig((1.0, -1 / 3, -1 / 3, -1 / 3)))
+        order_five = TestIntermediateOrderCounterexample.WITNESS
+        for cfg, p in ((order_four, 1.9), (order_five, 1.75)):
+            labels, holds = self.verdicts(cfg.as_array()[None], [p])
+            assert not holds[:, 0, labels.index(("schoenberg", p))].any()
+
+    def test_extremal_families_hold_at_every_scale(self):
+        # the e_3 bound of 0, 0, 1024, -1024 once failed on the shadow of
+        # the exact zero e_3(sigma_1, sigma_2, sigma_3) against e_3(|z|) = 0
+        for n in range(3, 9):
+            families = [extremal_low(n)] + ([extremal_high(n)] if n % 2 == 0 else [])
+            for cfg in families:
+                assert self.verdicts(cfg.as_array()[None], DEFAULT_P_GRID)[1].all(), (n, cfg)
 
 
 class TestPowerSums:

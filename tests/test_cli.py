@@ -55,6 +55,12 @@ class TestCheckCommand:
     def test_exit_zero_iff_all_hold(self):
         assert main(["check", "--zeros", "1,-1", "--p", "2"]) == 0
 
+    def test_scaled_low_family_holds(self, capsys):
+        # the shadow of e_3(sigma) against the exact zero e_3(|z|) once made
+        # this report an esf_k3 violation and exit 1
+        assert main(["check", "--zeros", "0,0,1024,-1024", "--p", "2"]) == 0
+        assert "NO" not in capsys.readouterr().out
+
     def test_rows_line_up_with_the_header(self, capsys):
         # quartic_dominance is the longest name, at 17 characters
         main(["check", "--zeros", "1,-1,0.5i,-0.5i", "--p", "2"])
@@ -128,6 +134,25 @@ class TestAuditCommand:
         out = tmp_path / "r.json"
         assert main(["audit", "--spec", str(spec_path), "--out", str(out)]) == 2
         assert "sample_per_cell" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ({"n_values": 3}, "n_values must be a sequence"),
+            ({"p_grid": 2.0}, "p_grid must be a sequence"),
+            ({"distributions": {"disk": 1}}, "distributions must be a sequence"),
+            ({"tolerances": 1e-12}, "tolerances must be a sequence"),
+            ([3], "must be a mapping"),
+        ],
+    )
+    def test_malformed_spec_is_an_error(self, tmp_path, capsys, spec, message):
+        # a scalar where a list belongs ended in a TypeError traceback
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        out = tmp_path / "r.json"
+        assert main(["audit", "--spec", str(spec_path), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
 
