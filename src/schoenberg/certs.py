@@ -9,7 +9,8 @@ Equality statements (the Schatten-2 identity) demand both directions.
 Every family is homogeneous in the zeros, so the rule has no absolute
 floor.  Instead the rounding shadow of an exact zero becomes one where it
 arises: a critical modulus or singular value at or below abs_tol *
-sigma_1(Q diag(|z|) Q), and a quartic side at or below abs_tol times the
+sigma_1(Q diag(|z|) Q), the structural sigma_n of both differentiators
+whatever abs_tol, and a finite quartic side at or below abs_tol times the
 size of its terms.  Weyl reads the raw spectra.  All inequalities here
 concern a degree-n polynomial with zeros z_j and critical points w_k;
 "centered" means sum z_j = 0.
@@ -276,16 +277,16 @@ def _weyl(orders, lam_sums, sigma_sums) -> _Block:
 def _quartic(n, z, w_mod, pow2, pow4, low, abs_tol) -> _Block:
     """The dBS and KT quartic bounds and the dominance of KT by dBS, from
     the power sums ``pow2`` and ``pow4`` of |z|; ``low`` marks the rows
-    where either underflowed.  A side at or below ``abs_tol`` times the size
-    of its terms is a shadow (the right sides cancel for n < 4) and becomes
-    an exact zero."""
+    where either underflowed.  A finite side at or below ``abs_tol`` times
+    the finite size of its terms is a shadow (the right sides cancel for
+    n < 4) and becomes an exact zero; an overflowed side stays as it is."""
     lhs = (w_mod**4).sum(axis=-1)
     sum_sq = np.abs((z**2).sum(axis=-1)) ** 2
     rhs_dbs = (n - 4) / n * pow4 + 2.0 / n**2 * pow2**2
     rhs_kt = (n - 4) / n * pow4 + (pow2**2 + sum_sq) / n**2
     sides = np.stack((lhs, lhs, rhs_kt, rhs_dbs, rhs_kt, rhs_dbs), axis=-1)
-    terms = abs(n - 4) / n * pow4 + 2.0 / n**2 * pow2**2
-    sides[np.abs(sides) <= abs_tol * terms[..., None]] = 0.0
+    terms = (abs(n - 4) / n * pow4 + 2.0 / n**2 * pow2**2)[..., None]
+    sides[(np.abs(sides) <= abs_tol * terms) & np.isfinite(terms)] = 0.0
     return _Block(list(_QUARTIC), sides[..., :3], sides[..., 3:], np.stack((low,) * 3, axis=-1))
 
 
@@ -307,10 +308,10 @@ def _endpoint(n, sigma, z_mod, pow1, pow2, low1, low2) -> _Block:
 def _esf(n, sigma, z_mod) -> _Block:
     """e_k(sigma_1..sigma_{n-1}) <= ((n-k)/n) e_k(|z|) for k = 1 .. n-1.
 
-    ``sigma`` holds n values; the caller snaps sigma_n, the shadow of the
-    structural zero, to an exact zero, which leaves every e_k of the other
-    n - 1 values unchanged.  An e_k(|z|) below the smallest normal
-    float is an underflow when at least k of the |z| are nonzero.
+    ``sigma`` holds n values, whose structural sigma_n the caller sets to
+    an exact zero, which leaves every e_k of the other n - 1 unchanged.  An
+    e_k(|z|) below the smallest normal float is an underflow when at least k
+    of the |z| are nonzero.
     """
     table = symfun.esf_table(np.stack((sigma, z_mod)))[..., 1:n]
     k = np.arange(1, n)
@@ -392,14 +393,14 @@ def _certify_batch(z: np.ndarray, orders, scale: float, tols) -> _Columns:
     batched eigendecomposition of its z half and one batched SVD of both.
     The power sums of |z| are taken once, over the orders and 1, 2 and 4,
     for every family that reads them, and the Weyl sums of the raw spectra;
-    then the shadows in both spectra become exact zeros.  A column is
-    marked as underflowed where a power sum of |z| that it reads (at its
-    order; at 2 and 4 for the quartic family; at 1 for S1 and 2 for S2),
-    its e_k(|z|) or its singular value prefix product underflows.  Every
-    column is judged in one pass under ``tols``.  A LAPACK failure anywhere
-    in the stack raises ConvergenceError for the whole stack, and a
-    differentiator that overflows, in either half, raises OverflowError for
-    the whole stack before any LAPACK call.
+    then sigma_n and the shadows in both spectra become exact zeros.  A
+    column is marked as underflowed where a power sum of |z| that it reads
+    (at its order; at 2 and 4 for the quartic family; at 1 for S1 and 2 for
+    S2), its e_k(|z|) or its singular value prefix product underflows.
+    Every column is judged in one pass under ``tols``.  A LAPACK failure
+    anywhere in the stack raises ConvergenceError for the whole stack, and
+    a differentiator that overflows, in either half, raises OverflowError
+    for the whole stack before any LAPACK call.
     """
     n = z.shape[-1]
     grid = sorted({*orders, *_FIXED_ORDERS})
@@ -413,6 +414,7 @@ def _certify_batch(z: np.ndarray, orders, scale: float, tols) -> _Columns:
         shadow = tols[0] * sv[1, :, :1]
         lam_mod[lam_mod <= shadow] = 0.0
         sv[sv <= shadow] = 0.0
+        sv[..., -1] = 0.0  # sigma_n of both is structurally zero, whatever abs_tol
         sigma, sigma_abs = sv
         w_mod = lam_mod[..., :-1]  # less the structural zero
         w_sums = _power_sums(w_mod, orders)

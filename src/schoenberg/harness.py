@@ -79,6 +79,9 @@ class AuditSpec:
         object.__setattr__(self, "seed", _integer(self.seed, "seed"))
         object.__setattr__(self, "p_grid", tuple(certs._check_order(p) for p in self.p_grid))
         object.__setattr__(self, "distributions", tuple(self.distributions))
+        for dist in self.distributions:
+            if dist not in DISTRIBUTIONS:
+                raise ValueError(f"unknown distribution {dist!r}")
         for name in ("n_values", "p_grid", "distributions"):
             values = getattr(self, name)
             # a repeat would certify the same rows twice under one key
@@ -90,9 +93,6 @@ class AuditSpec:
             raise ValueError("tolerances must be an (abs_tol, rel_tol) pair")
         tolerances = certs._check_tolerances(*self.tolerances)
         object.__setattr__(self, "tolerances", tolerances)
-        for dist in self.distributions:
-            if dist not in DISTRIBUTIONS:
-                raise ValueError(f"unknown distribution {dist!r}")
         if self.samples_per_cell < 1:
             raise ValueError("samples_per_cell must be positive")
         if self.seed < 0:

@@ -238,8 +238,9 @@ def _search(n: int, p: float, budget: int, entropy, value_at, families=()):
 
 def _schoenberg_ratio(n: int, p: float):
     """The ratio of the order-p Schoenberg certificate as a function of n
-    centered zeros: the certs power sums on a batch of one, 0 where the
-    right side vanishes."""
+    centered zeros, 0 where the right side vanishes: the certs power sums on
+    a batch of one of the raw spectrum, whose shadows ratio() snaps to zero,
+    so the two can differ in the last bits."""
     constant = schoenberg_constant(n, p)
     orders = [p]
 

@@ -1,10 +1,8 @@
 """Elementary symmetric functions and weak log-majorization checks.
 
-The majorization checks take arbitrary sequences, with no matrix whose
-scale would tell a rounding shadow from a small entry, so they keep a rank
-floor of their own: an entry at or below RANK_REL_TOL of its sequence's
-leading value.  The certificates of ``certs`` do not use them; they snap
-shadows relative to the differentiator of |z| and judge by one rule.
+The majorization checks take arbitrary sequences, with no matrix to measure
+a rounding shadow against, so they keep their own rank floor, RANK_REL_TOL
+of the leading value; the certificates of ``certs`` do not use them.
 """
 
 from __future__ import annotations

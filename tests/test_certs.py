@@ -599,6 +599,15 @@ class TestNonFiniteSides:
             with pytest.raises(OverflowError):
                 check_all(self.scaled(n, exponent), self.GRID)
 
+    def test_overflowed_quartic_sides_raise(self):
+        # at 2^260 the fourth powers overflow but the differentiator does
+        # not; an infinite side is never snapped to a zero
+        for n in (4, 8):
+            cfg = self.scaled(n, 260)
+            for run in (lambda: quartic_bounds(cfg), lambda: check_all(cfg, [2.0])):
+                with pytest.raises(OverflowError):
+                    run()
+
     @pytest.mark.parametrize("exponent", [-150, -400, -700])
     def test_tiny_scales_raise(self, exponent):
         # the p = 10 sums underflow from 2^-150 on, the fixed p = 4 ones at

@@ -143,6 +143,7 @@ class TestAuditCommand:
             ({"p_grid": 2.0}, "p_grid must be a sequence"),
             ({"distributions": {"disk": 1}}, "distributions must be a sequence"),
             ({"tolerances": 1e-12}, "tolerances must be a sequence"),
+            ({"distributions": [{"disk": 1}]}, "unknown distribution"),
             ([3], "must be a mapping"),
         ],
     )

@@ -415,6 +415,20 @@ class TestRunAudit:
             )
 
 
+    def test_zero_shadow_threshold_keeps_every_pass_count(self):
+        # sigma_n of both differentiators is zeroed whatever abs_tol, so no
+        # sv_product_k{n} verdict compares the rounding of two exact zeros;
+        # this is the criterion-3 audit, with its 391 violations
+        spec = AuditSpec(samples_per_cell=334, seed=2026)
+        default = run_audit(spec)
+        bare = run_audit(dataclasses.replace(spec, tolerances=(0.0, spec.tolerances[1])))
+        assert not default.errors and not bare.errors
+        assert len(bare.violations) == len(default.violations) == 391
+        assert {key: stats.passed for key, stats in bare.per_certificate.items()} == {
+            key: stats.passed for key, stats in default.per_certificate.items()
+        }
+
+
 def test_first_maximum_wins_across_slices_and_n(monkeypatch):
     """With tied largest ratios, argmax_zeros is the first tied sample in
     sampling order: an n's later slices and later n do not replace it."""
