@@ -9,11 +9,13 @@ Equality statements (the Schatten-2 identity) demand both directions.
 Every family is homogeneous in the zeros, so the rule has no absolute
 floor.  Instead the rounding shadow of an exact zero becomes one where it
 arises: a critical modulus or singular value at or below abs_tol *
-sigma_1(Q diag(|z|) Q), the structural sigma_n of both differentiators
-whatever abs_tol, and a finite quartic side at or below abs_tol times the
-size of its terms.  Weyl reads the raw spectra.  All inequalities here
-concern a degree-n polynomial with zeros z_j and critical points w_k;
-"centered" means sum z_j = 0.
+sigma_1(Q diag(|z|) Q), and a finite quartic side at or below abs_tol times
+the size of its terms.  Every spectrum is that of the compression of
+diag(z) or diag(|z|) to the mean-zero subspace (densela), with n-1
+eigenvalues and singular values and no structural zero; the sigma_n of
+Q diag(z) Q, which only the singular value product lemma reads, is an
+exact zero.  All inequalities here concern a degree-n polynomial with zeros
+z_j and critical points w_k; "centered" means sum z_j = 0.
 
 Every family is one formula over stacked arrays, with a leading batch axis
 of configurations: power sums, one column per order, of |z|, of the
@@ -21,7 +23,7 @@ eigenvalue moduli and of the singular values of Q diag(z) Q, elementary
 symmetric functions, and prefix products.  The columnar evaluator behind
 the audit certifies a (B, n) stack of configurations with one batched
 eigendecomposition and one batched singular value decomposition (of the
-differentiators of z and of |z|), and judges every column once, in one
+compressions of z and of |z|), and judges every column once, in one
 pass.  Every certificate of one configuration built from its zeros is that
 evaluator on a batch of one: check_all takes all of its columns, and each
 single-family function, harness.sweep_p, harness.re_evaluate_violation and
@@ -32,7 +34,7 @@ _error.  The one fault-injection hook is run_audit(sabotage=True), which
 halves the Schoenberg constant.
 
 A power sum is a direct sum of powers, one order at a time.  A side that
-overflows to a non-finite value, or a differentiator that does, is an
+overflows to a non-finite value, or a compression that does, is an
 OverflowError.  A right side that underflows below the smallest normal
 float where it is not an exact zero is an UnderflowError: a power sum of
 the moduli of nonzero zeros, an e_k(|z|) of at least k nonzero moduli, or
@@ -245,9 +247,9 @@ def _power_sums(mods: np.ndarray, orders) -> np.ndarray:
 
 
 def _critical_moduli(z: np.ndarray) -> np.ndarray:
-    """Eigenvalue moduli of Q diag(z) Q for each row of the zeros z,
-    nonincreasing, so the structural zero comes last: (..., n)."""
-    return _descending_moduli(densela._eigvals(densela._differentiator(z)))
+    """The n-1 critical moduli of each row of the zeros z, nonincreasing:
+    the eigenvalue moduli of its compression, (..., n-1)."""
+    return _descending_moduli(densela._eigvals(densela._compression(z)))
 
 
 def _descending_moduli(lam: np.ndarray) -> np.ndarray:
@@ -306,17 +308,15 @@ def _endpoint(n, sigma, z_mod, pow1, pow2, low1, low2) -> _Block:
 
 
 def _esf(n, sigma, z_mod) -> _Block:
-    """e_k(sigma_1..sigma_{n-1}) <= ((n-k)/n) e_k(|z|) for k = 1 .. n-1.
-
-    ``sigma`` holds n values, whose structural sigma_n the caller sets to
-    an exact zero, which leaves every e_k of the other n - 1 unchanged.  An
-    e_k(|z|) below the smallest normal float is an underflow when at least k
-    of the |z| are nonzero.
+    """e_k(sigma_1..sigma_{n-1}) <= ((n-k)/n) e_k(|z|) for k = 1 .. n-1,
+    from the n-1 singular values ``sigma``.  An e_k(|z|) below the smallest
+    normal float is an underflow when at least k of the |z| are nonzero.
     """
-    table = symfun.esf_table(np.stack((sigma, z_mod)))[..., 1:n]
+    lhs = symfun.esf_table(sigma)[..., 1:]
+    rhs = symfun.esf_table(z_mod)[..., 1:n]
     k = np.arange(1, n)
-    low = (table[1] < _TINY) & (k <= np.count_nonzero(z_mod, axis=-1)[..., None])
-    return _Block([(f"esf_k{j}", None) for j in k], table[0], (n - k) / n * table[1], low)
+    low = (rhs < _TINY) & (k <= np.count_nonzero(z_mod, axis=-1)[..., None])
+    return _Block([(f"esf_k{j}", None) for j in k], lhs, (n - k) / n * rhs, low)
 
 
 def _sv_product(sig_d, sig_abs) -> _Block:
@@ -389,52 +389,52 @@ def _certify_batch(z: np.ndarray, orders, scale: float, tols) -> _Columns:
     (name, p) order.  ``scale`` multiplies every Schoenberg constant:
     run_audit(sabotage=True) passes 0.5, the one fault-injection hook.
 
-    The differentiators of z and of |z| are built once, as one stack: one
+    The compressions of z and of |z| are built once, as one stack: one
     batched eigendecomposition of its z half and one batched SVD of both.
-    The power sums of |z| are taken once, over the orders and 1, 2 and 4,
-    for every family that reads them, and the Weyl sums of the raw spectra;
-    then sigma_n and the shadows in both spectra become exact zeros.  A
-    column is marked as underflowed where a power sum of |z| that it reads
+    The shadows in both spectra become exact zeros, and every family reads
+    those snapped spectra.  The power sums of |z| are taken once, over the
+    orders and 1, 2 and 4, for every family that reads them.  A column is
+    marked as underflowed where a power sum of |z| that it reads
     (at its order; at 2 and 4 for the quartic family; at 1 for S1 and 2 for
     S2), its e_k(|z|) or its singular value prefix product underflows.
     Every column is judged in one pass under ``tols``.  A LAPACK failure
     anywhere in the stack raises ConvergenceError for the whole stack, and
-    a differentiator that overflows, in either half, raises OverflowError
-    for the whole stack before any LAPACK call.
+    a compression that overflows, in either half, raises OverflowError for
+    the whole stack before any LAPACK call.
     """
     n = z.shape[-1]
     grid = sorted({*orders, *_FIXED_ORDERS})
     at = [grid.index(p) for p in orders]
     with _arithmetic():
         z_mod = np.abs(z)
-        d = densela._finite_differentiator(np.stack((z, z_mod)))
-        lam_mod = _descending_moduli(densela._eigvals(d[0]))
+        d = densela._finite_compression(np.stack((z, z_mod)))
+        w_mod = _descending_moduli(densela._eigvals(d[0]))
         sv = densela._svdvals(d)
-        sums = _power_sums(np.stack((z_mod, lam_mod, sv[0])), grid)
         shadow = tols[0] * sv[1, :, :1]
-        lam_mod[lam_mod <= shadow] = 0.0
+        w_mod[w_mod <= shadow] = 0.0
         sv[sv <= shadow] = 0.0
-        sv[..., -1] = 0.0  # sigma_n of both is structurally zero, whatever abs_tol
         sigma, sigma_abs = sv
-        w_mod = lam_mod[..., :-1]  # less the structural zero
-        w_sums = _power_sums(w_mod, orders)
+        z_sums = _power_sums(z_mod, grid)
+        w_sums, sigma_sums = _power_sums(np.stack((w_mod, sigma)), orders)
         # a power sum of |z| below the smallest normal float, in a row that
         # is not all zero
-        low = (sums[0] < _TINY) & (z_mod > 0).any(axis=-1, keepdims=True)
-        pow1, pow2, pow4 = (sums[0, :, grid.index(p)] for p in _FIXED_ORDERS)
+        low = (z_sums < _TINY) & (z_mod > 0).any(axis=-1, keepdims=True)
+        pow1, pow2, pow4 = (z_sums[:, grid.index(p)] for p in _FIXED_ORDERS)
         low1, low2, low4 = (low[:, grid.index(p)] for p in _FIXED_ORDERS)
         z_low = low[:, at]
         if len(grid) > len(orders):
-            sums = sums[..., at]
-        z_sums, lam_sums, sigma_sums = sums
+            z_sums = z_sums[:, at]
+        # Q diag(z) Q has rank n-1, so its sigma_n, and that of Q diag(|z|) Q,
+        # is an exact zero
+        sv_full = np.concatenate((sv, np.zeros(sv.shape[:-1] + (1,))), axis=-1)
         blocks = [
             _endpoint(n, sigma, z_mod, pow1, pow2, low1, low2),
             _esf(n, sigma, z_mod),
             _quartic(n, z, w_mod, pow2, pow4, low2 | low4, tols[0]),
             _schoenberg(n, orders, w_sums, z_sums, z_low, scale),
             _pereira(n, orders, w_sums, z_sums, z_low),
-            _weyl(orders, lam_sums, sigma_sums),
-            _sv_product(sigma, sigma_abs),
+            _weyl(orders, w_sums, sigma_sums),
+            _sv_product(*sv_full),
         ]
         columns = _judged(_concat(blocks), tols)
     return columns.take(_sorted_columns(columns.labels))
@@ -503,10 +503,10 @@ def pereira_bound(cfg: ZeroConfig, p: float) -> Certificate:
     """Pereira's certificate: sum |w_k|^p <= ((n-1)/n) sum |z_j|^p.
 
     Holds with no centroid condition.  The critical points are the spectrum
-    of Q diag(z) Q less its structural zero, for centered and uncentered
-    zeros alike (Pereira, J. Math. Anal. Appl. 285, 2003), so this takes
-    them by the one path every certificate reads and never expands the
-    polynomial.
+    of the compression of diag(z) to the mean-zero subspace, for centered
+    and uncentered zeros alike (Pereira, J. Math. Anal. Appl. 285, 2003),
+    so this takes them by the one path every certificate reads and never
+    expands the polynomial.
     """
     p = _check_order(p)
     return _select(cfg, [p], [("pereira", p)])[0]
@@ -540,8 +540,8 @@ def endpoint_checks(
 def esf_bounds(cfg: ZeroConfig) -> list[Certificate]:
     """Per-k certificates e_k(sigma_1..sigma_{n-1}) <= ((n-k)/n) e_k(|z|).
 
-    The sigma are the singular values of the differentiator matrix, top n-1
-    of them (the smallest is structurally zero).  No centroid condition.  An
+    The sigma are the n-1 nonzero singular values of the differentiator
+    matrix, those of its compression.  No centroid condition.  An
     e_k(|z|) that underflows while at least k of the |z| are nonzero raises
     UnderflowError.
     """

@@ -2,11 +2,17 @@
 
 The map z -> Q diag(z) Q, with Q the rank-(n-1) projector onto the
 mean-zero subspace, carries the critical points of prod (z - z_j) in its
-spectrum alongside one structural zero eigenvalue.  This module builds that
-matrix and provides the spectral quantities the certificates consume:
-eigenvalues, singular values, Schatten norms and vector l^p norms.  The
-private construction and LAPACK wrappers also take stacks of matrices along
-leading axes, which the columnar evaluator in ``certs`` uses.
+spectrum.  Its compression to that subspace, the (n-1) x (n-1) matrix
+H diag(z) H* for an orthonormal basis H of it, has exactly the n-1
+critical points as its eigenvalues and the nonzero singular values of
+Q diag(z) Q as its own, with no structural zero (Pereira, J. Math. Anal.
+Appl. 285, 2003); it is valid for uncentered zeros too.  Every spectrum
+that the certificates, the searches and the critical points read is taken
+from the compression; the public ``differentiator`` builds Q diag(z) Q
+itself.  This module provides the spectral quantities the certificates
+consume: eigenvalues, singular values, Schatten norms and vector l^p norms.
+The private constructions and LAPACK wrappers also take stacks of matrices
+along leading axes, which the columnar evaluator in ``certs`` uses.
 
 Eigenvalues come from LAPACK (Hessenberg reduction followed by shifted QR),
 singular values from LAPACK's divide-and-conquer SVD; each is the one
@@ -16,6 +22,7 @@ magnitude itself, so nothing is prescaled here.
 
 from __future__ import annotations
 
+import math
 import numbers
 
 import numpy as np
@@ -46,27 +53,54 @@ def differentiator(cfg: ZeroConfig) -> np.ndarray:
     the zeros is not required to build the matrix.  Zeros that are finite
     but so large that an entry overflows raise OverflowError.
     """
-    return _finite_differentiator(cfg.as_array())
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _require_finite(_differentiator(cfg.as_array()))
 
 
 def _differentiator(z: np.ndarray) -> np.ndarray:
     """Q diag(z) Q for each row of z along the last axis: (..., n, n)."""
     n = z.shape[-1]
-    a = np.zeros(z.shape + (n,), dtype=complex)
-    a.reshape(z.shape[:-1] + (n * n,))[..., :: n + 1] = z  # the diagonal
-    a -= (z[..., :, None] + z[..., None, :]) / n
-    a += z.sum(axis=-1, keepdims=True)[..., None] / n**2
+    return _diagonal_plus_rank_two(z, n, z.sum(axis=-1) / n**2)
+
+
+def _compression(z: np.ndarray) -> np.ndarray:
+    """The compression of diag(z) to the mean-zero subspace for each row of
+    z along the last axis: (..., n-1, n-1).
+
+    It is the leading (n-1) x (n-1) block of P diag(z) P, where P is the
+    Householder reflector that maps the unit mean vector 1/sqrt(n) to -e_n,
+    so the first n-1 rows of P are an orthonormal basis of the mean-zero
+    subspace.  Multiplying out with r = n + sqrt(n) gives
+    delta_ij z_i - (z_i + z_j)/r + (sum_{k<n} z_k)/r^2 + z_n/n for i, j < n.
+    The sign is the usual Householder choice, which keeps the coefficient
+    1 - 2/r of z_i on the diagonal in (0, 1); the reflector to +e_n has
+    r = n - sqrt(n), and its diagonal entries cancel at n = 2 and 3.
+    """
+    n = z.shape[-1]
+    head = z[..., :-1]
+    r = n + math.sqrt(n)
+    return _diagonal_plus_rank_two(head, r, head.sum(axis=-1) / r**2 + z[..., -1] / n)
+
+
+def _diagonal_plus_rank_two(d: np.ndarray, r: float, s: np.ndarray) -> np.ndarray:
+    """delta_ij d_i - (d_i + d_j)/r + s for each row of d along the last
+    axis, with s one number per row: (..., m, m)."""
+    m = d.shape[-1]
+    a = np.zeros(d.shape + (m,), dtype=complex)
+    a.reshape(d.shape[:-1] + (m * m,))[..., :: m + 1] = d  # the diagonal
+    a -= (d[..., :, None] + d[..., None, :]) / r
+    a += s[..., None, None]
     return a
 
 
-def _finite_differentiator(z: np.ndarray) -> np.ndarray:
-    """_differentiator(z) of finite zeros, with OverflowError in place of a
+def _finite_compression(z: np.ndarray) -> np.ndarray:
+    """_compression(z) of finite zeros, with OverflowError in place of a
     non-finite entry, which LAPACK's SVD would take without raising (it
     returns NaN, and OpenBLAS prints a complaint to standard output).  The
     check is one pass over the stack; the search objectives, whose zeros
     are O(1), leave it out."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return _require_finite(_differentiator(z))
+        return _require_finite(_compression(z))
 
 
 def _require_finite(m: np.ndarray) -> np.ndarray:
@@ -125,7 +159,7 @@ def _svdvals(m: np.ndarray) -> np.ndarray:
 
 def _lapack_error(what: str, m: np.ndarray, exc: Exception) -> ArithmeticError:
     """A failed decomposition of ``m``: OverflowError when an entry is not
-    finite, which is how an overflowed differentiator reaches LAPACK, and
+    finite, which is how an overflowed compression reaches LAPACK, and
     ConvergenceError otherwise."""
     if not np.isfinite(m).all():
         return OverflowError(f"a matrix entry is not finite, so the {what} iteration failed")
@@ -174,12 +208,7 @@ def _check_order(p: float) -> float:
 
 
 def critical_points_spectral(cfg: ZeroConfig) -> CriticalSet:
-    """Critical points as the spectrum of Q diag(z) Q minus its structural zero.
-
-    The dropped eigenvalue is the one of smallest modulus (the last in sort
-    order).  When the polynomial itself has a vanishing critical point the
-    choice is interchangeable with it, and every downstream quantity built
-    from moduli is unaffected.
-    """
-    values = _sort_spectrum(_eigvals(_finite_differentiator(cfg.as_array())))
-    return CriticalSet(tuple(values[:-1]))
+    """Critical points as the n-1 eigenvalues of the compression of diag(z)
+    to the mean-zero subspace, sorted by nonincreasing modulus as
+    ``eigenvalues`` sorts them."""
+    return CriticalSet(tuple(_sort_spectrum(_eigvals(_finite_compression(cfg.as_array())))))

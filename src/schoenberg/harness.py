@@ -43,9 +43,9 @@ DISTRIBUTIONS = ("disk", "gaussian", "real", "clustered", "roots_of_unity_pertur
 DEFAULT_P_GRID = (1.0, 1.25, 1.5, 1.75, 2.0, 2.5, 3.0, 4.0, 6.0, 10.0)
 DEFAULT_N_VALUES = (3, 4, 5, 6, 7, 8)
 
-# array entries per stacked evaluation.  A sample of order n occupies n * n
-# entries of each differentiator stack and n * P of each power-sum stack
-# over a grid of P orders, so a slice holds
+# array entries per stacked evaluation.  A sample of order n occupies fewer
+# than n * n entries of each compression stack and n * P of each power-sum
+# stack over a grid of P orders, so a slice holds
 # max(1, _SLICE_ENTRIES // (n * max(n, P))) samples: the evaluator's memory
 # is bounded for any n, grid and samples_per_cell, and at n <= 16 on the
 # default grid the per-call overhead is amortized over at least 256 samples

@@ -239,8 +239,8 @@ def _search(n: int, p: float, budget: int, entropy, value_at, families=()):
 def _schoenberg_ratio(n: int, p: float):
     """The ratio of the order-p Schoenberg certificate as a function of n
     centered zeros, 0 where the right side vanishes: the certs power sums on
-    a batch of one of the raw spectrum, whose shadows ratio() snaps to zero,
-    so the two can differ in the last bits."""
+    a batch of one of the n-1 critical moduli, whose shadows ratio() snaps
+    to zero, so the two can differ in the last bits."""
     constant = schoenberg_constant(n, p)
     orders = [p]
 
@@ -249,22 +249,22 @@ def _schoenberg_ratio(n: int, p: float):
         denom = constant * certs._power_sums(np.abs(z), orders)[0, 0]
         if denom == 0.0:
             return 0.0
-        return certs._power_sums(certs._critical_moduli(z)[:, :-1], orders)[0, 0] / denom
+        return certs._power_sums(certs._critical_moduli(z), orders)[0, 0] / denom
 
     return value
 
 
 def _schatten_quotient(n: int, p: float):
     """||Q diag(z) Q||_Sp / ||z||_p as a function of n zeros, 0 at z = 0:
-    the p-th root of the certs power sums of the singular values over
-    those of |z|."""
+    the p-th root of the certs power sums of the singular values of the
+    compression over those of |z|."""
     orders = [p]
 
     def value(z: np.ndarray) -> float:
         denom = certs._power_sums(np.abs(z), orders)[0]
         if denom == 0.0:
             return 0.0
-        sigma = densela._svdvals(densela._differentiator(z))
+        sigma = densela._svdvals(densela._compression(z))
         return (certs._power_sums(sigma, orders)[0] / denom) ** (1.0 / p)
 
     return value

@@ -348,7 +348,8 @@ def _reference_power_sum(mods, p):
 
 def reference_schoenberg_ratio(n, p):
     """The order-p Schoenberg ratio objective, with each power sum taken by
-    ``.sum(axis=-1)``."""
+    ``.sum(axis=-1)``, over the n-1 critical moduli: the eigenvalue moduli
+    of the compression."""
     constant = certs.schoenberg_constant(n, p)
 
     def value(z):
@@ -356,20 +357,21 @@ def reference_schoenberg_ratio(n, p):
         denom = constant * _reference_power_sum(np.abs(z), p)[0]
         if denom == 0.0:
             return 0.0
-        return _reference_power_sum(certs._critical_moduli(z)[:, :-1], p)[0] / denom
+        return _reference_power_sum(certs._critical_moduli(z), p)[0] / denom
 
     return value
 
 
 def reference_schatten_quotient(n, p):
     """The Schatten-to-l^p quotient objective, with each power sum taken by
-    ``.sum(axis=-1)``."""
+    ``.sum(axis=-1)``, over the singular values of the compression."""
 
     def value(z):
         denom = _reference_power_sum(np.abs(z), p)
         if denom == 0.0:
             return 0.0
-        sigma = densela._svdvals(densela._differentiator(z))
+        sigma = densela._svdvals(densela._compression(z))
         return (_reference_power_sum(sigma, p) / denom) ** (1.0 / p)
 
     return value
+

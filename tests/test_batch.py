@@ -5,9 +5,10 @@ collinear sets and power-of-two scalings.  Each row of a stack must equal the
 batch of one bit for bit, the batch of one must agree with a scalar oracle
 built from densela.lp_norm and symfun.esf that applies the verdict rule on
 its own, the audit report must not depend on the slice size, and each
-single-family function must return exactly check_all's rows for its family,
-at every order of the default grid, and raise exactly where the batch marks
-one of its columns.  A power sum must not depend on which other orders are asked with
+single-family function must return exactly check_all's rows for its family
+(weyl_check on the public differentiator, to rounding), at every order of
+the default grid, and raise exactly where the batch marks one of its
+columns.  A power sum must not depend on which other orders are asked with
 it.
 """
 
@@ -107,7 +108,8 @@ def test_single_family_errors_are_the_batch_marks_of_its_columns(case):
     """Each single-family function raises OverflowError where the batch
     has a non-finite side in one of its columns, else UnderflowError where
     the batch marks one of its columns as underflowed, and otherwise
-    returns its columns of the batch row bit for bit."""
+    returns its columns of the batch row bit for bit (Weyl's to rounding,
+    by assert_weyl_row)."""
     z, orders = case
     batch = _certify_batch(z, orders, 1.0, TOLS)
     index = {label: col for col, label in enumerate(batch.labels)}
@@ -127,6 +129,10 @@ def test_single_family_errors_are_the_batch_marks_of_its_columns(case):
             certs = call()
             assert [(c.name, c.p) for c in certs] == labels
             for cert, col in zip(certs, cols):
+                if cert.name == "weyl":
+                    sides = batch.lhs[i, col], batch.rhs[i, col], batch.holds[i, col]
+                    assert_weyl_row(cert, *sides, cfg)
+                    continue
                 ratio = batch.ratio[i, col]
                 assert cert.lhs == batch.lhs[i, col], (cert, col)
                 assert cert.rhs == batch.rhs[i, col], (cert, col)
@@ -134,23 +140,40 @@ def test_single_family_errors_are_the_batch_marks_of_its_columns(case):
                 assert cert.ratio == (None if np.isnan(ratio) else ratio), (cert, col)
 
 
+def assert_weyl_row(cert, lhs, rhs, holds, cfg: ZeroConfig) -> None:
+    """weyl_check(differentiator(cfg), p) against the batch's Weyl row at p:
+    the same verdict, and sides equal to 1e-13 of the larger side or of
+    sigma_1(Q diag(|z|) Q)^p, the scale of the shadow threshold.
+    The check reads the raw spectra of the n x n matrix, with its rounded
+    structural zero; the batch reads the snapped spectra of the
+    compression, so the two agree to rounding, not bit for bit."""
+    abs_cfg = ZeroConfig(tuple(np.abs(cfg.as_array()).astype(complex)))
+    with np.errstate(over="ignore"):
+        scale = densela.singular_values(densela.differentiator(abs_cfg))[0] ** cert.p
+    for got, want in ((cert.lhs, lhs), (cert.rhs, rhs)):
+        assert abs(got - want) <= 1e-13 * max(abs(got), abs(want), scale), (cert, lhs, rhs)
+    assert cert.holds == holds, (cert, lhs, rhs)
+
+
 def scalar_oracle(z: np.ndarray, orders) -> dict:
     """(lhs, rhs, magnitude) per (name, p), one certificate at a time.
 
-    The shadows of exact zeros are snapped here on their own: a critical
-    modulus or a singular value at or below ABS_TOL * sigma_1(Q diag(|z|) Q)
-    is 0 for every family but Weyl, and a quartic side at or below ABS_TOL
-    times |n-4|/n sum |z|^4 + (2/n^2) (sum |z|^2)^2 is 0.  The magnitude is
-    the size of the terms a side is summed from, which bounds the rounding
-    of the quartic right sides (they cancel for n < 4).
+    The spectra are the n-1 eigenvalues and singular values of the
+    compressions of diag(z) and diag(|z|) to the mean-zero subspace; the
+    sigma_n of Q diag(z) Q and of Q diag(|z|) Q, which only the k = n
+    singular value products read, is an exact zero.  The shadows of exact
+    zeros are snapped here on their own: a critical modulus or a singular
+    value at or below ABS_TOL * sigma_1(Q diag(|z|) Q) is 0, and a quartic
+    side at or below ABS_TOL times |n-4|/n sum |z|^4 + (2/n^2)
+    (sum |z|^2)^2 is 0.  The magnitude is the size of the terms a side is
+    summed from, which bounds the rounding of the quartic right sides (they
+    cancel for n < 4).
     """
     n = z.size
-    a = densela.differentiator(ZeroConfig(tuple(z)))
+    a = densela._compression(z)
     lam = np.abs(densela.eigenvalues(a))
     sigma = densela.singular_values(a)
-    sigma_abs = densela.singular_values(
-        densela.differentiator(ZeroConfig(tuple(np.abs(z).astype(complex))))
-    )
+    sigma_abs = densela.singular_values(densela._compression(np.abs(z).astype(complex)))
     z_mod = np.abs(z)
 
     def snapped(v):
@@ -159,7 +182,7 @@ def scalar_oracle(z: np.ndarray, orders) -> dict:
     def power(v, p):
         return densela.lp_norm(v, p) ** p
 
-    w, sig, sig_abs = snapped(lam)[:-1], snapped(sigma), snapped(sigma_abs)
+    w, sig, sig_abs = snapped(lam), snapped(sigma), snapped(sigma_abs)
     rows = {
         ("endpoint_s1", None): (sig.sum(), np.sqrt((n - 2) / n) * z_mod.sum(), 0.0),
         ("endpoint_s2", None): ((sig**2).sum(), (n - 2) / n * power(z, 2), 0.0),
@@ -167,7 +190,7 @@ def scalar_oracle(z: np.ndarray, orders) -> dict:
     }
     for k in range(1, n):
         rows[(f"esf_k{k}", None)] = (
-            symfun.esf(sig[: n - 1], k),
+            symfun.esf(sig, k),
             (n - k) / n * symfun.esf(z_mod, k),
             0.0,
         )
@@ -188,7 +211,8 @@ def scalar_oracle(z: np.ndarray, orders) -> dict:
     for p in orders:
         rows[("schoenberg", p)] = (power(w, p), schoenberg_constant(n, p) * power(z, p), 0.0)
         rows[("pereira", p)] = (power(w, p), (n - 1) / n * power(z, p), 0.0)
-        rows[("weyl", p)] = (power(lam, p), power(sigma, p), 0.0)
+        rows[("weyl", p)] = (power(w, p), power(sig, p), 0.0)
+    sig, sig_abs = np.append(sig, 0.0), np.append(sig_abs, 0.0)
     for k in range(1, n + 1):
         rows[(f"sv_product_k{k}", None)] = (
             float(np.prod(sig[:k])),
@@ -254,7 +278,8 @@ def test_audit_bytes_do_not_depend_on_slice_size(tmp_path, monkeypatch):
 
 def test_single_family_functions_equal_check_all_rows(rng):
     """One implementation per certificate: each single-family function
-    returns exactly the rows check_all gives for its family."""
+    returns exactly the rows check_all gives for its family, and
+    weyl_check(differentiator(cfg), p) the Weyl rows to rounding."""
     grid = DEFAULT_P_GRID
     for n in (2, 3, 5, 8):
         for _ in range(5):
@@ -262,13 +287,13 @@ def test_single_family_functions_equal_check_all_rows(rng):
             rows = {(c.name, c.p): c for c in check_all(cfg, grid)}
             singles = [*endpoint_checks(cfg), *esf_bounds(cfg), *quartic_bounds(cfg)]
             for p in grid:
-                singles += [
-                    schoenberg_order_p(cfg, p),
-                    pereira_bound(cfg, p),
-                    weyl_check(densela.differentiator(cfg), p),
-                ]
+                singles += [schoenberg_order_p(cfg, p), pereira_bound(cfg, p)]
             for cert in singles:
                 assert cert == rows[(cert.name, cert.p)]
+            for p in grid:
+                want = rows[("weyl", p)]
+                cert = weyl_check(densela.differentiator(cfg), p)
+                assert_weyl_row(cert, want.lhs, want.rhs, want.holds, cfg)
 
 
 def test_sweep_rows_equal_single_order_certificates():

@@ -179,12 +179,38 @@ class TestSharpnessCommand:
         assert 0.9 <= data["best_ratio"] <= 1.0 + 1e-9
 
 
+    def test_exceedance_exits_one(self, capsys):
+        # the claimed constant is refuted at (5, 1.75); a found exceedance is
+        # a result, told apart from an input error by its exit code
+        code = main(["sharpness", "--n", "5", "--p", "1.75", "--budget", "1000", "--seed", "0"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert json.loads(captured.out)["best_ratio"] > 1.0 + 1e-9
+        assert "exceeds the claimed constant" in captured.err
+
+    def test_bad_budget_exits_two(self, capsys):
+        assert main(["sharpness", "--n", "5", "--p", "1.75", "--budget", "0"]) == 2
+        assert "budget must be positive" in capsys.readouterr().err
+
+
 class TestOpnormCommand:
     def test_json_output(self, capsys):
         code = main(["opnorm", "--n", "4", "--p", "4", "--budget", "150", "--seed", "0"])
         data = json.loads(capsys.readouterr().out)
         assert code == 0
         assert data["estimate"] == pytest.approx(data["bound"], abs=1e-9)
+
+    def test_exceedance_exits_one(self, capsys):
+        code = main(["opnorm", "--n", "8", "--p", "1.5", "--budget", "100", "--seed", "0"])
+        captured = capsys.readouterr()
+        data = json.loads(captured.out)
+        assert code == 1
+        assert data["estimate"] > data["bound"] * (1.0 + 1e-9)
+        assert "exceeds the claimed constant" in captured.err
+
+    def test_bad_budget_exits_two(self, capsys):
+        assert main(["opnorm", "--n", "8", "--p", "1.5", "--budget", "0"]) == 2
+        assert "budget must be positive" in capsys.readouterr().err
 
 
 class TestExtremalCommand:

@@ -1,8 +1,11 @@
+import mpmath
 import numpy as np
 import pytest
 
+from schoenberg import harness
 from schoenberg.densela import (
     ConvergenceError,
+    _compression,
     _differentiator,
     centering_projector,
     critical_points_spectral,
@@ -14,7 +17,7 @@ from schoenberg.densela import (
 )
 from schoenberg.polyzero import ZeroConfig, critical_points_direct
 
-from conftest import matched_distance, random_centered
+from conftest import matched_distance, mp_critical_points, random_centered
 
 
 class TestCenteringProjector:
@@ -170,6 +173,40 @@ class TestSingularValues:
             singular_values(np.eye(3))
 
 
+class TestCompression:
+    """The compression of diag(z) to the mean-zero subspace carries the
+    spectrum of Q diag(z) Q less its structural zero, for centered and
+    uncentered zeros alike."""
+
+    @staticmethod
+    def rows(rng, n, centered):
+        for _ in range(4):
+            z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            yield z - z.mean() if centered else z + 0.5 * rng.standard_normal()
+
+    @pytest.mark.parametrize("centered", [True, False])
+    @pytest.mark.parametrize("n", range(2, 33))
+    def test_spectra_are_the_nonzero_spectra_of_the_differentiator(self, rng, n, centered):
+        for z in self.rows(rng, n, centered):
+            a, c = differentiator(ZeroConfig(tuple(z))), _compression(z)
+            assert c.shape == (n - 1, n - 1)
+            sigma = singular_values(a)
+            # sigma_1(Q diag(|z|) Q), the scale of the certificates' shadows,
+            # which is not itself a shadow when z is (a, -a)
+            scale = singular_values(_differentiator(np.abs(z)))[0]
+            # the eigenvalues, with the structural zero put back
+            got = np.append(eigenvalues(c), 0.0)
+            assert matched_distance(got, eigenvalues(a)) <= 1e-13 * scale
+            assert np.abs(singular_values(c) - sigma[:-1]).max() <= 1e-13 * scale
+
+    @pytest.mark.parametrize("n", range(2, 33))
+    def test_absolute_half_is_real_symmetric(self, rng, n):
+        for z in self.rows(rng, n, centered=False):
+            c = _compression(np.abs(z).astype(complex))
+            assert not c.imag.any()
+            np.testing.assert_array_equal(c, c.T)
+
+
 class TestScaleRange:
     """Power-of-two scalings of the zeros from about 1e-150 to 1e150 scale
     both spectra exactly, up to rounding relative to the leading value."""
@@ -253,6 +290,18 @@ class TestSpectralCriticalPoints:
     def test_degenerate_derivative(self):
         got = critical_points_spectral(ZeroConfig((1.0, 1j, -1.0, -1j), centered=True))
         assert matched_distance(got.as_array(), [0, 0, 0]) < 1e-4
+
+    @pytest.mark.parametrize("n", [3, 8, 16])
+    def test_accuracy_against_mpmath(self, n):
+        # every distribution at four seeds, against the critical points at
+        # 40 digits, relative to the largest of them
+        for dist in harness.DISTRIBUTIONS:
+            for seed in range(4):
+                cfg = harness.sample_config(n, dist, seed)
+                with mpmath.mp.workdps(40):
+                    want = np.array([complex(w) for w in mp_critical_points(cfg.zeros)])
+                got = critical_points_spectral(cfg).as_array()
+                assert matched_distance(got, want) <= 1e-13 * np.abs(want).max(), (dist, seed)
 
     def test_agrees_with_direct_route(self, rng):
         worst = 0.0

@@ -4,9 +4,8 @@ import json
 import numpy as np
 import pytest
 
-from schoenberg import harness
+from schoenberg import densela, harness
 from schoenberg.certs import ABS_TOL, Certificate, check_all, schoenberg_order_p
-from schoenberg.densela import differentiator
 from schoenberg.harness import (
     DISTRIBUTIONS,
     AuditReport,
@@ -325,7 +324,7 @@ class TestRunAudit:
         clean = run_audit(spec)
         # the 14th sample in sampling order: the "real" cell, index 3
         chosen = ZeroConfig(tuple(cell(spec.seed, 5, "real", 4)[3]), centered=True)
-        target = differentiator(chosen)
+        target = densela._compression(chosen.as_array())
         lost = {
             _certificate_key(c.name, c.p): c.holds
             for c in check_all(chosen, spec.p_grid)
@@ -374,9 +373,8 @@ class TestRunAudit:
         assert report.total == 0
 
     def test_overflowed_absolute_half_recorded_per_sample(self, monkeypatch, capfd):
-        # the zeros and their differentiator are finite, the differentiator
-        # of |z| is not: only that sample is an error, and LAPACK never
-        # sees it
+        # the zeros and their compression are finite, the compression of
+        # |z| is not: only that sample is an error, and LAPACK never sees it
         a = 0.6e308
         draw_rows = harness._draw_rows
 
@@ -416,7 +414,8 @@ class TestRunAudit:
 
 
     def test_zero_shadow_threshold_keeps_every_pass_count(self):
-        # sigma_n of both differentiators is zeroed whatever abs_tol, so no
+        # the compressions have no structural zero, and the sigma_n of
+        # both differentiators is an exact zero whatever abs_tol, so no
         # sv_product_k{n} verdict compares the rounding of two exact zeros;
         # this is the criterion-3 audit, with its 391 violations
         spec = AuditSpec(samples_per_cell=334, seed=2026)

@@ -242,11 +242,11 @@ class TestOpnormLowerBound:
         est, bound = opnorm_lower_bound(8, 1.5, budget=1000, seed=0)
         assert est > bound * (1.0 + 1e-6)
 
-    @pytest.mark.parametrize("n, svds", [(5, 100), (8, 102)])
+    @pytest.mark.parametrize("n, svds", [(5, 100), (8, 101)])
     def test_family_starts_are_evaluated_once(self, monkeypatch, n, svds):
         # budget 100 plus the up-front family values (1 at n = 5, 2 at
-        # n = 8), less the one that seeds the first simplex, plus the
-        # final move's overrun (1 at n = 8)
+        # n = 8), less the one that seeds the first simplex; the final move
+        # ends on the budget at both n
         calls = []
         svdvals = densela._svdvals
 
@@ -313,6 +313,29 @@ class TestSearchOracle:
     def test_opnorm_lower_bound(self, n, p, budget, seed):
         got = opnorm_lower_bound(n, p, budget, seed)
         assert repr(got) == repr(reference_opnorm_lower_bound(n, p, budget, seed))
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 8, 16])
+    @pytest.mark.parametrize("p", [1.0, 1.75, 3.0])
+    def test_objectives_match_the_full_matrix(self, rng, n, p):
+        """The objectives read the compression; they give the values of the
+        formulas they replaced, over the spectra of the n x n Q diag(z) Q
+        less its structural zeros, to 1e-13 relative."""
+        constant = certs.schoenberg_constant(n, p)
+        objectives = [
+            (sharpness._schoenberg_ratio(n, p), sharpness._schatten_quotient(n, p)),
+            (reference_schoenberg_ratio(n, p), reference_schatten_quotient(n, p)),
+        ]
+        for _ in range(20):
+            z = random_centered(rng, n)
+            a = densela.differentiator(ZeroConfig(tuple(z)))
+            moduli = np.sort(np.abs(np.linalg.eigvals(a)))[1:]
+            sigma = np.linalg.svd(a, compute_uv=False)[:-1]
+            z_sum = (np.abs(z) ** p).sum()
+            want_ratio = (moduli**p).sum() / (constant * z_sum)
+            want_quotient = ((sigma**p).sum() / z_sum) ** (1.0 / p)
+            for ratio_at, quotient_at in objectives:
+                assert ratio_at(z) == pytest.approx(want_ratio, rel=1e-13, abs=0)
+                assert quotient_at(z) == pytest.approx(want_quotient, rel=1e-13, abs=0)
 
     def test_even_case_restarts_past_both_families(self):
         _, _, _, restarts = sharpness._search(
