@@ -46,7 +46,6 @@ UnderflowError.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -277,19 +276,20 @@ def _weyl(orders, lam_sums, sigma_sums) -> _Block:
 
 
 def _quartic(n, z, w_mod, pow2, pow4, low, abs_tol) -> _Block:
-    """The dBS and KT quartic bounds and the dominance of KT by dBS, from
-    the power sums ``pow2`` and ``pow4`` of |z|; ``low`` marks the rows
-    where either underflowed.  A finite side at or below ``abs_tol`` times
-    the finite size of its terms is a shadow (the right sides cancel for
-    n < 4) and becomes an exact zero; an overflowed side stays as it is."""
+    """The dBS bound, the dominance of KT by dBS and the KT bound, in name
+    order, from the power sums ``pow2`` and ``pow4`` of |z|; ``low`` marks
+    the rows where either underflowed.  A finite side at or below
+    ``abs_tol`` times the finite size of its terms is a shadow (the right
+    sides cancel for n < 4) and becomes an exact zero; an overflowed side
+    stays as it is."""
     lhs = (w_mod**4).sum(axis=-1)
     sum_sq = np.abs((z**2).sum(axis=-1)) ** 2
     rhs_dbs = (n - 4) / n * pow4 + 2.0 / n**2 * pow2**2
     rhs_kt = (n - 4) / n * pow4 + (pow2**2 + sum_sq) / n**2
-    sides = np.stack((lhs, lhs, rhs_kt, rhs_dbs, rhs_kt, rhs_dbs), axis=-1)
+    sides = np.stack((lhs, rhs_kt, lhs, rhs_dbs, rhs_dbs, rhs_kt), axis=-1)
     terms = (abs(n - 4) / n * pow4 + 2.0 / n**2 * pow2**2)[..., None]
     sides[(np.abs(sides) <= abs_tol * terms) & np.isfinite(terms)] = 0.0
-    return _Block(list(_QUARTIC), sides[..., :3], sides[..., 3:], np.stack((low,) * 3, axis=-1))
+    return _Block(sorted(_QUARTIC), sides[..., :3], sides[..., 3:], np.stack((low,) * 3, axis=-1))
 
 
 def _endpoint(n, sigma, z_mod, pow1, pow2, low1, low2) -> _Block:
@@ -385,16 +385,20 @@ _FIXED_ORDERS = (1.0, 2.0, 4.0)
 
 def _certify_batch(z: np.ndarray, orders, scale: float, tols) -> _Columns:
     """Every certificate of check_all for each row of the (B, n) zeros
-    ``z``, at the sorted ``orders``, which may be empty, in check_all's
-    (name, p) order.  ``scale`` multiplies every Schoenberg constant:
+    ``z``, at the sorted ``orders``, which may be empty, in the order the
+    families are built: by family name, and within a family by order or by
+    k.  For n <= 9 that is check_all's (name, p) order; from n = 10 the
+    labels esf_k10 and sv_product_k10 follow k = 9 here but sort before
+    k = 2 there.  ``scale`` multiplies every Schoenberg constant:
     run_audit(sabotage=True) passes 0.5, the one fault-injection hook.
 
     The compressions of z and of |z| are built once, as one stack: one
     batched eigendecomposition of its z half and one batched SVD of both.
     The shadows in both spectra become exact zeros, and every family reads
-    those snapped spectra.  The power sums of |z| are taken once, over the
-    orders and 1, 2 and 4, for every family that reads them.  A column is
-    marked as underflowed where a power sum of |z| that it reads
+    those snapped spectra.  The power sums of |z| are taken at the orders,
+    and at 1, 2 and 4 for the endpoint and quartic families; each is
+    reduced on its own, so an order in both has the same bits in both.  A
+    column is marked as underflowed where a power sum of |z| that it reads
     (at its order; at 2 and 4 for the quartic family; at 1 for S1 and 2 for
     S2), its e_k(|z|) or its singular value prefix product underflows.
     Every column is judged in one pass under ``tols``.  A LAPACK failure
@@ -403,8 +407,6 @@ def _certify_batch(z: np.ndarray, orders, scale: float, tols) -> _Columns:
     the whole stack before any LAPACK call.
     """
     n = z.shape[-1]
-    grid = sorted({*orders, *_FIXED_ORDERS})
-    at = [grid.index(p) for p in orders]
     with _arithmetic():
         z_mod = np.abs(z)
         d = densela._finite_compression(np.stack((z, z_mod)))
@@ -414,38 +416,28 @@ def _certify_batch(z: np.ndarray, orders, scale: float, tols) -> _Columns:
         w_mod[w_mod <= shadow] = 0.0
         sv[sv <= shadow] = 0.0
         sigma, sigma_abs = sv
-        z_sums = _power_sums(z_mod, grid)
+        z_sums = _power_sums(z_mod, orders)
+        fixed = _power_sums(z_mod, _FIXED_ORDERS)
         w_sums, sigma_sums = _power_sums(np.stack((w_mod, sigma)), orders)
         # a power sum of |z| below the smallest normal float, in a row that
         # is not all zero
-        low = (z_sums < _TINY) & (z_mod > 0).any(axis=-1, keepdims=True)
-        pow1, pow2, pow4 = (z_sums[:, grid.index(p)] for p in _FIXED_ORDERS)
-        low1, low2, low4 = (low[:, grid.index(p)] for p in _FIXED_ORDERS)
-        z_low = low[:, at]
-        if len(grid) > len(orders):
-            z_sums = z_sums[:, at]
+        nonzero = (z_mod > 0).any(axis=-1, keepdims=True)
+        z_low = (z_sums < _TINY) & nonzero
+        pow1, pow2, pow4 = fixed.T
+        low1, low2, low4 = ((fixed < _TINY) & nonzero).T
         # Q diag(z) Q has rank n-1, so its sigma_n, and that of Q diag(|z|) Q,
         # is an exact zero
         sv_full = np.concatenate((sv, np.zeros(sv.shape[:-1] + (1,))), axis=-1)
         blocks = [
             _endpoint(n, sigma, z_mod, pow1, pow2, low1, low2),
             _esf(n, sigma, z_mod),
+            _pereira(n, orders, w_sums, z_sums, z_low),
             _quartic(n, z, w_mod, pow2, pow4, low2 | low4, tols[0]),
             _schoenberg(n, orders, w_sums, z_sums, z_low, scale),
-            _pereira(n, orders, w_sums, z_sums, z_low),
-            _weyl(orders, w_sums, sigma_sums),
             _sv_product(*sv_full),
+            _weyl(orders, w_sums, sigma_sums),
         ]
-        columns = _judged(_concat(blocks), tols)
-    return columns.take(_sorted_columns(columns.labels))
-
-
-@functools.lru_cache(maxsize=64)
-def _sorted_columns(labels: tuple[_Label, ...]) -> np.ndarray:
-    """The permutation of the columns that puts their labels in check_all's
-    (name, p) order.  The labels depend on n and the orders alone, so an
-    audit computes this once per n."""
-    return np.array(sorted(range(len(labels)), key=lambda i: _sort_key(labels[i])))
+        return _judged(_concat(blocks), tols)
 
 
 def _sort_key(label: _Label) -> tuple[str, float]:
@@ -456,17 +448,18 @@ def _sort_key(label: _Label) -> tuple[str, float]:
 def _select(cfg: ZeroConfig, orders, labels=None, tols=_TOLS) -> list[Certificate]:
     """The certificates ``labels`` of one configuration, in the order given,
     from the columnar evaluator on a batch of one at the sorted ``orders``;
-    all of its columns, in (name, p) order, when ``labels`` is None.
+    all of its columns, sorted into (name, p) order, when ``labels`` is
+    None.
 
     Only the selected columns can raise: OverflowError where a side is not
     finite, then UnderflowError where a right side underflowed.  A label
     the batch does not have is a KeyError.
     """
     row = _certify_batch(cfg.as_array()[None], orders, 1.0, tols).row(0)
-    if labels is not None:
-        index = {label: col for col, label in enumerate(row.labels)}
-        row = row.take([index[label] for label in labels])
-    return _certificates(cfg.n, row)
+    if labels is None:
+        labels = sorted(row.labels, key=_sort_key)
+    index = {label: col for col, label in enumerate(row.labels)}
+    return _certificates(cfg.n, row.take([index[label] for label in labels]))
 
 
 # --- the public certificates --------------------------------------------------
@@ -572,7 +565,7 @@ def sv_product_check(x: np.ndarray, d) -> list[Certificate]:
         sv = densela._svdvals(
             densela._require_finite(np.stack((xh @ np.diag(d) @ x, xh @ np.diag(np.abs(d)) @ x)))
         )
-        sv[sv <= ABS_TOL * sv[1, 0]] = 0.0
+        sv[sv <= ABS_TOL * sv[1, :1]] = 0.0
         return _certificates(n, _judged(_sv_product(*sv), _TOLS))
 
 
@@ -591,7 +584,8 @@ def check_all(
     product lemma instantiated at X = Q, D = diag(z)) run once.  Every
     verdict is lhs <= rhs + rel_tol * max(|lhs|, |rhs|); ``abs_tol`` is not
     a floor of that slack but the shadow threshold of the module docstring.
-    Results come back sorted by (name, p) so reports are deterministic.  A
+    Results come back sorted by (name, p), not in the evaluator's build
+    order, which differs from n = 10 on (esf_k10 sorts before esf_k2).  A
     side that is not finite raises OverflowError.  A power sum of |z| that
     underflows, at an order of ``p_list`` or at 1, 2 or 4, raises
     UnderflowError, as does an e_k(|z|) or a singular value prefix product

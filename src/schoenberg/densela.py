@@ -9,9 +9,12 @@ Q diag(z) Q as its own, with no structural zero (Pereira, J. Math. Anal.
 Appl. 285, 2003); it is valid for uncentered zeros too.  Every spectrum
 that the certificates, the searches and the critical points read is taken
 from the compression; the public ``differentiator`` builds Q diag(z) Q
-itself.  This module provides the spectral quantities the certificates
-consume: eigenvalues, singular values, Schatten norms and vector l^p norms.
-The private constructions and LAPACK wrappers also take stacks of matrices
+itself.  The certificates read the private LAPACK wrappers ``_eigvals``
+and ``_svdvals`` of the compression (of the given matrices, for
+weyl_check and sv_product_check) and take their power sums with
+``certs._power_sums``; the public eigenvalues, singular values, Schatten
+norms and vector l^p norms are for callers outside the certificates.  The
+private constructions and LAPACK wrappers also take stacks of matrices
 along leading axes, which the columnar evaluator in ``certs`` uses.
 
 Eigenvalues come from LAPACK (Hessenberg reduction followed by shifted QR),
@@ -170,10 +173,13 @@ def lp_norm(v, p: float) -> float:
     """The l^p norm of a complex vector; p = inf gives the max modulus.
 
     Every finite order takes the one scaled formula, the peak times the
-    p-th root of the sum of (|v| / peak)^p.
+    p-th root of the sum of (|v| / peak)^p.  The entries must be finite
+    (ValueError), as the matrix entries of ``schatten_norm`` must be.
     """
     p = _check_order(p)
     mods = np.abs(np.asarray(v, dtype=complex))
+    if not np.isfinite(mods).all():
+        raise ValueError("vector entries must be finite")
     if mods.size == 0:
         return 0.0
     if np.isinf(p):
@@ -197,6 +203,14 @@ def _real(value, what: str) -> float:
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{what} must be a real number, got {value!r}")
     return float(value)
+
+
+def _integer(value, what: str) -> int:
+    """``value`` as a plain int: a Python or numpy integer.  Anything else,
+    a bool or an integral float included, is a ValueError."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _check_order(p: float) -> float:

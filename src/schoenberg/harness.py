@@ -12,7 +12,8 @@ into columnar arrays, one column per certificate key: the pass counts, the
 largest ratio and the first sample in sampling order that attains it.
 The report's keys take these totals once per n, and the (re, im) pairs of
 each distinct argmax sample are built once, at the end of the audit.
-Violations and errors are entries in sampling order.  So the report is the
+Violations and errors are entries in sampling order, and the violations
+of one sample come in the evaluator's column order.  So the report is the
 same for any slice size.
 
 Reports have a fixed schema, and JSON is written field by field by a flat
@@ -35,7 +36,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from . import certs
+from . import certs, densela
 from .polyzero import ZeroConfig, center, center_rows
 
 DISTRIBUTIONS = ("disk", "gaussian", "real", "clustered", "roots_of_unity_perturbed")
@@ -71,12 +72,12 @@ class AuditSpec:
             # np.ndim reads text, a number, a set and a mapping as 0-d
             if np.ndim(value) != 1:
                 raise ValueError(f"{name} must be a sequence, got {value!r}")
-        n_values = tuple(_integer(n, "every n") for n in self.n_values)
+        n_values = tuple(densela._integer(n, "every n") for n in self.n_values)
         object.__setattr__(self, "n_values", n_values)
         object.__setattr__(
-            self, "samples_per_cell", _integer(self.samples_per_cell, "samples_per_cell")
+            self, "samples_per_cell", densela._integer(self.samples_per_cell, "samples_per_cell")
         )
-        object.__setattr__(self, "seed", _integer(self.seed, "seed"))
+        object.__setattr__(self, "seed", densela._integer(self.seed, "seed"))
         object.__setattr__(self, "p_grid", tuple(certs._check_order(p) for p in self.p_grid))
         object.__setattr__(self, "distributions", tuple(self.distributions))
         for dist in self.distributions:
@@ -119,14 +120,6 @@ class AuditSpec:
         if unknown:
             raise ValueError(f"unknown audit spec keys: {unknown}")
         return AuditSpec(**data)
-
-
-def _integer(value, what: str) -> int:
-    """``value`` as a plain int: a Python or numpy integer.  Anything else,
-    a bool or an integral float included, is a ValueError."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{what} must be an integer, got {value!r}")
-    return int(value)
 
 
 @dataclass
@@ -183,8 +176,10 @@ def sample_config(n: int, dist: str, seed: int) -> ZeroConfig:
     The result is row 0 of the audit cell (n, dist) under ``seed``: the
     first row drawn from the stream SeedSequence(seed, spawn_key=(n,
     DISTRIBUTIONS.index(dist))) in the row layout of ``_draw_rows``, and
-    centered by ``center_rows``.
+    centered by ``center_rows``.  n and the seed must be integers
+    (ValueError).
     """
+    n, seed = densela._integer(n, "n"), densela._integer(seed, "seed")
     if dist not in DISTRIBUTIONS:
         raise ValueError(f"unknown distribution {dist!r}")
     if n < 2:
@@ -251,7 +246,7 @@ def run_audit(spec: AuditSpec, sabotage: bool = False) -> AuditReport:
     scale = 0.5 if sabotage else 1.0
     start = time.perf_counter()
     per_cell = spec.samples_per_cell
-    cells = [DISTRIBUTIONS.index(dist) for dist in spec.distributions]
+    samples = len(spec.distributions) * per_cell
     winners: dict[str, tuple[tuple[int, int], np.ndarray]] = {}
     for n in spec.n_values:
         fold = _Fold(n)
@@ -259,15 +254,14 @@ def run_audit(spec: AuditSpec, sabotage: bool = False) -> AuditReport:
         rows = max(1, _SLICE_ENTRIES // (n * max(n, len(orders))))
         # sampling order is distribution-major, then sample index; a slice
         # takes the next rows of each cell it covers from that cell's stream
-        for first in range(0, len(cells) * per_cell, rows):
-            last = min(first + rows, len(cells) * per_cell)
-            parts, dists = [], []
+        for first in range(0, samples, rows):
+            last = min(first + rows, samples)
+            parts = []
             for offset in range(first // per_cell, (last - 1) // per_cell + 1):
                 count = min(last, (offset + 1) * per_cell) - max(first, offset * per_cell)
                 parts.append(_draw_rows(rngs[offset], n, spec.distributions[offset], count))
-                dists.append(np.full(count, cells[offset]))
             z = center_rows(np.concatenate(parts))
-            _certify_slice(report, fold, first, z, np.concatenate(dists), orders, scale)
+            _certify_slice(report, fold, first, z, orders, scale)
         fold.merge(report, winners)
     # keys whose first maximum fell on the same sample share its pairs
     pairs: dict[tuple[int, int], list[list[float]]] = {}
@@ -346,14 +340,12 @@ def _certify_slice(
     fold: _Fold,
     first: int,
     z: np.ndarray,
-    dists: np.ndarray,
     orders,
     scale: float,
 ) -> None:
-    """Certify the (B, n) zeros ``z`` of one slice, whose distributions are
-    ``DISTRIBUTIONS[dists]`` and whose first sample has index ``first`` in
-    sampling order; fold the verdicts into ``fold`` and record violations
-    and errors in the report.
+    """Certify the (B, n) zeros ``z`` of one slice, whose first sample has
+    index ``first`` in sampling order; fold the verdicts into ``fold`` and
+    record violations and errors in the report.
 
     A LAPACK failure fails the whole stacked evaluation, so the slice is then
     certified one sample at a time and only the failing samples are errors.
@@ -363,35 +355,36 @@ def _certify_slice(
         batch = certs._certify_batch(z, orders, scale, report.spec.tolerances)
     except ArithmeticError as exc:
         if len(z) == 1:
-            _record_error(report, n, dists[0], z[0], exc)
+            _record_error(report, n, first, z[0], exc)
         else:
             for row in range(len(z)):
-                one = slice(row, row + 1)
-                _certify_slice(report, fold, first + row, z[one], dists[one], orders, scale)
+                _certify_slice(report, fold, first + row, z[row : row + 1], orders, scale)
         return
     failed = ~batch.finite | batch.underflow.any(axis=1)
     for row in np.flatnonzero(failed):
-        _record_error(report, n, dists[row], z[row], certs._error(batch.row(row)))
+        _record_error(report, n, first + row, z[row], certs._error(batch.row(row)))
     rows = np.flatnonzero(~failed)
     if rows.size == 0:
         return
     fold.add(batch, z, rows, first)
     for row in rows[~batch.holds[rows].all(axis=1)]:
+        dist = report.spec.distributions[(first + row) // report.spec.samples_per_cell]
         pairs = _zeros_to_pairs(z[row])
         for cert in certs._certificates(n, batch.row(row)):
             if not cert.holds:
                 report.violations.append(
-                    {"certificate": cert.to_dict(), "n": n,
-                     "distribution": DISTRIBUTIONS[dists[row]], "zeros": pairs}
+                    {"certificate": cert.to_dict(), "n": n, "distribution": dist, "zeros": pairs}
                 )
 
 
 def _record_error(
-    report: AuditReport, n: int, dist: int, z: np.ndarray, exc: ArithmeticError
+    report: AuditReport, n: int, sample: int, z: np.ndarray, exc: ArithmeticError
 ) -> None:
+    """Record ``exc`` for the sample with index ``sample`` in sampling order."""
+    spec = report.spec
     report.errors.append(
-        {"n": n, "distribution": DISTRIBUTIONS[dist], "zeros": _zeros_to_pairs(z),
-         "error": f"{type(exc).__name__}: {exc}"}
+        {"n": n, "distribution": spec.distributions[sample // spec.samples_per_cell],
+         "zeros": _zeros_to_pairs(z), "error": f"{type(exc).__name__}: {exc}"}
     )
 
 

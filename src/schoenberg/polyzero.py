@@ -17,9 +17,9 @@ majorant from the same matrix.  Roots that miss the trace identity get one
 restart from the starting circle turned by half a step.
 
 No certificate reads this route.  Every certificate takes its critical
-points from the spectrum of Q diag(z) Q in ``densela``, centered or not;
-this route is kept deliberately independent of that one, as its
-cross-check.
+points from the eigenvalues of the (n-1) x (n-1) compression of diag(z)
+to the mean-zero subspace in ``densela``, centered or not; this route is
+kept deliberately independent of that one, as its cross-check.
 """
 
 from __future__ import annotations

@@ -8,22 +8,22 @@ interpolated one, refuted for n >= 4 on p0(n) < p < 2, with p0(4) ~ 1.760
 tests/test_certs.py::TestIntermediateOrderCounterexample), so there the
 second family attains it without being extremal; PAPER.md does not settle
 which constant the paper states.  Both searches validate the order as
-``certs`` does and share one routine, which checks n and the budget,
-parametrizes the centered subspace by the first n-1 zeros (the last is
-minus their sum, so the constraint is exact by construction) and runs
-restarted Nelder-Mead on a simplex held as arrays.  The loop keeps the
-vertices in stable sorted order by inserting the one it replaces, hands
-each family's up-front value to the simplex that starts there, and makes
-its random generator only when a random restart needs it; every point it
-evaluates, and so every result, is bit for bit that of a loop that
-argsorts the simplex before every move.  One search maximizes the
-Schoenberg certificate ratio, from the ``certs`` power sums of the critical
-moduli and of |z|; ``ratio`` reads the best configuration's value from the
-``certs`` columnar evaluator on a batch of one, as the audit does.  The
-other maximizes the Schatten-to-l^p quotient of the differentiator map,
-from the ``certs`` power sums of its singular values and of |z|.
-Eigenvalues cross at multiplicity changes, so the objective is continuous
-but not smooth; a simplex method is the right tool.
+``certs`` does, and n, the budget and the seed as integers, and share one
+routine, which parametrizes the centered subspace by the first n-1 zeros
+(the last is minus their sum, so the constraint is exact by construction)
+and runs restarted Nelder-Mead on a simplex held as arrays.  The loop
+keeps the vertices in stable sorted order by inserting the one it
+replaces, hands each family's up-front value to the simplex that starts
+there, and makes its random generator only when a random restart needs
+it; every point it evaluates, and so every result, is bit for bit that
+of a loop that argsorts the simplex before every move.  One search
+maximizes the Schoenberg certificate ratio, from the ``certs`` power sums
+of the critical moduli and of |z|; ``ratio`` reads the best configuration's
+value from the ``certs`` columnar evaluator on a batch of one, as the audit
+does.  The other maximizes the Schatten-to-l^p quotient of the
+differentiator map, from the ``certs`` power sums of its singular values
+and of |z|.  Eigenvalues cross at multiplicity changes, so the objective is
+continuous but not smooth; a simplex method is the right tool.
 """
 
 from __future__ import annotations
@@ -61,6 +61,7 @@ class SharpnessResult:
 
 def extremal_high(n: int) -> ZeroConfig:
     """n/2 zeros at +1 and at -1; the equality family for orders p >= 2."""
+    n = densela._integer(n, "n")
     if n < 4 or n % 2 != 0:
         raise ValueError(f"the +-1 family needs an even n >= 4, got {n}")
     zeros = (1.0 + 0j,) * (n // 2) + (-1.0 + 0j,) * (n // 2)
@@ -69,6 +70,7 @@ def extremal_high(n: int) -> ZeroConfig:
 
 def extremal_low(n: int) -> ZeroConfig:
     """n-2 zeros at the origin plus +-1; the equality family for 1 <= p <= 2."""
+    n = densela._integer(n, "n")
     if n < 3:
         raise ValueError(f"the origin family needs n >= 3, got {n}")
     zeros = (0j,) * (n - 2) + (1.0 + 0j, -1.0 + 0j)
@@ -202,10 +204,6 @@ def _search(n: int, p: float, budget: int, entropy, value_at, families=()):
     them needs it.  Returns (best coordinates, best value, evaluations,
     restarts), not counting the up-front evaluations.
     """
-    if n < 3:
-        raise ValueError(f"need n >= 3, got {n}")
-    if budget < 1:
-        raise ValueError("budget must be positive")
     value = value_at(n, p)
     rng = None
 
@@ -234,6 +232,21 @@ def _search(n: int, p: float, budget: int, entropy, value_at, families=()):
         found.append((fx, x))
     best_value, best_x = min(found, key=lambda pair: pair[0])  # the first of ties
     return best_x, -best_value, spent, len(found) - len(families)
+
+
+def _check_search(n, budget, seed) -> tuple[int, int, int]:
+    """The n, budget and seed of a search as plain ints (densela._integer):
+    n >= 3, a positive budget and a nonnegative seed, else ValueError."""
+    n = densela._integer(n, "n")
+    budget = densela._integer(budget, "budget")
+    seed = densela._integer(seed, "seed")
+    if n < 3:
+        raise ValueError(f"need n >= 3, got {n}")
+    if budget < 1:
+        raise ValueError("budget must be positive")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
+    return n, budget, seed
 
 
 def _schoenberg_ratio(n: int, p: float):
@@ -279,7 +292,8 @@ def maximize_ratio(n: int, p: float, budget: int, seed: int) -> SharpnessResult:
     surfaced as-is for the caller to report, never clipped.
     """
     p = certs._check_order(p)
-    best_x, _, spent, restarts = _search(n, p, budget, (int(seed), n), _schoenberg_ratio)
+    n, budget, seed = _check_search(n, budget, seed)
+    best_x, _, spent, restarts = _search(n, p, budget, (seed, n), _schoenberg_ratio)
     best_config = center(ZeroConfig(tuple(_zeros_from_coords(best_x))))
     return SharpnessResult(
         n=n,
@@ -288,7 +302,7 @@ def maximize_ratio(n: int, p: float, budget: int, seed: int) -> SharpnessResult:
         best_ratio=ratio(best_config, p),
         evaluations=spent,
         restarts=restarts,
-        seed=int(seed),
+        seed=seed,
     )
 
 
@@ -307,7 +321,8 @@ def opnorm_lower_bound(
     all of l^p.
     """
     p = certs._check_order(p)
+    n, budget, seed = _check_search(n, budget, seed)
     families = (extremal_low, extremal_high) if n % 2 == 0 else (extremal_low,)
-    entropy = (int(seed), n, 1)
+    entropy = (seed, n, 1)
     _, estimate, _, _ = _search(n, p, budget, entropy, _schatten_quotient, families)
     return float(estimate), opnorm_constant(n, p)

@@ -328,6 +328,11 @@ class TestSvProduct:
         with pytest.raises(ValueError):
             sv_product_check(np.eye(3), [1.0, 2.0])
 
+    def test_empty_matrix_has_no_certificates(self):
+        # one certificate per k = 1..n, so none at n = 0; this read the
+        # leading singular value of an empty spectrum (IndexError)
+        assert sv_product_check(np.zeros((0, 0)), []) == []
+
 
 class TestCertificateSchema:
     def test_round_trip(self):

@@ -270,6 +270,13 @@ class TestNorms:
         with pytest.raises(ValueError, match="real number"):
             schatten_norm(np.eye(2), p)
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, complex(0.0, np.inf)])
+    def test_lp_rejects_non_finite_entries(self, bad):
+        # an infinite entry read NaN (inf / inf) and a NaN entry passed through
+        for p in (1.0, 2.0, np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                lp_norm([1.0, bad], p)
+
     def test_norms_take_numpy_orders(self):
         assert lp_norm([3.0, 4.0], np.float64(2.0)) == 5.0
         assert lp_norm([3.0, 4.0], np.int64(1)) == 7.0
@@ -302,6 +309,25 @@ class TestSpectralCriticalPoints:
                     want = np.array([complex(w) for w in mp_critical_points(cfg.zeros)])
                 got = critical_points_spectral(cfg).as_array()
                 assert matched_distance(got, want) <= 1e-13 * np.abs(want).max(), (dist, seed)
+
+    def test_near_double_critical_points(self):
+        # n = 3 perturbed roots of unity have both critical points near the
+        # double critical point 0 of z^3 - 1, where an entry error of
+        # eps * |z| moves a critical point by about eps * |z|^2 / |w|.  The
+        # slice holds seeds 5395 and 21622, which read above 1e-13 of max |w|
+        # against the critical points at 40 digits
+        errors, spread = [], []
+        for seeds in (range(5200, 5600), range(21400, 21800)):
+            for seed in seeds:
+                cfg = harness.sample_config(3, "roots_of_unity_perturbed", seed)
+                with mpmath.mp.workdps(40):
+                    want = np.array([complex(w) for w in mp_critical_points(cfg.zeros)])
+                got = critical_points_spectral(cfg).as_array()
+                errors.append(matched_distance(got, want) / np.abs(want).max())
+                spread.append(np.abs(want).max() / np.abs(cfg.as_array()).max())
+        assert min(spread) < 0.03  # the slice reaches the near-double regime
+        assert max(errors) <= 1e-12
+        assert np.percentile(errors, 99) <= 5e-14
 
     def test_agrees_with_direct_route(self, rng):
         worst = 0.0

@@ -60,6 +60,16 @@ class TestSampleConfig:
         with pytest.raises(ValueError):
             sample_config(4, "cauchy", 0)
 
+    @pytest.mark.parametrize("n, seed", [(3.0, 0), (3, 1.5), (True, 0), (3, "1"), (3, False)])
+    def test_rejects_arguments_that_are_not_integers(self, n, seed):
+        # seed 1.5 once drew the configuration of seed 1
+        with pytest.raises(ValueError, match="must be an integer"):
+            sample_config(n, "disk", seed)
+
+    def test_takes_numpy_integers(self):
+        got = sample_config(np.int64(4), "disk", np.uint32(7))
+        assert got.zeros == sample_config(4, "disk", 7).zeros
+
 
 def cell(seed: int, n: int, dist: str, rows: int) -> np.ndarray:
     """The first ``rows`` centered configurations of audit cell (n, dist)."""
@@ -354,6 +364,20 @@ class TestRunAudit:
                     before.max_ratio,
                     before.argmax_zeros,
                 )
+
+    def test_errors_carry_the_distribution_of_their_sample(self, monkeypatch):
+        # each slice of SMALL_SPEC holds the disk rows, then the real rows,
+        # whose power sums at order 4 underflow
+        draw_rows = harness._draw_rows
+
+        def tiny_real(rng, n, dist, rows):
+            z = draw_rows(rng, n, dist, rows)
+            return z * 2.0**-400 if dist == "real" else z
+
+        monkeypatch.setattr(harness, "_draw_rows", tiny_real)
+        report = run_audit(SMALL_SPEC)
+        assert len(report.errors) == 3 * 6
+        assert {e["distribution"] for e in report.errors} == {"real"}
 
     @pytest.mark.parametrize("exponent", [150, 400, 700])
     def test_overflow_recorded_per_sample(self, monkeypatch, exponent):

@@ -54,6 +54,16 @@ class TestExtremalFamilies:
         with pytest.raises(ValueError):
             extremal_low(2)
 
+    @pytest.mark.parametrize("n", [4.0, True, "4"])
+    def test_families_reject_n_that_is_not_an_integer(self, n):
+        for family in (extremal_low, extremal_high):
+            with pytest.raises(ValueError, match="must be an integer"):
+                family(n)
+
+    def test_families_take_numpy_integers(self):
+        assert extremal_low(np.int64(5)) == extremal_low(5)
+        assert extremal_high(np.int32(4)) == extremal_high(4)
+
 
 class TestRatio:
     def test_high_family_is_tight_above_two(self):
@@ -187,6 +197,24 @@ class TestMaximizeRatio:
             maximize_ratio(5, p, budget=100, seed=0)
         with pytest.raises(ValueError, match="real number"):
             opnorm_lower_bound(5, p, budget=100, seed=0)
+
+    @pytest.mark.parametrize(
+        "n, budget, seed",
+        [(5.0, 10, 0), (5, 10.5, 0), (5, True, 0), (5, 10, 0.0), (5, 10, "0"), (5, 10, -1)],
+    )
+    def test_rejects_search_arguments_that_are_not_integers(self, n, budget, seed):
+        # n = 5.0 once failed on the seed, and budgets 10.5 and True ran
+        for search in (maximize_ratio, opnorm_lower_bound):
+            with pytest.raises(ValueError, match="integer|nonnegative"):
+                search(n, 1.5, budget, seed)
+
+    def test_search_takes_numpy_integers(self):
+        got = maximize_ratio(np.int64(4), 2.0, np.int32(60), np.uint8(3))
+        assert got == maximize_ratio(4, 2.0, 60, 3)
+        assert type(got.n) is int and type(got.seed) is int
+        assert opnorm_lower_bound(np.int64(4), 2.0, np.int64(60), np.int8(1)) == (
+            opnorm_lower_bound(4, 2.0, 60, 1)
+        )
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
