@@ -104,14 +104,14 @@ def _cmd_audit(args) -> int:
 def _cmd_sweep(args) -> int:
     cfg = center(parse_zeros(args.zeros))
     rows = harness.sweep_p(cfg, _parse_float_list(args.grid))
-    with open(args.out, "w", encoding="utf-8", newline="") as handle:
-        handle.write("p,lhs,rhs,ratio\n")
-        for row in rows:
-            ratio = "" if row.ratio is None else harness.format_float(row.ratio)
-            handle.write(
-                f"{harness.format_float(row.p)},{harness.format_float(row.lhs)},"
-                f"{harness.format_float(row.rhs)},{ratio}\n"
-            )
+    lines = ["p,lhs,rhs,ratio\n"]
+    for row in rows:
+        ratio = "" if row.ratio is None else harness.format_float(row.ratio)
+        lines.append(
+            f"{harness.format_float(row.p)},{harness.format_float(row.lhs)},"
+            f"{harness.format_float(row.rhs)},{ratio}\n"
+        )
+    harness._write_text(args.out, "".join(lines))
     print(f"sweep: {len(rows)} rows -> {args.out}")
     return 0
 

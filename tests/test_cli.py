@@ -1,4 +1,5 @@
 import json
+import os
 import re
 
 import pytest
@@ -116,6 +117,14 @@ class TestAuditCommand:
         assert code == 1
         assert json.loads(out.read_text())["violations"]
 
+    def test_null_device_out(self, tmp_path):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(
+            json.dumps({"n_values": [3], "p_grid": [2.0],
+                        "distributions": ["disk"], "samples_per_cell": 4, "seed": 1})
+        )
+        assert main(["audit", "--spec", str(spec_path), "--out", os.devnull]) == 0
+
     def test_csv_format(self, tmp_path):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(
@@ -168,6 +177,26 @@ class TestSweepCommand:
         for line in lines[1:]:
             ratio = float(line.split(",")[-1])
             assert ratio == pytest.approx(1.0, abs=1e-9)
+
+
+    def test_rewrite_leaves_exactly_the_smaller_table(self, tmp_path):
+        fresh, out = tmp_path / "fresh.csv", tmp_path / "sweep.csv"
+        small = ["sweep", "--zeros", "0,1,-1", "--grid", "2"]
+        assert main(small + ["--out", str(fresh)]) == 0
+        assert main(["sweep", "--zeros", "0,1,-1", "--grid", "1,1.5,2,3,4",
+                     "--out", str(out)]) == 0
+        inode = out.stat().st_ino
+        assert main(small + ["--out", str(out)]) == 0
+        assert out.read_bytes() == fresh.read_bytes()
+        assert out.stat().st_ino == inode
+
+    def test_null_device_out(self):
+        assert main(["sweep", "--zeros", "0,1,-1", "--grid", "2", "--out", os.devnull]) == 0
+
+    def test_unwritable_path_is_named(self, tmp_path, capsys):
+        out = tmp_path / "no" / "x.csv"
+        assert main(["sweep", "--zeros", "0,1,-1", "--grid", "2", "--out", str(out)]) == 2
+        assert f"cannot write report to {out}" in capsys.readouterr().err
 
 
 class TestSharpnessCommand:

@@ -125,6 +125,11 @@ class TestEigenvalues:
         lam = eigenvalues(np.diag([3e8, -2e8]))
         np.testing.assert_allclose(lam, [3e8, -2e8], rtol=1e-15)
 
+    def test_overflowed_spectrum_of_a_finite_matrix(self):
+        # the eigenvalues 2e308 and 0 came back as [inf, 1.4e276]
+        with pytest.raises(OverflowError):
+            eigenvalues(np.full((2, 2), 1e308))
+
 
 class TestSingularValues:
     def test_shift_matrix(self):
@@ -163,6 +168,11 @@ class TestSingularValues:
     def test_prescale_small_matrix(self):
         sigma = singular_values(np.diag([3e-9, 2e-9]))
         np.testing.assert_allclose(sigma, [3e-9, 2e-9], rtol=1e-15)
+
+    def test_overflowed_spectrum_of_a_finite_matrix(self):
+        # the singular values 2e308 and 0 came back as [inf, 0]
+        with pytest.raises(OverflowError):
+            singular_values(np.full((2, 2), 1e308))
 
     def test_lapack_failure_is_convergence_error(self, monkeypatch):
         def fail(*args, **kwargs):
@@ -258,6 +268,12 @@ class TestNorms:
             norms = [schatten_norm(m, p) for p in grid]
             for lo, hi in zip(norms, norms[1:]):
                 assert lo >= hi - 1e-12
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, np.inf])
+    def test_schatten_of_an_overflowed_spectrum(self, p):
+        # lp_norm of the spectrum [inf, 0] raised ValueError on its entries
+        with pytest.raises(OverflowError):
+            schatten_norm(np.full((2, 2), 1e308), p)
 
     def test_schatten_rejects_bad_order(self):
         with pytest.raises(ValueError):

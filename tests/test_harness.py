@@ -1,5 +1,9 @@
 import dataclasses
 import json
+import os
+import re
+import stat
+import threading
 
 import numpy as np
 import pytest
@@ -549,6 +553,98 @@ class TestEmitReport:
     def test_unwritable_path_mentions_path(self):
         with pytest.raises(OSError, match="no/such/dir"):
             emit_report([], "no/such/dir/report.json")
+
+
+class TestReportRewrite:
+    """emit_report rewrites an existing file in place: the bytes of a fresh
+    write, the same inode and mode, symlinks followed, and no O_TRUNC."""
+
+    @pytest.fixture(scope="class")
+    def reports(self):
+        # sabotaged, so that the CSV form has one row per violation too
+        large = run_audit(SMALL_SPEC, sabotage=True)
+        small = run_audit(
+            dataclasses.replace(SMALL_SPEC, n_values=(3,), samples_per_cell=1), sabotage=True
+        )
+        return large, small
+
+    @staticmethod
+    def fresh_bytes(report, path, format):
+        emit_report(report, path, format=format)
+        return path.read_bytes()
+
+    @pytest.mark.parametrize("format", ["json", "csv"])
+    def test_smaller_report_leaves_exactly_its_bytes(self, reports, tmp_path, format):
+        large, small = reports
+        expected = self.fresh_bytes(small, tmp_path / "fresh", format)
+        path = tmp_path / "report"
+        emit_report(large, path, format=format)
+        assert path.stat().st_size > len(expected)
+        emit_report(small, path, format=format)
+        assert path.read_bytes() == expected
+
+    @pytest.mark.parametrize("format", ["json", "csv"])
+    def test_rewrite_keeps_inode_and_mode(self, reports, tmp_path, format):
+        large, small = reports
+        path = tmp_path / "report"
+        emit_report(large, path, format=format)
+        path.chmod(0o640)
+        before = path.stat()
+        emit_report(small, path, format=format)
+        after = path.stat()
+        assert after.st_ino == before.st_ino
+        assert stat.S_IMODE(after.st_mode) == 0o640
+
+    @pytest.mark.parametrize("format", ["json", "csv"])
+    def test_write_through_a_symlink_updates_its_target(self, reports, tmp_path, format):
+        large, small = reports
+        expected = self.fresh_bytes(small, tmp_path / "fresh", format)
+        target, link = tmp_path / "target", tmp_path / "link"
+        emit_report(large, target, format=format)
+        link.symlink_to(target)
+        emit_report(small, link, format=format)
+        assert link.is_symlink()
+        assert target.read_bytes() == expected
+
+    @pytest.mark.parametrize("format", ["json", "csv"])
+    def test_no_truncating_open(self, reports, tmp_path, monkeypatch, format):
+        flags = []
+        real_open = os.open
+
+        def spy(path, flag, *args, **kwargs):
+            flags.append(flag)
+            return real_open(path, flag, *args, **kwargs)
+
+        path = tmp_path / "report"
+        emit_report(reports[0], path, format=format)
+        monkeypatch.setattr(os, "open", spy)
+        emit_report(reports[1], path, format=format)
+        assert flags
+        assert not any(flag & os.O_TRUNC for flag in flags)
+
+    @pytest.mark.parametrize("format", ["json", "csv"])
+    def test_null_device_takes_the_report(self, reports, format):
+        # ftruncate fails with EINVAL on a file that is not a regular file
+        emit_report(reports[0], os.devnull, format=format)
+
+    @pytest.mark.parametrize("format", ["json", "csv"])
+    def test_fifo_reader_gets_the_report(self, reports, tmp_path, format):
+        expected = self.fresh_bytes(reports[1], tmp_path / "fresh", format)
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()))
+        reader.start()
+        try:
+            emit_report(reports[1], fifo, format=format)
+        finally:
+            reader.join(timeout=10)
+        assert received == [expected]
+
+    @pytest.mark.parametrize("format", ["json", "csv"])
+    def test_directory_is_an_error_naming_it(self, reports, tmp_path, format):
+        with pytest.raises(OSError, match=re.escape(str(tmp_path))):
+            emit_report(reports[1], tmp_path, format=format)
 
 
 class TestFlatWriter:
