@@ -25,13 +25,13 @@ the audit certifies a (B, n) stack of configurations with one batched
 eigendecomposition and one batched singular value decomposition (of the
 compressions of z and of |z|), and judges every column once, in one
 pass.  Every certificate of one configuration built from its zeros is that
-evaluator on a batch of one: check_all takes all of its columns, and each
-single-family function, harness.sweep_p, harness.re_evaluate_violation and
-sharpness.ratio select their own.  Only weyl_check and sv_product_check,
-whose matrices come from outside the program, build their spectra
-themselves.  Every judged row becomes certificates or an error by one rule,
-_error.  The one fault-injection hook is run_audit(sabotage=True), which
-halves the Schoenberg constant.
+evaluator on a batch of one: check_all takes all of its columns, each
+single-family function, harness.sweep_p and harness.re_evaluate_violation
+select their own, and sharpness.ratio reads that of schoenberg_order_p.
+Only weyl_check and sv_product_check, whose matrices come from outside the
+program, build their spectra themselves.  Every judged row becomes
+certificates or an error by one rule, _error.  The one fault-injection hook
+is run_audit(sabotage=True), which halves the Schoenberg constant.
 
 A power sum is a direct sum of powers, one order at a time.  A side that
 overflows to a non-finite value, or a compression that does, is an
@@ -548,18 +548,17 @@ def sv_product_check(x: np.ndarray, d) -> list[Certificate]:
     singular value sequences, judged by the one rule with shadows at or below
     ABS_TOL * sigma_1(X* |D| X): past the rank of X* |D| X both prefixes
     are exact zeros with no ratio.  A right prefix that underflows where no
-    factor is zero raises UnderflowError.  X and D must be finite (ValueError); a
-    product X* D X or X* |D| X that overflows raises OverflowError.
+    factor is zero raises UnderflowError.  X must be square and X and D
+    finite (ValueError); a product X* D X or X* |D| X that overflows raises
+    OverflowError.
     """
-    x = np.asarray(x, dtype=complex)
+    x = densela._check_square(x)
     d = np.asarray(d, dtype=complex).ravel()
-    if x.ndim != 2 or x.shape[0] != x.shape[1]:
-        raise ValueError(f"X must be square, got shape {x.shape}")
     n = x.shape[0]
     if d.size != n:
         raise ValueError(f"diagonal length {d.size} does not match order {n}")
-    if not (np.isfinite(x).all() and np.isfinite(d).all()):
-        raise ValueError("X and D must be finite")
+    if not np.isfinite(d).all():
+        raise ValueError("D must be finite")
     xh = x.conj().T
     with _arithmetic():
         sv = densela._svdvals(

@@ -104,14 +104,7 @@ def _cmd_audit(args) -> int:
 def _cmd_sweep(args) -> int:
     cfg = center(parse_zeros(args.zeros))
     rows = harness.sweep_p(cfg, _parse_float_list(args.grid))
-    lines = ["p,lhs,rhs,ratio\n"]
-    for row in rows:
-        ratio = "" if row.ratio is None else harness.format_float(row.ratio)
-        lines.append(
-            f"{harness.format_float(row.p)},{harness.format_float(row.lhs)},"
-            f"{harness.format_float(row.rhs)},{ratio}\n"
-        )
-    harness._write_text(args.out, "".join(lines))
+    harness._write_text(args.out, harness._csv_text(("p", "lhs", "rhs", "ratio"), rows))
     print(f"sweep: {len(rows)} rows -> {args.out}")
     return 0
 

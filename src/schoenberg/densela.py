@@ -41,8 +41,9 @@ def centering_projector(n: int) -> np.ndarray:
     """The centering projector with entries delta_ij - 1/n.
 
     An orthogonal projection of rank n-1: it annihilates the all-ones vector
-    and fixes its complement.
+    and fixes its complement.  n must be an integer (ValueError).
     """
+    n = _integer(n, "projector order")
     if n <= 1:
         raise ValueError(f"projector order must be at least 2, got {n}")
     return np.eye(n) - np.full((n, n), 1.0 / n)
@@ -178,26 +179,31 @@ def lp_norm(v, p: float) -> float:
 
     Every finite order takes the one scaled formula, the peak times the
     p-th root of the sum of (|v| / peak)^p.  The entries must be finite
-    (ValueError), as the matrix entries of ``schatten_norm`` must be.
+    (ValueError), as the matrix entries of ``schatten_norm`` must be; a
+    modulus or a norm of finite entries that overflows raises OverflowError.
     """
     p = _check_order(p)
-    mods = np.abs(np.asarray(v, dtype=complex))
-    if not np.isfinite(mods).all():
+    v = np.asarray(v, dtype=complex)
+    if not np.isfinite(v).all():
         raise ValueError("vector entries must be finite")
+    mods = _require_finite(np.abs(v), "a modulus")
     if mods.size == 0:
         return 0.0
-    if np.isinf(p):
-        return float(mods.max())
     top = mods.max()
+    if np.isinf(p):
+        return float(top)
     if top == 0.0:
         return 0.0
     # factor out the peak so large p does not underflow intermediate powers
-    return float(top * ((mods / top) ** p).sum() ** (1.0 / p))
+    with np.errstate(over="ignore"):
+        norm = top * ((mods / top) ** p).sum() ** (1.0 / p)
+    return float(_require_finite(norm, "the l^p norm"))
 
 
 def schatten_norm(m: np.ndarray, p: float) -> float:
     """The Schatten p-norm: the l^p norm of the singular values, at every
-    order; lp_norm checks the order."""
+    order; lp_norm checks the order, and a norm that overflows raises
+    OverflowError."""
     return lp_norm(singular_values(m), p)
 
 

@@ -45,9 +45,7 @@ concurrent reader can see a torn file.
 
 from __future__ import annotations
 
-import csv
 import functools
-import io
 import math
 import os
 import re
@@ -419,24 +417,17 @@ def re_evaluate_violation(entry: dict, spec: AuditSpec) -> certs.Certificate:
     return certs._select(cfg, orders, [label], tols=spec.tolerances)[0]
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    p: float
-    lhs: float
-    rhs: float
-    ratio: float | None
-
-
-def sweep_p(cfg: ZeroConfig, grid) -> list[SweepRow]:
-    """The order-p Schoenberg certificate evaluated across a grid of orders,
-    one row per entry of the grid, sorted by order."""
+def sweep_p(cfg: ZeroConfig, grid) -> list[certs.Certificate]:
+    """The order-p Schoenberg certificates of ``cfg`` across a grid of
+    orders, one per entry of the grid (a repeated order included), sorted by
+    order.  An empty grid is a ValueError, as an empty p_list of check_all
+    is."""
     grid = sorted(map(certs._check_order, grid))
+    if not grid:
+        raise ValueError("grid must not be empty")
     certs._require_centered(cfg, "the order-p Schoenberg certificate")
     labels = [("schoenberg", p) for p in grid]
-    return [
-        SweepRow(p=cert.p, lhs=cert.lhs, rhs=cert.rhs, ratio=cert.ratio)
-        for cert in certs._select(cfg, sorted(set(grid)), labels)
-    ]
+    return certs._select(cfg, sorted(set(grid)), labels)
 
 
 # --- report rendering ------------------------------------------------------
@@ -553,9 +544,13 @@ def emit_report(report, path, format: str = "json") -> None:
     """Write an audit report or a batch of certificates to disk.
 
     JSON embeds each certificate verbatim in its wire schema inside one
-    top-level object.  CSV emits one certificate per row with the fixed
-    column set; for an audit report the rows are its violations (an empty
-    audit yields just the header).
+    top-level object.  CSV emits a header line and then one certificate per
+    row with the fixed column set CSV_COLUMNS; for an audit report the rows
+    are its violations (an empty audit yields just the header).  A CSV field
+    is text as is, a bool as true or false, None as an empty field, an int
+    by str and a float by format_float.  No field holds a comma, a quote or
+    a newline, so none is quoted.  The ``schoenberg sweep`` table is
+    rendered by the same rule.
 
     The file gets the same bytes as a truncating write would give it, but
     a regular file is rewritten in place and never truncated to zero (see
@@ -570,24 +565,28 @@ def emit_report(report, path, format: str = "json") -> None:
     if format == "json":
         text = dumps_report(report)
     else:
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
-        for cert in _certificates_of(report):
-            writer.writerow(
-                [
-                    cert.name,
-                    cert.n,
-                    "" if cert.p is None else format_float(cert.p),
-                    format_float(cert.lhs),
-                    format_float(cert.rhs),
-                    format_float(cert.slack),
-                    "" if cert.ratio is None else format_float(cert.ratio),
-                    str(cert.holds).lower(),
-                ]
-            )
-        text = buffer.getvalue()
+        text = _csv_text(CSV_COLUMNS, _certificates_of(report))
     _write_text(path, text)
+
+
+def _csv_field(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, bool):  # before int: bool is a subclass of int
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return str(value)
+    return format_float(value)
+
+
+def _csv_text(columns, certificates) -> str:
+    """The CSV text of emit_report: a header line of ``columns``, then one
+    line per certificate of its attributes of those names."""
+    lines = [",".join(columns)]
+    lines += [",".join(_csv_field(getattr(cert, col)) for col in columns) for cert in certificates]
+    return "\n".join(lines) + "\n"
 
 
 def _write_text(path, text: str) -> None:

@@ -89,8 +89,7 @@ def ratio(cfg: ZeroConfig, p: float) -> float:
     """
     if cfg.n == 2:
         raise ValueError("n = 2 is degenerate: the bound's right side vanishes")
-    if not cfg.centered:
-        raise ValueError("ratio requires a centered configuration")
+    certs._require_centered(cfg, "ratio")
     value = certs.schoenberg_order_p(cfg, p).ratio
     if value is None:
         raise ValueError("all zeros vanish; the ratio is undefined")

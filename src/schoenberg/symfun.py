@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import polyzero
+from . import densela, polyzero
 
 MAJORIZATION_REL_TOL = 1e-9
 
@@ -22,12 +22,19 @@ def esf(values, k: int):
     """The k-th elementary symmetric function e_k of the given values.
 
     Read off esf_table; e_0 = 1.  Returns a float for real input, complex
-    otherwise.
+    otherwise.  k must be an integer and the values finite (ValueError); an
+    e_k of finite values that overflows raises OverflowError.
     """
+    k = densela._integer(k, "k")
     arr = np.asarray(values)
     if not (0 <= k <= arr.size):
         raise ValueError(f"k must lie in [0, {arr.size}], got {k}")
-    e = esf_table(arr.ravel())[k]
+    if not np.isfinite(arr).all():
+        raise ValueError("values must be finite")
+    # only the e_j with j <= k feed e_k, so an overflow above it is harmless
+    with np.errstate(over="ignore", invalid="ignore"):
+        e = esf_table(arr.ravel())[k]
+    e = densela._require_finite(e, f"e_{k}")
     return complex(e) if np.iscomplexobj(e) else float(e)
 
 
@@ -111,7 +118,7 @@ def critical_esf_identity_error(moduli) -> float:
         raise ValueError("moduli must be nonnegative and finite")
     n = arr.size
     cfg = polyzero.ZeroConfig(tuple(complex(v) for v in arr))
-    xi = polyzero.roots(polyzero.derivative(polyzero.from_roots(cfg)))
+    xi = polyzero.critical_points_direct(cfg).as_array()
     k = np.arange(1, n)
     target = (n - k) / n * esf_table(arr)[1:n]
     observed = esf_table(xi)[1:n]

@@ -328,6 +328,11 @@ class TestSvProduct:
         with pytest.raises(ValueError):
             sv_product_check(np.eye(3), [1.0, 2.0])
 
+    @pytest.mark.parametrize("x", [np.ones((2, 3)), np.ones(4), np.ones((1, 2, 2))])
+    def test_non_square_x_rejected(self, x):
+        with pytest.raises(ValueError, match="square matrix"):
+            sv_product_check(x, [1.0, 1.0])
+
     def test_empty_matrix_has_no_certificates(self):
         # one certificate per k = 1..n, so none at n = 0; this read the
         # leading singular value of an empty spectrum (IndexError)

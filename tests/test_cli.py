@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -178,6 +179,15 @@ class TestSweepCommand:
             ratio = float(line.split(",")[-1])
             assert ratio == pytest.approx(1.0, abs=1e-9)
 
+    def test_table_bytes_pinned(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--zeros", "0,1,-1,0.5i,-0.5i",
+                     "--grid", "1,1.25,1.5,2,3,10", "--out", str(out)]) == 0
+        data = out.read_bytes()
+        assert (len(data), hashlib.sha256(data).hexdigest()) == (
+            363,
+            "3d76949fdf6b0087eb1ab6186f0fd2c19e6176e15a74df349850bac9f106fe2e",
+        )
 
     def test_rewrite_leaves_exactly_the_smaller_table(self, tmp_path):
         fresh, out = tmp_path / "fresh.csv", tmp_path / "sweep.csv"
@@ -189,6 +199,17 @@ class TestSweepCommand:
         assert main(small + ["--out", str(out)]) == 0
         assert out.read_bytes() == fresh.read_bytes()
         assert out.stat().st_ino == inode
+
+    def test_empty_grid_is_an_error(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--zeros", "0,1,-1", "--grid", "", "--out", str(out)]) == 2
+        assert "grid must not be empty" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_all_zero_configuration_leaves_the_ratio_empty(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--zeros", "0,0,0", "--grid", "2", "--out", str(out)]) == 0
+        assert out.read_text() == "p,lhs,rhs,ratio\n2,0,0,\n"
 
     def test_null_device_out(self):
         assert main(["sweep", "--zeros", "0,1,-1", "--grid", "2", "--out", os.devnull]) == 0

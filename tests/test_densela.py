@@ -49,6 +49,11 @@ class TestCenteringProjector:
         with pytest.raises(ValueError):
             centering_projector(1)
 
+    @pytest.mark.parametrize("n", [3.5, 3.0, True, "3"])
+    def test_order_must_be_an_integer(self, n):
+        with pytest.raises(ValueError, match="must be an integer"):
+            centering_projector(n)
+
 
 class TestDifferentiator:
     def test_conjugate_pair_gives_zero_matrix(self):
@@ -274,6 +279,22 @@ class TestNorms:
         # lp_norm of the spectrum [inf, 0] raised ValueError on its entries
         with pytest.raises(OverflowError):
             schatten_norm(np.full((2, 2), 1e308), p)
+
+    def test_norm_that_overflows_is_an_overflow_error(self):
+        with pytest.raises(OverflowError):
+            lp_norm([1e308, 1e308], 1)
+        with pytest.raises(OverflowError):
+            schatten_norm(np.diag([1e308, 1e308]), 1)
+
+    def test_modulus_that_overflows_is_an_overflow_error(self):
+        # the entry is finite and its modulus is not
+        with pytest.raises(OverflowError):
+            lp_norm([1.5e308 + 1.5e308j], 1)
+
+    def test_largest_finite_norms_are_kept(self):
+        assert lp_norm([1e308, 1e308], 2) == 1.4142135623730951e308
+        assert schatten_norm(np.diag([1e308, 1e308]), 2) == 1.4142135623730951e308
+        assert lp_norm([1e308 + 1e308j], 1) == abs(1e308 + 1e308j)
 
     def test_schatten_rejects_bad_order(self):
         with pytest.raises(ValueError):

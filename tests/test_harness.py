@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import os
 import re
@@ -503,6 +504,15 @@ class TestSweep:
         rows = sweep_p(extremal_low(4), [3.0, 1.0, 2.0])
         assert [row.p for row in rows] == [1.0, 2.0, 3.0]
 
+    def test_rows_are_the_order_p_certificates(self):
+        cfg = sample_config(5, "disk", 0)
+        assert sweep_p(cfg, [3.0, 1.5]) == [schoenberg_order_p(cfg, p) for p in (1.5, 3.0)]
+
+    @pytest.mark.parametrize("grid", [[], ()])
+    def test_empty_grid_rejected(self, grid):
+        with pytest.raises(ValueError, match="grid must not be empty"):
+            sweep_p(sample_config(5, "disk", 0), grid)
+
     @pytest.mark.parametrize("grid", [["2"], [True], [2.0, True], ["2", True]])
     def test_rejects_orders_that_are_not_real_numbers(self, grid):
         with pytest.raises(ValueError, match="real number"):
@@ -532,6 +542,17 @@ class TestEmitReport:
         lines = path.read_text().strip().splitlines()
         assert len(lines) == len(certs) + 1
         assert lines[0] == "name,n,p,lhs,rhs,slack,ratio,holds"
+
+    def test_sabotaged_audit_csv_bytes_pinned(self, tmp_path):
+        # one row per violation; n = 10 puts esf_k10 in the rows
+        spec = AuditSpec(n_values=(3, 5, 10), samples_per_cell=6, seed=11)
+        path = tmp_path / "audit.csv"
+        emit_report(run_audit(spec, sabotage=True), path, format="csv")
+        data = path.read_bytes()
+        assert (len(data), hashlib.sha256(data).hexdigest()) == (
+            59548,
+            "da678f8f483fc9bb30131e21e7eec9f16b5ee6a62d43eca935276597c8bf0cc0",
+        )
 
     def test_audit_json_structure(self, tmp_path):
         report = run_audit(SMALL_SPEC)

@@ -81,7 +81,7 @@ class TestRatio:
             ratio(ZeroConfig((1.0, -1.0), centered=True), 2.0)
 
     def test_rejects_uncentered(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="ratio requires a centered configuration"):
             ratio(ZeroConfig((0.0, 1.0, 2.0)), 2.0)
 
     def test_rejects_all_zeros(self):

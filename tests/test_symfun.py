@@ -43,6 +43,26 @@ class TestEsf:
         with pytest.raises(ValueError):
             esf([1.0, 2.0], -1)
 
+    @pytest.mark.parametrize("k", [1.5, 1.0, True, "1"])
+    def test_order_must_be_an_integer(self, k):
+        with pytest.raises(ValueError, match="k must be an integer"):
+            esf([1.0, 2.0, 3.0], k)
+
+    def test_overflow_is_an_overflow_error(self):
+        with pytest.raises(OverflowError):
+            esf([1e200, 1e200], 2)
+        with pytest.raises(OverflowError):
+            esf([1e200j, 1e200], 2)
+
+    def test_overflow_above_k_is_harmless(self):
+        assert esf([1e200, 1e200], 1) == 2e200
+        assert esf([1e200, 1e200], 0) == 1.0
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_rejects_non_finite_values(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            esf([1.0, bad], 1)
+
     def test_binomial_on_ones(self):
         for n in range(1, 9):
             for k in range(n + 1):
