@@ -46,12 +46,13 @@ UnderflowError.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
 
 from . import densela, symfun
+from .densela import UnderflowError
 from .polyzero import ZeroConfig
 
 # the shadow threshold and the slack of every verdict
@@ -64,13 +65,6 @@ _EQUALITIES = frozenset({"endpoint_s2"})
 _NOT_FINITE = "a certificate side overflowed to a non-finite value"
 _UNDERFLOWED = "a right side underflowed below the smallest normal float"
 _TINY = np.finfo(float).tiny
-
-
-class UnderflowError(ArithmeticError):
-    """A right side that is not an exact zero fell below the smallest normal
-    float, so the certificates that read it would be vacuous: a power sum of
-    the moduli of nonzero zeros, an e_k(|z|) of at least k nonzero moduli, or
-    a prefix product of singular values above the shadow threshold."""
 
 
 @dataclass(frozen=True)
@@ -91,28 +85,34 @@ class Certificate:
     holds: bool
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "n": self.n,
-            "p": self.p,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "slack": self.slack,
-            "ratio": self.ratio,
-            "holds": self.holds,
-        }
+        """The wire schema: every field by name, in declaration order."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @staticmethod
     def from_dict(data: dict) -> "Certificate":
+        """The certificate of a dict such as to_dict writes, or json.load
+        reads back.  A missing or unknown key is a ValueError, and so is a
+        value of the wrong type: name must be text, n an integer, holds a
+        bool, lhs, rhs and slack real numbers, and p and ratio real numbers
+        or None."""
+        if not isinstance(data, dict):
+            raise ValueError(f"a certificate must be a mapping, got {data!r}")
+        names = [f.name for f in fields(Certificate)]
+        missing = [name for name in names if name not in data]
+        if missing:
+            raise ValueError(f"missing certificate keys: {missing}")
+        unknown = [key for key in data if key not in names]
+        if unknown:
+            raise ValueError(f"unknown certificate keys: {unknown}")
+        if not isinstance(data["name"], str):
+            raise ValueError(f"name must be text, got {data['name']!r}")
+        if not isinstance(data["holds"], bool):
+            raise ValueError(f"holds must be a bool, got {data['holds']!r}")
+        sides = {key: densela._real(data[key], key) for key in ("lhs", "rhs", "slack")}
+        for key in ("p", "ratio"):
+            sides[key] = None if data[key] is None else densela._real(data[key], key)
         return Certificate(
-            name=str(data["name"]),
-            n=int(data["n"]),
-            p=None if data["p"] is None else float(data["p"]),
-            lhs=float(data["lhs"]),
-            rhs=float(data["rhs"]),
-            slack=float(data["slack"]),
-            ratio=None if data["ratio"] is None else float(data["ratio"]),
-            holds=bool(data["holds"]),
+            name=data["name"], n=densela._integer(data["n"], "n"), holds=data["holds"], **sides
         )
 
 

@@ -71,11 +71,6 @@ def _print_certificates(rows: list[certs.Certificate]) -> None:
         )
 
 
-def _print_json(fields: dict[str, str]) -> None:
-    """One JSON object line from rendered field values, in the given order."""
-    sys.stdout.write("{" + ", ".join(f'"{key}": {text}' for key, text in fields.items()) + "}\n")
-
-
 def _cmd_check(args) -> int:
     cfg = center(parse_zeros(args.zeros))
     rows = certs.check_all(cfg, _parse_float_list(args.p))
@@ -103,7 +98,7 @@ def _cmd_audit(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = center(parse_zeros(args.zeros))
-    rows = harness.sweep_p(cfg, _parse_float_list(args.grid))
+    rows = [cert.to_dict() for cert in harness.sweep_p(cfg, _parse_float_list(args.grid))]
     harness._write_text(args.out, harness._csv_text(("p", "lhs", "rhs", "ratio"), rows))
     print(f"sweep: {len(rows)} rows -> {args.out}")
     return 0
@@ -111,19 +106,16 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_sharpness(args) -> int:
     result = sharpness.maximize_ratio(args.n, args.p, args.budget, args.seed)
-    _print_json(
-        {
-            "n": str(result.n),
-            "p": harness.format_float(result.p),
-            "best_ratio": harness.format_float(result.best_ratio),
-            "evaluations": str(result.evaluations),
-            "restarts": str(result.restarts),
-            "seed": str(result.seed),
-            "best_zeros": harness._json_pairs(
-                [(z.real, z.imag) for z in result.best_config.zeros]
-            ),
-        }
-    )
+    fields = {
+        "n": result.n,
+        "p": result.p,
+        "best_ratio": result.best_ratio,
+        "evaluations": result.evaluations,
+        "restarts": result.restarts,
+        "seed": result.seed,
+        "best_zeros": [(z.real, z.imag) for z in result.best_config.zeros],
+    }
+    print(harness._json_object(fields))
     if result.best_ratio > 1.0 + certs.REL_TOL:
         print("WARNING: the best configuration exceeds the claimed constant", file=sys.stderr)
         return 1
@@ -134,14 +126,8 @@ def _cmd_opnorm(args) -> int:
     estimate, bound = sharpness.opnorm_lower_bound(
         args.n, args.p, budget=args.budget, seed=args.seed
     )
-    _print_json(
-        {
-            "n": str(args.n),
-            "p": harness.format_float(args.p),
-            "estimate": harness.format_float(estimate),
-            "bound": harness.format_float(bound),
-        }
-    )
+    fields = {"n": args.n, "p": args.p, "estimate": estimate, "bound": bound}
+    print(harness._json_object(fields))
     if estimate > bound * (1.0 + certs.REL_TOL):
         print("WARNING: the estimate exceeds the claimed constant", file=sys.stderr)
         return 1

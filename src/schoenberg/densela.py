@@ -37,6 +37,15 @@ class ConvergenceError(ArithmeticError):
     """A matrix decomposition failed to converge."""
 
 
+class UnderflowError(ArithmeticError):
+    """A quantity that is not an exact zero fell below the smallest normal
+    float, so whatever reads it would be vacuous: in the certificates, a
+    right side (a power sum of the moduli of nonzero zeros, an e_k(|z|) of
+    at least k nonzero moduli, or a prefix product of singular values above
+    the shadow threshold); in symfun.esf, an e_k whose e_k of the moduli
+    underflows while at least k values are nonzero."""
+
+
 def centering_projector(n: int) -> np.ndarray:
     """The centering projector with entries delta_ij - 1/n.
 

@@ -16,12 +16,11 @@ Violations and errors are entries in sampling order, and the violations
 of one sample come in the evaluator's column order.  So the report is the
 same for any slice size.
 
-Reports have a fixed schema, and JSON is written field by field by a flat
-writer: every float rendered to 17 significant digits, which round-trips
-IEEE-754 doubles exactly, so identical audit specs produce byte-identical
-JSON; strings escaped per RFC 8259; a pairs list that several entries share
-rendered once.  Wall time is tracked on the in-memory report but never
-serialized for that reason.
+Reports have a fixed schema and are written field by field by a flat
+writer, every value by the one field rule stated in ``emit_report``, so
+identical audit specs produce byte-identical JSON; a pairs list that several
+entries share is rendered once.  Wall time is tracked on the in-memory
+report but never serialized for that reason.
 
 Report files (and the ``schoenberg sweep`` table) are written in place by
 one writer, ``_write_text``: the file is opened without truncation, the
@@ -389,11 +388,11 @@ def _certify_slice(
     for row in rows[~batch.holds[rows].all(axis=1)]:
         dist = report.spec.distributions[(first + row) // report.spec.samples_per_cell]
         pairs = _zeros_to_pairs(z[row])
-        for cert in certs._certificates(n, batch.row(row)):
-            if not cert.holds:
-                report.violations.append(
-                    {"certificate": cert.to_dict(), "n": n, "distribution": dist, "zeros": pairs}
-                )
+        judged = batch.row(row)
+        for cert in certs._certificates(n, judged.take(np.flatnonzero(~judged.holds))):
+            report.violations.append(
+                {"certificate": cert.to_dict(), "n": n, "distribution": dist, "zeros": pairs}
+            )
 
 
 def _record_error(
@@ -432,7 +431,7 @@ def sweep_p(cfg: ZeroConfig, grid) -> list[certs.Certificate]:
 
 # --- report rendering ------------------------------------------------------
 
-CSV_COLUMNS = ("name", "n", "p", "lhs", "rhs", "slack", "ratio", "holds")
+CSV_COLUMNS = tuple(cert_field.name for cert_field in fields(certs.Certificate))
 
 
 def format_float(value: float) -> str:
@@ -454,32 +453,35 @@ def _json_str(text: str) -> str:
     return f'"{text}"'
 
 
-def _json_float(value: float | None) -> str:
-    return "null" if value is None else format(value, ".17g")
+def _json_value(value) -> str:
+    """One JSON value by the field rule of emit_report."""
+    if isinstance(value, (list, tuple)):
+        return "[" + ", ".join(map(_json_value, value)) + "]"
+    if value is None:
+        return "null"
+    if isinstance(value, str):
+        return _json_str(value)
+    return _csv_field(value)
+
+
+def _json_object(mapping) -> str:
+    """A JSON object of ``mapping``, its fields in their given order."""
+    items = (f"{_json_str(key)}: {_json_value(value)}" for key, value in mapping.items())
+    return "{" + ", ".join(items) + "}"
 
 
 def _json_pairs(pairs) -> str:
-    """A list of (re, im) pairs as nested JSON arrays; None is null."""
+    """A list of (re, im) pairs as nested JSON arrays; None is null.  The
+    values of _json_value, rendered without its per-value dispatch, since
+    the audit's zeros lists are most of a report."""
     if pairs is None:
         return "null"
     return "[" + ", ".join(f"[{re:.17g}, {im:.17g}]" for re, im in pairs) + "]"
 
 
-def _json_certificate(cert: dict) -> str:
-    """A certificate in its wire schema (Certificate.to_dict)."""
-    return (
-        f'{{"name": {_json_str(cert["name"])}, "n": {cert["n"]}, '
-        f'"p": {_json_float(cert["p"])}, "lhs": {cert["lhs"]:.17g}, '
-        f'"rhs": {cert["rhs"]:.17g}, "slack": {cert["slack"]:.17g}, '
-        f'"ratio": {_json_float(cert["ratio"])}, '
-        f'"holds": {"true" if cert["holds"] else "false"}}}'
-    )
-
-
 def _audit_json(report: AuditReport) -> str:
     """The fixed schema of an audit report: spec, sabotage, totals, the
     per-key aggregates sorted by key, violations and errors."""
-    spec = report.spec
     rendered: dict[int, str] = {}
 
     def zeros(pairs) -> str:
@@ -490,21 +492,14 @@ def _audit_json(report: AuditReport) -> str:
             text = rendered[id(pairs)] = _json_pairs(pairs)
         return text
 
-    spec_text = (
-        f'{{"n_values": [{", ".join(map(str, spec.n_values))}], '
-        f'"p_grid": [{", ".join(map(format_float, spec.p_grid))}], '
-        f'"distributions": [{", ".join(map(_json_str, spec.distributions))}], '
-        f'"samples_per_cell": {spec.samples_per_cell}, "seed": {spec.seed}, '
-        f'"tolerances": [{", ".join(map(format_float, spec.tolerances))}]}}'
-    )
     per_cert = ", ".join(
         f'{_json_str(key)}: {{"total": {stats.total}, "passed": {stats.passed}, '
-        f'"max_ratio": {_json_float(stats.max_ratio)}, '
+        f'"max_ratio": {_json_value(stats.max_ratio)}, '
         f'"argmax_zeros": {zeros(stats.argmax_zeros)}}}'
         for key, stats in sorted(report.per_certificate.items())
     )
     violations = ", ".join(
-        f'{{"certificate": {_json_certificate(entry["certificate"])}, "n": {entry["n"]}, '
+        f'{{"certificate": {_json_object(entry["certificate"])}, "n": {entry["n"]}, '
         f'"distribution": {_json_str(entry["distribution"])}, '
         f'"zeros": {zeros(entry["zeros"])}}}'
         for entry in report.violations
@@ -515,7 +510,8 @@ def _audit_json(report: AuditReport) -> str:
         for entry in report.errors
     )
     return (
-        f'{{"spec": {spec_text}, "sabotage": {"true" if report.sabotage else "false"}, '
+        f'{{"spec": {_json_object(report.spec.to_dict())}, '
+        f'"sabotage": {_json_value(report.sabotage)}, '
         f'"total": {report.total}, "passed": {report.passed}, '
         f'"per_certificate": {{{per_cert}}}, '
         f'"violations": [{violations}], "errors": [{errors}]}}\n'
@@ -524,48 +520,42 @@ def _audit_json(report: AuditReport) -> str:
 
 def dumps_report(report) -> str:
     """The JSON text of an audit report or of a batch of certificates, one
-    line with every float rendered by format_float."""
+    line by the field rule of emit_report."""
     if isinstance(report, AuditReport):
         return _audit_json(report)
-    items = ", ".join(_json_certificate(cert.to_dict()) for cert in report)
+    items = ", ".join(_json_object(cert.to_dict()) for cert in report)
     return f'{{"certificates": [{items}]}}\n'
-
-
-def _certificates_of(report) -> list[certs.Certificate]:
-    if isinstance(report, AuditReport):
-        return [
-            certs.Certificate.from_dict(entry["certificate"])
-            for entry in report.violations
-        ]
-    return list(report)
 
 
 def emit_report(report, path, format: str = "json") -> None:
     """Write an audit report or a batch of certificates to disk.
 
-    JSON embeds each certificate verbatim in its wire schema inside one
-    top-level object.  CSV emits a header line and then one certificate per
-    row with the fixed column set CSV_COLUMNS; for an audit report the rows
-    are its violations (an empty audit yields just the header).  A CSV field
-    is text as is, a bool as true or false, None as an empty field, an int
-    by str and a float by format_float.  No field holds a comma, a quote or
-    a newline, so none is quoted.  The ``schoenberg sweep`` table is
-    rendered by the same rule.
+    JSON embeds each certificate in its wire schema, Certificate.to_dict,
+    inside one top-level object.  CSV emits a header line and then one
+    certificate per row with the fixed column set CSV_COLUMNS, the fields of
+    Certificate; for an audit report the rows are its violations (an empty
+    audit yields just the header).
 
-    The file gets the same bytes as a truncating write would give it, but
-    a regular file is rewritten in place and never truncated to zero (see
-    the module docstring), which saves a disk wait when the same path is
-    rewritten soon after its last write: an existing file keeps its inode
-    and mode, and a symlink stays a link to its updated target.  There is
-    no fsync, and the write is not atomic, so a concurrent reader can see a
-    torn file.
+    One field rule renders every scalar of both formats, and of the
+    ``schoenberg sweep`` table and the JSON lines of ``schoenberg
+    sharpness`` and ``opnorm``: text as is, a bool as true or false, an int
+    by str and a float by format_float, 17 significant digits, which
+    round-trips IEEE-754 doubles exactly.  None is an empty CSV field and
+    JSON null; JSON quotes and escapes text per RFC 8259, renders a list as
+    an array, and writes the fields of an object in their given order.  No
+    CSV field holds a comma, a quote or a newline, so none is quoted.
+
+    The file gets the same bytes as a truncating write would give it, but a
+    regular file is rewritten in place (see the module docstring).
     """
     if format not in ("json", "csv"):
         raise ValueError(f"format must be 'json' or 'csv', got {format!r}")
     if format == "json":
         text = dumps_report(report)
+    elif isinstance(report, AuditReport):
+        text = _csv_text(CSV_COLUMNS, [entry["certificate"] for entry in report.violations])
     else:
-        text = _csv_text(CSV_COLUMNS, _certificates_of(report))
+        text = _csv_text(CSV_COLUMNS, [cert.to_dict() for cert in report])
     _write_text(path, text)
 
 
@@ -581,20 +571,20 @@ def _csv_field(value) -> str:
     return format_float(value)
 
 
-def _csv_text(columns, certificates) -> str:
+def _csv_text(columns, rows) -> str:
     """The CSV text of emit_report: a header line of ``columns``, then one
-    line per certificate of its attributes of those names."""
+    line per row, a certificate's wire dict, of its fields of those names."""
     lines = [",".join(columns)]
-    lines += [",".join(_csv_field(getattr(cert, col)) for col in columns) for cert in certificates]
+    lines += [",".join(_csv_field(row[col]) for col in columns) for row in rows]
     return "\n".join(lines) + "\n"
 
 
 def _write_text(path, text: str) -> None:
     """Write ``text`` as UTF-8 over the file at ``path`` in place: open it
     without O_TRUNC, write the bytes, then cut the file to their length, so
-    a rewrite never truncates it to zero.  Only a regular file is cut:
-    ftruncate fails on /dev/null, a pipe, a tty or a FIFO, which a
-    truncating open left as they were."""
+    a rewrite never truncates it to zero (see the module docstring).  Only
+    a regular file is cut: ftruncate fails on /dev/null, a pipe, a tty or a
+    FIFO, which a truncating open left as they were."""
     data = text.encode("utf-8")
     try:
         with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as handle:

@@ -1,7 +1,12 @@
+import dataclasses
+import json
+
 import mpmath
 import numpy as np
 import pytest
 
+import schoenberg
+from schoenberg import densela, harness
 from schoenberg.certs import (
     ABS_TOL,
     REL_TOL,
@@ -27,6 +32,7 @@ from schoenberg.harness import (
     DISTRIBUTIONS,
     _cell_generator,
     _draw_rows,
+    dumps_report,
     sample_config,
 )
 from schoenberg.polyzero import ZeroConfig, center, center_rows, critical_points_direct
@@ -355,6 +361,77 @@ class TestCertificateSchema:
         )
         assert near.holds
         assert ABS_TOL == 1e-12 and REL_TOL == 1e-9
+
+
+class TestCertificateFromDict:
+    """from_dict reads outside input (a JSON report, a stored violation) and
+    checks it; it used to coerce, so holds="false" read as True."""
+
+    WIRE = {
+        "name": "schoenberg", "n": 3, "p": 2.0,
+        "lhs": 1.0, "rhs": 2.0, "slack": 1.0, "ratio": 0.5, "holds": True,
+    }
+
+    def test_json_loaded_report_round_trips(self):
+        batch = check_all(PAIR, [1.0, 2.0])
+        loaded = json.loads(dumps_report(batch))["certificates"]
+        # n = 2 renders its zero sides as the JSON integer 0, and p = 1 as 1
+        assert loaded[0]["lhs"] == 0 and isinstance(loaded[0]["lhs"], int)
+        assert [Certificate.from_dict(d) for d in loaded] == batch
+
+    def test_keys_follow_the_field_declarations(self):
+        names = [f.name for f in dataclasses.fields(Certificate)]
+        assert list(schoenberg_order_p(LOW3, 2.0).to_dict()) == names
+        assert harness.CSV_COLUMNS == tuple(names)
+
+    @pytest.mark.parametrize(
+        "key,bad,message",
+        [
+            ("n", 3.7, "n must be an integer"),
+            ("n", True, "n must be an integer"),
+            ("n", "3", "n must be an integer"),
+            ("p", True, "p must be a real number"),
+            ("p", "2", "p must be a real number"),
+            ("lhs", None, "lhs must be a real number"),
+            ("rhs", "1", "rhs must be a real number"),
+            ("slack", False, "slack must be a real number"),
+            ("ratio", [0.5], "ratio must be a real number"),
+            ("holds", "false", "holds must be a bool"),
+            ("holds", 1, "holds must be a bool"),
+            ("name", 7, "name must be text"),
+            ("name", None, "name must be text"),
+        ],
+    )
+    def test_rejects_a_value_of_the_wrong_type(self, key, bad, message):
+        with pytest.raises(ValueError, match=message):
+            Certificate.from_dict({**self.WIRE, key: bad})
+
+    @pytest.mark.parametrize("key", ["p", "ratio"])
+    def test_optional_values_may_be_none(self, key):
+        assert getattr(Certificate.from_dict({**self.WIRE, key: None}), key) is None
+
+    def test_integers_read_as_floats(self):
+        cert = Certificate.from_dict({**self.WIRE, "p": 2, "lhs": 0, "ratio": np.float64(0.5)})
+        assert (cert.p, cert.lhs, cert.ratio) == (2.0, 0.0, 0.5)
+        assert all(type(v) is float for v in (cert.p, cert.lhs, cert.ratio))
+
+    def test_missing_key_is_named(self):
+        data = {key: value for key, value in self.WIRE.items() if key != "slack"}
+        with pytest.raises(ValueError, match=r"missing certificate keys: \['slack'\]"):
+            Certificate.from_dict(data)
+
+    def test_unknown_key_is_named(self):
+        with pytest.raises(ValueError, match=r"unknown certificate keys: \['verdict'\]"):
+            Certificate.from_dict({**self.WIRE, "verdict": True})
+
+    @pytest.mark.parametrize("data", [None, [("n", 3)], "schoenberg"])
+    def test_rejects_a_non_mapping(self, data):
+        with pytest.raises(ValueError, match="must be a mapping"):
+            Certificate.from_dict(data)
+
+    def test_underflow_error_is_one_class(self):
+        assert UnderflowError is densela.UnderflowError is schoenberg.UnderflowError
+        assert issubclass(UnderflowError, ArithmeticError)
 
 
 class TestCheckAll:

@@ -6,6 +6,9 @@ import re
 import pytest
 
 from schoenberg.cli import _parse_complex_literal, main, parse_zeros
+from schoenberg.sharpness import maximize_ratio, opnorm_lower_bound
+
+from conftest import reference_json
 
 
 class TestComplexLiterals:
@@ -229,6 +232,20 @@ class TestSharpnessCommand:
         assert 0.9 <= data["best_ratio"] <= 1.0 + 1e-9
 
 
+    def test_output_bytes(self, capsys):
+        assert main(["sharpness", "--n", "4", "--p", "2", "--budget", "50"]) == 0
+        result = maximize_ratio(4, 2.0, 50, 0)
+        expected = {
+            "n": result.n,
+            "p": result.p,
+            "best_ratio": result.best_ratio,
+            "evaluations": result.evaluations,
+            "restarts": result.restarts,
+            "seed": result.seed,
+            "best_zeros": [[z.real, z.imag] for z in result.best_config.zeros],
+        }
+        assert capsys.readouterr().out == reference_json(expected)
+
     def test_exceedance_exits_one(self, capsys):
         # the claimed constant is refuted at (5, 1.75); a found exceedance is
         # a result, told apart from an input error by its exit code
@@ -249,6 +266,12 @@ class TestOpnormCommand:
         data = json.loads(capsys.readouterr().out)
         assert code == 0
         assert data["estimate"] == pytest.approx(data["bound"], abs=1e-9)
+
+    def test_output_bytes(self, capsys):
+        assert main(["opnorm", "--n", "4", "--p", "2", "--budget", "50"]) == 0
+        estimate, bound = opnorm_lower_bound(4, 2.0, 50, 0)
+        expected = {"n": 4, "p": 2.0, "estimate": estimate, "bound": bound}
+        assert capsys.readouterr().out == reference_json(expected)
 
     def test_exceedance_exits_one(self, capsys):
         code = main(["opnorm", "--n", "8", "--p", "1.5", "--budget", "100", "--seed", "0"])

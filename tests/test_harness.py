@@ -554,6 +554,24 @@ class TestEmitReport:
             "da678f8f483fc9bb30131e21e7eec9f16b5ee6a62d43eca935276597c8bf0cc0",
         )
 
+    def test_two_point_certificate_bytes_pinned(self, tmp_path):
+        # the only pinned reports with null p and ratio fields and sides that
+        # render as 0; at n = 2 the compression is 1 x 1, so no LAPACK
+        # rounding can move them
+        batch = check_all(ZeroConfig((1, -1), centered=True), [1, 2])
+        text = dumps_report(batch).encode()
+        assert (len(text), hashlib.sha256(text).hexdigest()) == (
+            1558,
+            "07e0609cfddd14007fab92a927a05d59a87bff17254fdb0d386dbcea237956cc",
+        )
+        path = tmp_path / "certs.csv"
+        emit_report(batch, path, format="csv")
+        data = path.read_bytes()
+        assert (len(data), hashlib.sha256(data).hexdigest()) == (
+            433,
+            "3456c5dc30d0049a2d772f6666b9154c4a40c2e2a01492f6be62b7456f8ba041",
+        )
+
     def test_audit_json_structure(self, tmp_path):
         report = run_audit(SMALL_SPEC)
         path = tmp_path / "audit.json"

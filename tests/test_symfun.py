@@ -6,7 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schoenberg.densela import centering_projector, differentiator, singular_values
+from schoenberg.densela import (
+    UnderflowError,
+    centering_projector,
+    differentiator,
+    singular_values,
+)
 from schoenberg.polyzero import ZeroConfig
 from schoenberg.symfun import (
     MAJORIZATION_REL_TOL,
@@ -57,6 +62,29 @@ class TestEsf:
     def test_overflow_above_k_is_harmless(self):
         assert esf([1e200, 1e200], 1) == 2e200
         assert esf([1e200, 1e200], 0) == 1.0
+
+    @pytest.mark.parametrize(
+        "values,k",
+        [
+            ([1e-200, 1e-200], 2),
+            ([1e-160, 1e-160], 2),  # a subnormal e_2 underflowed too
+            ([1e-200j, -1e-200], 2),
+            ([0.0, 1e-120, 1e-120, 1e-120], 3),
+        ],
+    )
+    def test_underflow_is_an_underflow_error(self, values, k):
+        with pytest.raises(UnderflowError, match=f"e_{k} underflowed"):
+            esf(values, k)
+
+    def test_cancellation_and_exact_zeros_are_not_underflows(self):
+        # the rule reads the moduli, so an e_k that cancels stays legal
+        assert esf([1.0, -1.0], 1) == 0.0
+        assert esf([1e-300, -1e-300], 1) == 0.0
+        # fewer than k nonzero values make e_k an exact zero
+        assert esf([0.0, 0.0, 1e-200], 2) == 0.0
+        assert esf([0.0, 0.0], 2) == 0.0
+        # e_1 of the same tiny values is normal
+        assert esf([1e-200, 1e-200], 1) == 2e-200
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_rejects_non_finite_values(self, bad):
