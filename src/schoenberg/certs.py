@@ -121,18 +121,20 @@ def _require_centered(cfg: ZeroConfig, what: str) -> None:
         raise ValueError(f"{what} requires a centered configuration (sum z_j = 0)")
 
 
-def _check_order(p: float) -> float:
-    p = densela._real(p, "an order")
-    if not 1 <= p < np.inf:
-        raise ValueError(f"order must be finite and satisfy p >= 1, got {p}")
-    return p
-
-
 def _check_tolerances(abs_tol: float, rel_tol: float) -> tuple[float, float]:
     tols = (densela._real(abs_tol, "abs_tol"), densela._real(rel_tol, "rel_tol"))
     if not all(np.isfinite(t) and t >= 0 for t in tols):
         raise ValueError(f"tolerances must be finite and nonnegative, got {tols}")
     return tols
+
+
+def _check_constant_args(n: int, p: float) -> tuple[int, float]:
+    """The n and p of a closed-form constant: an integer n >= 2 and a
+    finite order p >= 1, else ValueError."""
+    n = densela._integer(n, "n")
+    if n < 2:
+        raise ValueError(f"need n >= 2, got {n}")
+    return n, densela._check_order(p)
 
 
 def schoenberg_constant(n: int, p: float) -> float:
@@ -147,9 +149,10 @@ def schoenberg_constant(n: int, p: float) -> float:
     real quintuple has the ratio 1.00168280036673 at p = 1.75 (pinned in
     tests/test_certs.py::TestIntermediateOrderCounterexample).  PAPER.md
     gives only the abstract, so it does not settle whether the paper states
-    this constant or another one.
+    this constant or another one.  n must be an integer n >= 2 (C(2, p) is
+    0) and p a finite order p >= 1, else ValueError.
     """
-    _check_order(p)
+    n, p = _check_constant_args(n, p)
     base = (n - 2) / n
     return base if p >= 2 else base ** (p / 2.0)
 
@@ -165,9 +168,9 @@ def opnorm_constant(n: int, p: float) -> float:
     exceeds it, and opnorm searches exceed it at (5, 1.5) and (8, 1.5).  The
     proven bound on all of l^p is ((n-1)/n)^(1/p), by Riesz-Thorin between
     p = 1 and p = 2.  PAPER.md does not settle which constant the paper
-    states.
+    states.  n and p are checked as in schoenberg_constant.
     """
-    _check_order(p)
+    n, p = _check_constant_args(n, p)
     return float(((n - 2) / n) ** min(1.0 / p, 0.5))
 
 
@@ -472,7 +475,7 @@ def schoenberg_order_p(cfg: ZeroConfig, p: float) -> Certificate:
     run_audit(sabotage=True), which halves C(n, p) in the batch evaluator;
     this certificate always states the inequality itself.
     """
-    p = _check_order(p)
+    p = densela._check_order(p)
     _require_centered(cfg, "the order-p Schoenberg certificate")
     return _select(cfg, [p], [("schoenberg", p)])[0]
 
@@ -501,13 +504,13 @@ def pereira_bound(cfg: ZeroConfig, p: float) -> Certificate:
     so this takes them by the one path every certificate reads and never
     expands the polynomial.
     """
-    p = _check_order(p)
+    p = densela._check_order(p)
     return _select(cfg, [p], [("pereira", p)])[0]
 
 
 def weyl_check(m: np.ndarray, p: float) -> Certificate:
     """Weyl majorization certificate: sum |lambda_i|^p <= sum sigma_i^p."""
-    p = _check_order(p)
+    p = densela._check_order(p)
     m = densela._check_square(m)
     lam_mod = _descending_moduli(densela._eigvals(m))
     sigma = densela._svdvals(m)
@@ -593,7 +596,7 @@ def check_all(
     single-configuration certificate but weyl_check and sv_product_check.
     """
     _require_centered(cfg, "check_all")
-    orders = sorted({_check_order(p) for p in p_list})
+    orders = sorted({densela._check_order(p) for p in p_list})
     if not orders:
         raise ValueError("p_list must not be empty")
     return _select(cfg, orders, tols=_check_tolerances(abs_tol, rel_tol))

@@ -184,14 +184,16 @@ def _lapack_error(what: str, m: np.ndarray, exc: Exception) -> ArithmeticError:
 
 
 def lp_norm(v, p: float) -> float:
-    """The l^p norm of a complex vector; p = inf gives the max modulus.
+    """The l^p norm of a complex vector; p = inf gives the max modulus, and
+    any other order must pass _check_order (ValueError).
 
     Every finite order takes the one scaled formula, the peak times the
     p-th root of the sum of (|v| / peak)^p.  The entries must be finite
     (ValueError), as the matrix entries of ``schatten_norm`` must be; a
     modulus or a norm of finite entries that overflows raises OverflowError.
     """
-    p = _check_order(p)
+    if p != math.inf:
+        p = _check_order(p)
     v = np.asarray(v, dtype=complex)
     if not np.isfinite(v).all():
         raise ValueError("vector entries must be finite")
@@ -199,7 +201,7 @@ def lp_norm(v, p: float) -> float:
     if mods.size == 0:
         return 0.0
     top = mods.max()
-    if np.isinf(p):
+    if p == math.inf:
         return float(top)
     if top == 0.0:
         return 0.0
@@ -233,10 +235,12 @@ def _integer(value, what: str) -> int:
 
 
 def _check_order(p: float) -> float:
-    """A norm order as a float: a real number p >= 1, or inf."""
-    p = _real(p, "a norm order")
-    if not p >= 1.0:
-        raise ValueError(f"norm order must satisfy p >= 1, got {p}")
+    """An order as a float: a finite real number p >= 1, else ValueError.
+    The one order rule of the certificates, the audit specs, the searches
+    and (for finite orders) lp_norm."""
+    p = _real(p, "an order")
+    if not 1 <= p < math.inf:
+        raise ValueError(f"order must be finite and satisfy p >= 1, got {p}")
     return p
 
 

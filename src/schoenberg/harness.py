@@ -7,11 +7,11 @@ cell's configurations as (rows, n) arrays.  The samples of each n are taken
 in a fixed order (distribution, then sample index) and certified together as
 stacked arrays by the columnar evaluator of ``certs``, in slices sized so
 that their stacked arrays hold about _SLICE_ENTRIES entries.  A slice reads
-the next rows of each cell it covers.  The verdicts of one n are folded
-into columnar arrays, one column per certificate key: the pass counts, the
-largest ratio and the first sample in sampling order that attains it.
-The report's keys take these totals once per n, and the (re, im) pairs of
-each distinct argmax sample are built once, at the end of the audit.
+the next rows of each cell it covers.  Each slice's verdicts are added to
+the report's keys straight away, one column per key: the number of
+certified samples, the pass count, and the largest ratio with the first
+sample in sampling order that attains it.  The (re, im) pairs of each
+distinct argmax sample are built once, at the end of the audit.
 Violations and errors are entries in sampling order, and the violations
 of one sample come in the evaluator's column order.  So the report is the
 same for any slice size.
@@ -96,7 +96,7 @@ class AuditSpec:
             self, "samples_per_cell", densela._integer(self.samples_per_cell, "samples_per_cell")
         )
         object.__setattr__(self, "seed", densela._integer(self.seed, "seed"))
-        object.__setattr__(self, "p_grid", tuple(certs._check_order(p) for p in self.p_grid))
+        object.__setattr__(self, "p_grid", tuple(densela._check_order(p) for p in self.p_grid))
         object.__setattr__(self, "distributions", tuple(self.distributions))
         for dist in self.distributions:
             if dist not in DISTRIBUTIONS:
@@ -118,14 +118,9 @@ class AuditSpec:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
     def to_dict(self) -> dict:
-        return {
-            "n_values": list(self.n_values),
-            "p_grid": list(self.p_grid),
-            "distributions": list(self.distributions),
-            "samples_per_cell": self.samples_per_cell,
-            "seed": self.seed,
-            "tolerances": list(self.tolerances),
-        }
+        """Every field by name, in declaration order, a tuple as a list."""
+        values = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {key: list(v) if isinstance(v, tuple) else v for key, v in values.items()}
 
     @staticmethod
     def from_dict(data: dict) -> "AuditSpec":
@@ -142,7 +137,10 @@ class AuditSpec:
 
 @dataclass
 class CertStats:
-    """Aggregate over one certificate key within an audit.
+    """Aggregate over one certificate key within an audit: the certified
+    samples that have the key, how many of them passed, the largest ratio
+    (None if no sample had one) and the zeros of the first sample in
+    sampling order that attains it.
 
     Keys whose largest ratio fell first on the same sample share one
     ``argmax_zeros`` list.
@@ -251,7 +249,8 @@ def _certificate_key(name: str, p: float | None) -> str:
 
 
 def run_audit(spec: AuditSpec, sabotage: bool = False) -> AuditReport:
-    """Evaluate check_all over every sampled cell of the spec.
+    """Certify every sampled cell of the spec with the columnar evaluator
+    behind check_all, slice by slice, and fold each slice into the report.
 
     ``sabotage`` halves the order-p Schoenberg constant in the evaluator,
     which must flood the report with violations; it is the one
@@ -267,7 +266,6 @@ def run_audit(spec: AuditSpec, sabotage: bool = False) -> AuditReport:
     samples = len(spec.distributions) * per_cell
     winners: dict[str, tuple[tuple[int, int], np.ndarray]] = {}
     for n in spec.n_values:
-        fold = _Fold(n)
         rngs = [_cell_generator(spec.seed, n, dist) for dist in spec.distributions]
         rows = max(1, _SLICE_ENTRIES // (n * max(n, len(orders))))
         # sampling order is distribution-major, then sample index; a slice
@@ -279,8 +277,7 @@ def run_audit(spec: AuditSpec, sabotage: bool = False) -> AuditReport:
                 count = min(last, (offset + 1) * per_cell) - max(first, offset * per_cell)
                 parts.append(_draw_rows(rngs[offset], n, spec.distributions[offset], count))
             z = center_rows(np.concatenate(parts))
-            _certify_slice(report, fold, first, z, orders, scale)
-        fold.merge(report, winners)
+            _certify_slice(report, winners, n, first, z, orders, scale)
     # keys whose first maximum fell on the same sample share its pairs
     pairs: dict[tuple[int, int], list[list[float]]] = {}
     for key, (sample, z) in winners.items():
@@ -291,62 +288,6 @@ def run_audit(spec: AuditSpec, sabotage: bool = False) -> AuditReport:
     return report
 
 
-class _Fold:
-    """The per-key aggregates of one n as arrays across its slices: one
-    count of certified samples, and per column of the batch labels the pass
-    count, the largest ratio and the sample that first attained it (its
-    index in sampling order and its zeros)."""
-
-    def __init__(self, n: int):
-        self.n = n
-        self.total = 0
-        # the batch labels and one entry per label, set by the first
-        # certified slice
-        self.labels: tuple | None = None
-        self.passed = self.best = self.best_at = self.best_zeros = None
-
-    def add(self, batch: certs._Columns, z: np.ndarray, rows: np.ndarray, first: int) -> None:
-        """Fold in the finite ``rows`` of a slice whose first sample has
-        index ``first`` in sampling order."""
-        if self.labels is None:
-            self.labels = batch.labels
-            self.passed = np.zeros(len(batch.labels), dtype=np.int64)
-            self.best = np.full(len(batch.labels), -np.inf)
-            self.best_at = np.zeros(len(batch.labels), dtype=np.int64)
-            self.best_zeros = np.zeros((len(batch.labels), self.n), dtype=complex)
-        ratio = batch.ratio[rows]
-        ratio[np.isnan(ratio)] = -np.inf
-        top = ratio.argmax(axis=0)  # the first maximum of the slice
-        best = ratio.max(axis=0)
-        self.total += rows.size
-        self.passed += batch.holds[rows].sum(axis=0)
-        better = best > self.best  # an earlier slice keeps a tie
-        self.best[better] = best[better]
-        self.best_at[better] = first + rows[top[better]]
-        self.best_zeros[better] = z[rows[top[better]]]
-
-    def merge(self, report: AuditReport, winners: dict) -> None:
-        """Add the totals to the report's keys, and record in ``winners`` the
-        keys whose largest ratio this n raised, with its sample and zeros;
-        an earlier n keeps a tie."""
-        if self.labels is None:  # no sample of this n was certified
-            return
-        passed = self.passed.tolist()
-        best = self.best.tolist()
-        best_at = self.best_at.tolist()
-        for col, key in enumerate(_keys(self.labels)):
-            stats = report.per_certificate.get(key)
-            if stats is None:
-                stats = report.per_certificate[key] = CertStats()
-            stats.total += self.total
-            stats.passed += passed[col]
-            if best[col] > -math.inf and (
-                stats.max_ratio is None or best[col] > stats.max_ratio
-            ):
-                stats.max_ratio = best[col]
-                winners[key] = ((self.n, best_at[col]), self.best_zeros[col])
-
-
 @functools.lru_cache(maxsize=64)
 def _keys(labels: tuple) -> tuple[str, ...]:
     """The report key of each batch label."""
@@ -355,20 +296,22 @@ def _keys(labels: tuple) -> tuple[str, ...]:
 
 def _certify_slice(
     report: AuditReport,
-    fold: _Fold,
+    winners: dict,
+    n: int,
     first: int,
     z: np.ndarray,
     orders,
     scale: float,
 ) -> None:
     """Certify the (B, n) zeros ``z`` of one slice, whose first sample has
-    index ``first`` in sampling order; fold the verdicts into ``fold`` and
+    index ``first`` in sampling order; add the verdicts to the report's
+    keys, record in ``winners`` the keys whose largest ratio the slice
+    raised, with its sample and zeros (an earlier sample keeps a tie), and
     record violations and errors in the report.
 
     A LAPACK failure fails the whole stacked evaluation, so the slice is then
     certified one sample at a time and only the failing samples are errors.
     """
-    n = fold.n
     try:
         batch = certs._certify_batch(z, orders, scale, report.spec.tolerances)
     except ArithmeticError as exc:
@@ -376,7 +319,7 @@ def _certify_slice(
             _record_error(report, n, first, z[0], exc)
         else:
             for row in range(len(z)):
-                _certify_slice(report, fold, first + row, z[row : row + 1], orders, scale)
+                _certify_slice(report, winners, n, first + row, z[row : row + 1], orders, scale)
         return
     failed = ~batch.finite | batch.underflow.any(axis=1)
     for row in np.flatnonzero(failed):
@@ -384,7 +327,20 @@ def _certify_slice(
     rows = np.flatnonzero(~failed)
     if rows.size == 0:
         return
-    fold.add(batch, z, rows, first)
+    ratio = batch.ratio[rows]
+    ratio[np.isnan(ratio)] = -np.inf
+    passed = batch.holds[rows].sum(axis=0).tolist()
+    best = ratio.max(axis=0).tolist()
+    best_at = rows[ratio.argmax(axis=0)].tolist()  # the first maximum of the slice
+    for col, key in enumerate(_keys(batch.labels)):
+        stats = report.per_certificate.get(key)
+        if stats is None:
+            stats = report.per_certificate[key] = CertStats()
+        stats.total += rows.size
+        stats.passed += passed[col]
+        if best[col] > -math.inf and (stats.max_ratio is None or best[col] > stats.max_ratio):
+            stats.max_ratio = best[col]
+            winners[key] = ((n, first + best_at[col]), z[best_at[col]])
     for row in rows[~batch.holds[rows].all(axis=1)]:
         dist = report.spec.distributions[(first + row) // report.spec.samples_per_cell]
         pairs = _zeros_to_pairs(z[row])
@@ -408,10 +364,13 @@ def _record_error(
 
 def re_evaluate_violation(entry: dict, spec: AuditSpec) -> certs.Certificate:
     """Re-run the single certificate stored in a violation entry; a name the
-    evaluator does not make is a KeyError."""
+    evaluator does not make is a KeyError, and a certificate whose n is not
+    the number of stored zeros is a ValueError."""
     cfg = _pairs_to_config(entry["zeros"])
     stored = certs.Certificate.from_dict(entry["certificate"])
-    orders = [] if stored.p is None else [certs._check_order(stored.p)]
+    if stored.n != cfg.n:
+        raise ValueError(f"the certificate has n = {stored.n}, but the entry stores {cfg.n} zeros")
+    orders = [] if stored.p is None else [densela._check_order(stored.p)]
     label = (stored.name, stored.p)
     return certs._select(cfg, orders, [label], tols=spec.tolerances)[0]
 
@@ -421,7 +380,7 @@ def sweep_p(cfg: ZeroConfig, grid) -> list[certs.Certificate]:
     orders, one per entry of the grid (a repeated order included), sorted by
     order.  An empty grid is a ValueError, as an empty p_list of check_all
     is."""
-    grid = sorted(map(certs._check_order, grid))
+    grid = sorted(map(densela._check_order, grid))
     if not grid:
         raise ValueError("grid must not be empty")
     certs._require_centered(cfg, "the order-p Schoenberg certificate")

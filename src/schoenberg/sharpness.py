@@ -290,7 +290,7 @@ def maximize_ratio(n: int, p: float, budget: int, seed: int) -> SharpnessResult:
     best ratio beyond 1 + 1e-9 would contradict the order-p bound and is
     surfaced as-is for the caller to report, never clipped.
     """
-    p = certs._check_order(p)
+    p = densela._check_order(p)
     n, budget, seed = _check_search(n, budget, seed)
     best_x, _, spent, restarts = _search(n, p, budget, (seed, n), _schoenberg_ratio)
     best_config = center(ZeroConfig(tuple(_zeros_from_coords(best_x))))
@@ -319,7 +319,7 @@ def opnorm_lower_bound(
     exceeds the proven ((n-1)/n)^(1/p), the norm of z -> Q diag(z) Q on
     all of l^p.
     """
-    p = certs._check_order(p)
+    p = densela._check_order(p)
     n, budget, seed = _check_search(n, budget, seed)
     families = (extremal_low, extremal_high) if n % 2 == 0 else (extremal_low,)
     entropy = (seed, n, 1)

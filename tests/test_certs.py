@@ -72,6 +72,20 @@ class TestConstants:
         with pytest.raises(ValueError):
             schoenberg_constant(4, 0.5)
 
+    @pytest.mark.parametrize("n", [1, 0, -3, True, 3.5, "4"])
+    @pytest.mark.parametrize("constant", [schoenberg_constant, opnorm_constant])
+    def test_n_validated(self, constant, n):
+        # schoenberg_constant(1, 1.5) was complex, n = 0 divided by zero,
+        # True read as 1 and 3.5 was taken as it stands
+        with pytest.raises(ValueError, match="n"):
+            constant(n, 1.5)
+
+    def test_pair_and_numpy_orders_of_n(self):
+        # an n = 2 audit reads the constant 0
+        assert schoenberg_constant(2, 1.5) == opnorm_constant(2, 1.5) == 0.0
+        assert schoenberg_constant(np.int64(4), 2.0) == 0.5
+        assert opnorm_constant(np.int64(4), 2.0) == opnorm_constant(4, 2.0)
+
 
 class TestSchoenbergOrderP:
     def test_low_family_order_one_equality(self):

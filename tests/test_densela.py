@@ -2,7 +2,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from schoenberg import harness
+from schoenberg import densela, harness
 from schoenberg.densela import (
     ConvergenceError,
     _compression,
@@ -295,6 +295,13 @@ class TestNorms:
         assert lp_norm([1e308, 1e308], 2) == 1.4142135623730951e308
         assert schatten_norm(np.diag([1e308, 1e308]), 2) == 1.4142135623730951e308
         assert lp_norm([1e308 + 1e308j], 1) == abs(1e308 + 1e308j)
+
+    @pytest.mark.parametrize("p", [0.5, np.nan, -np.inf, np.inf])
+    def test_one_order_rule(self, p):
+        # the certificates, the audit specs and the searches read this rule;
+        # lp_norm takes p = inf as the max modulus before it applies it
+        with pytest.raises(ValueError, match="finite and satisfy p >= 1"):
+            densela._check_order(p)
 
     def test_schatten_rejects_bad_order(self):
         with pytest.raises(ValueError):

@@ -157,6 +157,18 @@ class TestAuditSpec:
         spec = AuditSpec(n_values=(3,), samples_per_cell=2)
         assert AuditSpec.from_dict(spec.to_dict()) == spec
 
+    def test_to_dict_follows_the_field_declarations(self):
+        data = SMALL_SPEC.to_dict()
+        assert list(data) == [spec_field.name for spec_field in dataclasses.fields(AuditSpec)]
+        assert data == {
+            "n_values": [3, 4, 5],
+            "p_grid": [1.0, 2.0, 4.0],
+            "distributions": ["disk", "real"],
+            "samples_per_cell": 6,
+            "seed": 42,
+            "tolerances": [ABS_TOL, 1e-9],
+        }
+
     def test_validation(self):
         with pytest.raises(ValueError):
             AuditSpec(n_values=())
@@ -307,6 +319,14 @@ class TestRunAudit:
         assert cert.holds
         assert not entry["certificate"]["holds"]
 
+    def test_recheck_rejects_an_n_that_is_not_the_number_of_zeros(self):
+        # an entry of n = 3 whose n reads 7 was re-evaluated at n = 3
+        report = run_audit(SMALL_SPEC, sabotage=True)
+        entry = next(v for v in report.violations if v["n"] == 3)
+        forged = {**entry, "certificate": {**entry["certificate"], "n": 7}}
+        with pytest.raises(ValueError, match="n = 7, but the entry stores 3 zeros"):
+            re_evaluate_violation(forged, SMALL_SPEC)
+
     def test_deterministic_reports(self, tmp_path):
         r1 = run_audit(SMALL_SPEC)
         r2 = run_audit(SMALL_SPEC)
@@ -383,6 +403,23 @@ class TestRunAudit:
         report = run_audit(SMALL_SPEC)
         assert len(report.errors) == 3 * 6
         assert {e["distribution"] for e in report.errors} == {"real"}
+
+    def test_an_n_whose_every_sample_is_an_error(self, monkeypatch):
+        # every power sum of order 4 of the n = 3 rows underflows, so no
+        # sample of n = 3 is certified and that n adds no key and no count
+        without = run_audit(dataclasses.replace(SMALL_SPEC, n_values=(4, 5)))
+        draw_rows = harness._draw_rows
+
+        def tiny_three(rng, n, dist, rows):
+            z = draw_rows(rng, n, dist, rows)
+            return z * 2.0**-400 if n == 3 else z
+
+        monkeypatch.setattr(harness, "_draw_rows", tiny_three)
+        report = run_audit(SMALL_SPEC)
+        assert len(report.errors) == 2 * 6
+        assert {e["n"] for e in report.errors} == {3}
+        assert report.per_certificate == without.per_certificate
+        assert min(stats.total for stats in report.per_certificate.values()) > 0
 
     @pytest.mark.parametrize("exponent", [150, 400, 700])
     def test_overflow_recorded_per_sample(self, monkeypatch, exponent):
