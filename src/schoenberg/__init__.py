@@ -28,15 +28,11 @@ from .densela import (
 from .harness import AuditReport, AuditSpec, emit_report, run_audit, sample_config, sweep_p
 from .polyzero import (
     CriticalSet,
-    Polynomial,
     RootFindingError,
     ZeroConfig,
     center,
     centroid,
     critical_points_direct,
-    derivative,
-    from_roots,
-    roots,
 )
 from .sharpness import (
     SharpnessResult,
@@ -56,7 +52,6 @@ __all__ = [
     "Certificate",
     "ConvergenceError",
     "CriticalSet",
-    "Polynomial",
     "RootFindingError",
     "SharpnessResult",
     "UnderflowError",
@@ -68,7 +63,6 @@ __all__ = [
     "critical_esf_identity_error",
     "critical_points_direct",
     "critical_points_spectral",
-    "derivative",
     "differentiator",
     "eigenvalues",
     "emit_report",
@@ -77,7 +71,6 @@ __all__ = [
     "esf_bounds",
     "extremal_high",
     "extremal_low",
-    "from_roots",
     "lp_norm",
     "maximize_ratio",
     "opnorm_constant",
@@ -85,7 +78,6 @@ __all__ = [
     "pereira_bound",
     "quartic_bounds",
     "ratio",
-    "roots",
     "run_audit",
     "sample_config",
     "schatten_norm",

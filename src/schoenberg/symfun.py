@@ -114,10 +114,11 @@ def critical_esf_identity_error(moduli) -> float:
     """Worst relative defect in e_k(critical points) = ((n-k)/n) e_k(moduli).
 
     For a polynomial with nonnegative real roots the identity is exact, so
-    any residual measures the root-finding path: the polynomial is expanded
-    from the moduli, its derivative solved by the Aberth iteration, and the
-    elementary symmetric functions of those computed critical points compared
-    against the closed form, for every k = 1 .. n-1.  Errors are relative to
+    any residual measures the root-finding path: the critical points of the
+    moduli are solved from the moduli themselves by the secular Aberth
+    iteration of ``polyzero.critical_points_direct``, and the elementary
+    symmetric functions of those computed critical points compared against
+    the closed form, for every k = 1 .. n-1.  Errors are relative to
     max(1, e_k(moduli)).
     """
     arr = np.asarray(moduli, dtype=float)

@@ -1,12 +1,11 @@
 import ctypes
-from math import comb, log2
 
 import mpmath
 import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
-from schoenberg import certs, densela, polyzero
+from schoenberg import certs, densela
 
 
 def matched_distance(a, b) -> float:
@@ -44,17 +43,20 @@ def mp_schoenberg_ratio(zeros, p: float) -> float:
         return float(lhs / rhs)
 
 
-def mp_critical_points(zeros) -> list:
+def mp_critical_points(zeros, start=None) -> list:
     """The critical points of prod (z - z_j) at the working mpmath precision:
     the polynomial is expanded from the ``zeros`` and its derivative solved
-    by ``mp.polyroots``."""
+    by ``mp.polyroots``.  ``start``, approximate critical points such as the
+    spectral ones, only shortens the iteration: the result is the roots of
+    p' either way, or ``mpmath.NoConvergence``."""
     z = [mpmath.mpc(v) for v in zeros]
     n = len(z)
     coeffs = [mpmath.mpc(1)]  # highest degree first
     for root in z:
         coeffs = [a - root * b for a, b in zip(coeffs + [0], [0] + coeffs)]
     deriv = [(n - k) * c for k, c in enumerate(coeffs[:-1])]
-    return mpmath.polyroots(deriv, maxsteps=200, extraprec=200)
+    init = None if start is None else [mpmath.mpc(w) for w in start]
+    return mpmath.polyroots(deriv, maxsteps=200, extraprec=200, roots_init=init)
 
 
 def c_output(capfd) -> tuple[str, str]:
@@ -141,114 +143,6 @@ def report_to_dict(report) -> dict:
         "violations": report.violations,
         "errors": report.errors,
     }
-
-
-def reference_roots(poly) -> np.ndarray:
-    """The Aberth loop that ``polyzero.roots`` ran before it built each
-    polynomial's evaluation data once, kept as its oracle: the same rescale,
-    start, iteration limits, stopping rules and 80-bit polish, with every
-    array rebuilt per step.  Reads only the residual gate, TOL_ROOT, from
-    ``polyzero`` at call time, so that a test can tighten it, and raises its
-    RootFindingError."""
-    c = poly.as_array()
-    m = poly.degree
-    if m == 1:
-        return np.array([-c[1]])
-    mags = np.abs(c[1:])
-    ks = np.arange(1, m + 1)
-    binom = np.array([comb(m, int(k)) for k in ks], dtype=float)
-    s_hi = float(np.max(mags ** (1.0 / ks), initial=0.0))
-    s_lo = float(np.max((mags / binom) ** (1.0 / ks), initial=0.0))
-    e, f = 0, 1.0
-    if s_hi > 0:
-        log_s = (log2(s_hi) + log2(s_lo)) / 2
-        e = round(log_s)
-        f = 2.0 ** (log_s - e)
-    k = np.arange(m + 1)
-    b = _ldexp(c / f**k, -e * k)
-    scale = max(1.0, float(np.abs(b).max()))
-    eps = float(np.finfo(float).eps)
-
-    x = np.exp(1j * (2.0 * np.pi * np.arange(m) / m + 0.4))
-    best_x, best_rho = x, np.inf
-    for _ in range(200):
-        p, dp, th = _power_eval(b, x)
-        ap = np.abs(p)
-        rho = float((ap / np.maximum(scale, th)).max())
-        if rho < best_rho:
-            best_rho, best_x = rho, x
-        backward_ok = ap <= 4 * m * eps * th
-        flat_ok = (ap <= 64 * eps * scale) & (ap >= 0.25 * th)
-        if np.all(backward_ok | flat_ok):
-            best_x = x
-            break
-        x = _aberth_step(x, p, dp)
-
-    x = best_x
-    for _ in range(12):
-        x_new = _aberth_step(x, *_horner_extended(b, x))
-        step = np.abs(x_new - x)
-        x = x_new
-        if np.all(step <= 4 * eps * (1.0 + np.abs(x))):
-            break
-
-    worst = _residual(b, x, scale)
-    if worst > polyzero.TOL_ROOT:
-        fallback = _residual(b, best_x, scale)
-        if fallback < worst:
-            x, worst = best_x, fallback
-    if worst > polyzero.TOL_ROOT:
-        raise polyzero.RootFindingError(
-            f"root iteration stalled at residual {worst:.3e} (> {polyzero.TOL_ROOT})",
-            best=_ldexp(x * f, e),
-            residual=worst,
-        )
-    return _ldexp(x * f, e)
-
-
-def _ldexp(z, e):
-    return np.ldexp(z.real, e) + 1j * np.ldexp(z.imag, e)
-
-
-def _power_eval(b, x):
-    m = b.size - 1
-    powers = np.empty((x.size, m + 1), dtype=complex)
-    powers[:, 0] = 1.0
-    powers[:, 1:] = x[:, None]
-    np.cumprod(powers, axis=1, out=powers)
-    ascending = b[::-1]
-    p = powers @ ascending
-    dp = powers[:, :m] @ (ascending[1:] * np.arange(1, m + 1))
-    th = np.abs(powers) @ np.abs(ascending)
-    return p, dp, th
-
-
-def _horner_extended(b, x):
-    bx = b.astype(np.complex256)
-    xx = x.astype(np.complex256)
-    p = np.full(x.shape, bx[0], dtype=np.complex256)
-    dp = np.zeros(x.shape, dtype=np.complex256)
-    for k in range(1, b.size):
-        dp = dp * xx + p
-        p = p * xx + bx[k]
-    return p.astype(complex), dp.astype(complex)
-
-
-def _residual(b, x, scale):
-    p, _ = _horner_extended(b, x)
-    th = _power_eval(b, x)[2]
-    return float((np.abs(p) / np.maximum(scale, th)).max())
-
-
-def _aberth_step(x, p, dp):
-    with np.errstate(divide="ignore", invalid="ignore"):
-        w = np.where(dp != 0, p / np.where(dp != 0, dp, 1.0), 0.0)
-        diff = x[:, None] - x[None, :]
-        np.fill_diagonal(diff, np.inf)
-        repulsion = (1.0 / diff).sum(axis=1)
-    denom = 1.0 - w * repulsion
-    denom = np.where(np.abs(denom) < 1e-300, 1.0, denom)
-    return x - w / denom
 
 
 def reference_search(n, p, budget, entropy, value_at, families=()):

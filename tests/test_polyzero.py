@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 
@@ -6,19 +7,15 @@ from schoenberg.densela import critical_points_spectral
 from schoenberg.harness import DISTRIBUTIONS, sample_config
 from schoenberg.polyzero import (
     CriticalSet,
-    Polynomial,
     RootFindingError,
     ZeroConfig,
     center,
     center_rows,
     centroid,
     critical_points_direct,
-    derivative,
-    from_roots,
-    roots,
 )
 
-from conftest import matched_distance, reference_roots
+from conftest import matched_distance, mp_critical_points
 
 EPS = float(np.finfo(float).eps)
 
@@ -33,6 +30,17 @@ def power_sum_disagreement(direct, spectral) -> float:
     scale = (np.abs(spectral)[:, None] ** k).sum(axis=0)
     diff = np.abs((direct[:, None] ** k).sum(axis=0) - (spectral[:, None] ** k).sum(axis=0))
     return float((diff / np.maximum(scale, np.finfo(float).tiny)).max())
+
+
+def assert_within_crosscheck_tolerance(cfg):
+    """The crosscheck benchmark's gate on the direct and spectral routes:
+    their power sums agree within 1024 n u, or within 32 times the direct
+    route's own spread over another listing of the zeros."""
+    direct = critical_points_direct(cfg).as_array()
+    spectral = critical_points_spectral(cfg).as_array()
+    again = critical_points_direct(ZeroConfig(cfg.zeros[1:] + cfg.zeros[:1])).as_array()
+    tol = max(1024 * cfg.n * EPS / 2, 32 * power_sum_disagreement(direct, again))
+    assert power_sum_disagreement(direct, spectral) <= tol
 
 
 class TestZeroConfig:
@@ -58,168 +66,6 @@ class TestZeroConfig:
             ZeroConfig((1.0, -1.0 + 1e-9), centered=True)
 
 
-class TestPolynomial:
-    def test_must_be_monic(self):
-        with pytest.raises(ValueError):
-            Polynomial((2.0, 1.0))
-
-    def test_must_have_degree(self):
-        with pytest.raises(ValueError):
-            Polynomial((1.0,))
-
-    def test_nonfinite_coefficients_rejected(self):
-        for bad in (np.inf, np.nan, complex(0.0, np.inf)):
-            with pytest.raises(ValueError):
-                Polynomial((1.0, bad, 1.0))
-
-    def test_evaluation(self):
-        p = Polynomial((1.0, 0.0, -1.0))  # z^2 - 1
-        assert p(2.0) == pytest.approx(3.0)
-        assert p(1j) == pytest.approx(-2.0)
-
-
-class TestFromRoots:
-    def test_two_term_product(self):
-        poly = from_roots(ZeroConfig((1.0, -1.0)))
-        assert poly.coeffs == (1.0, 0.0, -1.0)
-
-    def test_cubic_expansion(self):
-        # (z)(z-1)(z+1) = z^3 - z, expanded by hand
-        poly = from_roots(ZeroConfig((0.0, 1.0, -1.0)))
-        np.testing.assert_allclose(poly.as_array(), [1, 0, -1, 0], atol=1e-15)
-
-    def test_binomial_expansion(self):
-        poly = from_roots(ZeroConfig((1.0, 1.0, 1.0, 1.0)))
-        np.testing.assert_allclose(poly.as_array(), [1, -4, 6, -4, 1], atol=1e-12)
-
-    @pytest.mark.parametrize("expand", [from_roots, critical_points_direct])
-    def test_overflow_is_an_arithmetic_error(self, expand):
-        # finite zeros whose product 2^1050 leaves the double range
-        cfg = ZeroConfig((2.0**350, 2.0**350 * 1j, -(2.0**350)))
-        with pytest.raises(OverflowError):
-            expand(cfg)
-
-    def test_matches_numpy_poly(self, rng):
-        for _ in range(25):
-            n = int(rng.integers(2, 13))
-            z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            ours = from_roots(ZeroConfig(tuple(z))).as_array()
-            reference = np.poly(z)
-            np.testing.assert_allclose(ours, reference, rtol=1e-12, atol=1e-12)
-
-
-class TestDerivative:
-    def test_cubic(self):
-        # (z^3 - z)' = 3z^2 - 1; monic form z^2 - 1/3
-        out = derivative(Polynomial((1.0, 0.0, -1.0, 0.0)))
-        np.testing.assert_allclose(out.as_array(), [1, 0, -1 / 3], atol=1e-16)
-
-    def test_quadratic(self):
-        out = derivative(Polynomial((1.0, 0.0, -1.0)))
-        np.testing.assert_allclose(out.as_array(), [1, 0], atol=1e-16)
-
-    def test_quartic_monomial(self):
-        out = derivative(Polynomial((1.0, 0.0, 0.0, 0.0, -1.0)))
-        np.testing.assert_allclose(out.as_array(), [1, 0, 0, 0], atol=1e-16)
-
-    def test_degree_drops_by_one(self, rng):
-        for n in range(2, 10):
-            coeffs = np.concatenate([[1.0], rng.standard_normal(n)])
-            assert derivative(Polynomial(tuple(coeffs))).degree == n - 1
-
-    def test_degree_one_rejected(self):
-        with pytest.raises(ValueError):
-            derivative(Polynomial((1.0, 2.0)))
-
-
-class TestRoots:
-    def test_quadratic_formula_case(self):
-        got = roots(Polynomial((1.0, 0.0, -1 / 3)))
-        expected = [1 / np.sqrt(3), -1 / np.sqrt(3)]
-        assert matched_distance(got, expected) < 1e-14
-
-    def test_fourth_roots_of_unity(self):
-        got = roots(Polynomial((1.0, 0.0, 0.0, 0.0, -1.0)))
-        assert matched_distance(got, [1, 1j, -1, -1j]) < 1e-13
-
-    def test_double_root(self):
-        # z^3 - 3z - 2 = (z - 2)(z + 1)^2; the double root comes back as a
-        # tight cluster, not exact
-        got = roots(Polynomial((1.0, 0.0, -3.0, -2.0)))
-        assert matched_distance(got, [2, -1, -1]) < 1e-6
-
-    def test_against_numpy_roots(self, rng):
-        for _ in range(30):
-            n = int(rng.integers(2, 11))
-            coeffs = np.concatenate(
-                [[1.0], rng.standard_normal(n) + 1j * rng.standard_normal(n)]
-            )
-            got = roots(Polynomial(tuple(coeffs)))
-            assert matched_distance(got, np.roots(coeffs)) < 1e-8
-
-    def test_large_magnitude_conditioning(self):
-        # roots at 1e4 scale exercise the rescale substitution
-        z = np.array([1e4, -1e4, 2e4 + 5e3j, -2e4 - 5e3j])
-        got = roots(from_roots(ZeroConfig(tuple(z))))
-        assert matched_distance(got, z) / np.abs(z).max() < 1e-12
-
-    def test_failure_carries_best_iterate(self):
-        # pins the error object's fields; test_failure_keeps_lower_residual
-        # below makes roots() raise one
-        err = RootFindingError("stalled", best=np.array([1j]), residual=0.5)
-        assert err.residual == 0.5
-        assert err.best[0] == 1j
-
-    def test_polish_that_wanders_falls_back(self, monkeypatch):
-        # the polished iterate misses the gate; the phase-1 iterate passes it
-        # and is returned instead
-        cfg = sample_config(8, "disk", 0)
-        spectral = critical_points_spectral(cfg).as_array()
-        _wandering_polish(monkeypatch)
-        got = critical_points_direct(cfg).as_array()
-        assert matched_distance(got, spectral) <= 1e-12
-
-    def test_failure_keeps_lower_residual(self, monkeypatch):
-        # the same polish under a gate nothing passes: the error carries the
-        # phase-1 iterate, not the polished one
-        cfg = sample_config(8, "disk", 0)
-        spectral = critical_points_spectral(cfg).as_array()
-        _wandering_polish(monkeypatch)
-        monkeypatch.setattr(polyzero, "TOL_ROOT", 0.0)
-        with pytest.raises(RootFindingError) as info:
-            critical_points_direct(cfg)
-        assert 0.0 < info.value.residual < 1e-13
-        assert matched_distance(info.value.best, spectral) <= 1e-12
-
-
-def _wandering_polish(monkeypatch):
-    """Shift every iterate by 0.1 on each Aberth step of the 80-bit polish."""
-    polishing = []
-    horner_extended, aberth_step = polyzero._horner_extended, polyzero._aberth_step
-
-    def evaluate(b, x):
-        polishing.append(True)
-        return horner_extended(b, x)
-
-    def step(x, p, dp):
-        return aberth_step(x, p, dp) + (0.1 if polishing else 0.0)
-
-    monkeypatch.setattr(polyzero, "_horner_extended", evaluate)
-    monkeypatch.setattr(polyzero, "_aberth_step", step)
-
-
-class TestRoundTrip:
-    def test_random_multisets(self, rng):
-        worst = 0.0
-        for _ in range(150):
-            n = int(rng.integers(2, 17))
-            z = rng.uniform(-10, 10, n) + 1j * rng.uniform(-10, 10, n)
-            got = roots(from_roots(ZeroConfig(tuple(z))))
-            scale = max(1.0, float(np.abs(z).max()))
-            worst = max(worst, matched_distance(got, z) / scale)
-        assert worst < 1e-8, f"worst relative round-trip distance {worst:.3e}"
-
-
 class TestCriticalPointsDirect:
     def test_low_family_n3(self):
         got = critical_points_direct(ZeroConfig((0.0, 1.0, -1.0)))
@@ -241,28 +87,118 @@ class TestCriticalPointsDirect:
             assert len(critical_points_direct(ZeroConfig(tuple(z)))) == n - 1
 
 
-class TestPowerEval:
-    def test_matches_sequential_horner(self):
-        # the power-matrix p, p' and th against Horner's rule, one point at
-        # a time; both round like m eps times the majorant of the sum, and
-        # the majorant alone is the one the full evaluation returns
-        rng = np.random.default_rng(64)
-        for m in range(1, 65):
-            b = np.concatenate(
-                [[1.0], rng.standard_normal(m) + 1j * rng.standard_normal(m)]
-            )
-            x = 2.0 ** rng.uniform(-8, 8, 24) * np.exp(2j * np.pi * rng.uniform(size=24))
-            evaluate = polyzero._PowerEval(b, x.size)
-            p, dp, th = evaluate(x)
-            assert np.array_equal(evaluate.majorant(x), th)
-            for i, xi in enumerate(x):
-                hp, hdp, hth, hdth = b[0], 0j, abs(b[0]), 0.0
-                for bk in b[1:]:
-                    hdp, hdth = hdp * xi + hp, hdth * abs(xi) + hth
-                    hp, hth = hp * xi + bk, hth * abs(xi) + abs(bk)
-                assert abs(p[i] - hp) <= 8 * m * EPS * hth
-                assert abs(dp[i] - hdp) <= 8 * m * EPS * hdth
-                assert th[i] == pytest.approx(hth, rel=1e-14)
+class TestRoots:
+    def test_failure_carries_best_iterate(self):
+        # pins the error object's fields; test_a_missed_gate_raises below
+        # makes critical_points_direct raise one
+        err = RootFindingError("stalled", best=np.array([1j]), residual=0.5)
+        assert err.residual == 0.5
+        assert err.best[0] == 1j
+
+
+class TestSecularAdversarial:
+    """Adversarial inputs of the secular Aberth iteration."""
+
+    def test_two_zeros(self, rng):
+        # the one critical point is the midpoint, at any scale
+        for scale in (2.0**-500, 1e-150, 1.0, 1e150, 2.0**300):
+            for _ in range(20):
+                a, b = scale * (rng.standard_normal(2) + 1j * rng.standard_normal(2))
+                (w,) = critical_points_direct(ZeroConfig((a, b))).points
+                assert abs(w - (a + b) / 2) <= 4 * EPS * max(abs(a), abs(b))
+
+    @pytest.mark.parametrize("value", [0.0, 1.0, -3.5 + 2j, 1e-300, 1e300j, 5e-324])
+    def test_all_equal_zeros(self, value):
+        for n in range(2, 10):
+            got = critical_points_direct(ZeroConfig((value,) * n))
+            assert got.points == (complex(value),) * (n - 1)
+
+    def test_exact_multiple_zeros(self, rng):
+        # each zero of multiplicity m comes back exactly m - 1 times, whatever
+        # the listing order, next to the roots of the secular equation
+        worst = 0.0
+        for _ in range(100):
+            r = int(rng.integers(2, 7))
+            zeta = rng.standard_normal(r) + 1j * rng.standard_normal(r)
+            m = rng.integers(1, 5, r)
+            z = np.repeat(zeta, m)
+            rng.shuffle(z)
+            cfg = ZeroConfig(tuple(z))
+            direct = critical_points_direct(cfg).as_array()
+            for value, count in zip(zeta, m):
+                assert np.count_nonzero(direct == value) == count - 1
+            spectral = critical_points_spectral(cfg).as_array()
+            worst = max(worst, matched_distance(direct, spectral) / np.abs(spectral).max())
+        assert worst <= 1e-13
+
+    @pytest.mark.parametrize("n", [3, 8, 16])
+    def test_power_of_two_scales_are_exact(self, n):
+        # the zeros are solved scaled by a power of two, so scaling them by
+        # another one scales the result exactly, from 2^-500 to 2^300
+        for dist in DISTRIBUTIONS:
+            z = sample_config(n, dist, 0).as_array()
+            base = critical_points_direct(ZeroConfig(tuple(z))).as_array()
+            for k in range(-500, 301, 50):
+                got = critical_points_direct(ZeroConfig(tuple(z * 2.0**k))).as_array()
+                assert np.array_equal(got, base * 2.0**k)
+
+    @pytest.mark.parametrize("k", range(-150, 151, 30))
+    def test_decimal_scales(self, k):
+        worst = 0.0
+        for n in (3, 8, 16):
+            for dist in DISTRIBUTIONS:
+                cfg = ZeroConfig(tuple(sample_config(n, dist, 1).as_array() * 10.0**k))
+                direct = critical_points_direct(cfg).as_array()
+                spectral = critical_points_spectral(cfg).as_array()
+                worst = max(worst, matched_distance(direct, spectral) / np.abs(spectral).max())
+        assert worst <= 1e-12
+
+    @pytest.mark.parametrize(
+        "start",
+        [(1.0, 0.3, -0.2j), (0.5j, -1.0, 1.0), (0.3, 0.3, -0.2j)],
+        ids=["on-a-zero", "all-on-zeros", "on-each-other"],
+    )
+    def test_iterate_on_a_zero(self, start):
+        # an iterate exactly on a zero or on another iterate sits on a pole
+        # of the sums; it is moved off and the iteration converges
+        zeta = np.array([1.0, -1.0, 0.5j, -0.5j])
+        w, worst = polyzero._secular_roots(zeta, np.ones(4), np.array(start, dtype=complex))
+        spectral = critical_points_spectral(ZeroConfig(tuple(zeta))).as_array()
+        assert worst <= 16 * 4 * EPS
+        assert matched_distance(w, spectral) <= 1e-14
+
+    def test_a_missed_gate_raises(self, monkeypatch):
+        # no step taken: the starts miss the final gate
+        monkeypatch.setattr(polyzero, "_MAX_STEPS", 0)
+        cfg = sample_config(8, "disk", 0)
+        with pytest.raises(RootFindingError, match="missed its gate") as info:
+            critical_points_direct(cfg)
+        assert isinstance(info.value, ArithmeticError)
+        assert info.value.residual > 16 * cfg.n * EPS
+        assert info.value.best.shape == (cfg.n - 1,)
+        assert np.all(np.isfinite(info.value.best))
+
+    @pytest.mark.parametrize(
+        "zeros",
+        [
+            (1.0, 1e-320, -1e-320),
+            (0.0, 0.0, 1e-320, 1.0),
+            (5e-324, -5e-324, 1e-323j),
+            (1e-310, 2e-310, -3e-310j),
+            (1.7e308, -1.7e308, 1.7e308j),
+            (1.0, 1.0 + 2.0**-52, 1.0 + 2.0**-51),
+        ],
+    )
+    def test_a_failure_is_never_a_nan(self, zeros):
+        # zeros apart by subnormal gaps, or at the ends of the double range:
+        # finite critical points, or a RootFindingError, and numpy stays
+        # silent either way
+        try:
+            got = critical_points_direct(ZeroConfig(zeros)).as_array()
+        except RootFindingError:
+            return
+        assert got.size == len(zeros) - 1
+        assert np.all(np.isfinite(got))
 
 
 class TestDirectAgainstSpectral:
@@ -342,28 +278,17 @@ class TestDirectAgainstSpectral:
     )
 
     def test_root_caught_in_the_wrong_cluster_restarts(self):
-        # from the unturned circle three roots of the cluster near -1.7 end in
-        # the one near 0.25 and pass the residual gate; the trace identity
-        # catches them and the turned circle finds them
+        # an Aberth iteration on the coefficients of p' once caught three
+        # roots of the cluster near -1.7 in the one near 0.25 here, each
+        # passing its residual gate
         cfg = ZeroConfig(tuple(complex(*pair) for pair in self.WRONG_CLUSTER), centered=True)
-        direct = critical_points_direct(cfg).as_array()
-        spectral = critical_points_spectral(cfg).as_array()
-        # the crosscheck benchmark's tolerance: 1024 n u, or 32 times the
-        # direct route's own spread over another listing of the zeros
-        again = critical_points_direct(ZeroConfig(cfg.zeros[1:] + cfg.zeros[:1])).as_array()
-        tol = max(1024 * cfg.n * np.finfo(float).eps / 2, 32 * power_sum_disagreement(direct, again))
-        assert power_sum_disagreement(direct, spectral) <= tol
-
-    def test_a_second_miss_raises(self, monkeypatch):
-        monkeypatch.setattr(polyzero, "_trace_ok", lambda x, b: False)
-        with pytest.raises(RootFindingError, match="trace identity"):
-            critical_points_direct(sample_config(8, "disk", 0))
+        assert_within_crosscheck_tolerance(cfg)
 
     @pytest.mark.parametrize("n", [3, 8, 16])
     @pytest.mark.parametrize("dist", ["disk", "gaussian"])
     def test_critical_moduli_at_every_scale(self, dist, n):
-        # roots far inside the unit disk must be rescaled too: left as they
-        # are, iterates on a circle around them pass the absolute test
+        # zeros far inside or outside the unit disk: the secular equation is
+        # solved for them scaled by a power of two
         worst = 0.0
         for seed in range(20):
             z = sample_config(n, dist, seed).as_array()
@@ -376,8 +301,8 @@ class TestDirectAgainstSpectral:
 
     @pytest.mark.parametrize("k", range(-500, 301, 100))
     def test_ends_of_the_double_range(self, k):
-        # at n = 3 the coefficients of p' stay normal doubles from 2^-500 to
-        # 2^300; the rescale itself must not over- or underflow there
+        # the power-of-two scaling of the zeros must not over- or underflow
+        # from 2^-500 to 2^300
         for seed in range(5):
             z = sample_config(3, "disk", seed).as_array()
             cfg = ZeroConfig(tuple(z * 2.0**k))
@@ -386,16 +311,24 @@ class TestDirectAgainstSpectral:
             assert np.abs(direct - spectral).max() <= 1e-12 * spectral.max()
 
     def test_one_huge_root(self):
-        # p = (z - 1e200)(z^2 - 1e-20): the rescale s ~ 5e199 has s^2 beyond
-        # the double range, while every coefficient of p and p' is finite;
-        # the tiny critical point, about -5e-221, is below the huge one's
-        # resolution
-        got = roots(derivative(from_roots(ZeroConfig((1e200, 1e-10, -1e-10)))))
+        # p = (z - 1e200)(z^2 - 1e-20): next to the scaled zero near 1 the
+        # reciprocals of the two tiny ones square beyond the double range
+        # unless each row of them is scaled; the tiny critical point, about
+        # -5e-221, is below the huge one's resolution
+        got = critical_points_direct(ZeroConfig((1e200, 1e-10, -1e-10))).as_array()
         assert matched_distance(got, [2e200 / 3, 0.0]) <= 1e-15 * 2e200 / 3
 
+    def test_no_coefficient_overflows(self):
+        # prod (z - z_j) of these finite zeros has the coefficient 2^1050,
+        # beyond the double range; the secular equation forms no coefficient
+        cfg = ZeroConfig((2.0**350, 2.0**350 * 1j, -(2.0**350)))
+        direct = critical_points_direct(cfg).as_array()
+        spectral = critical_points_spectral(cfg).as_array()
+        assert matched_distance(direct, spectral) <= 1e-14 * np.abs(spectral).max()
+
     def test_pinned_cluster(self):
-        # an earlier polish wandered off this config's converged iterate and
-        # raised at residual 1.7e-7
+        # the coefficient route's 80-bit polish once wandered off this
+        # config's converged iterate and raised at residual 1.7e-7
         cfg = ZeroConfig(
             tuple(complex(re, im) for re, im in self.PINNED_CLUSTER), centered=True
         )
@@ -412,57 +345,50 @@ class TestDirectAgainstSpectral:
             direct = critical_points_direct(cfg).as_array()
             spectral = critical_points_spectral(cfg).as_array()
             worst = max(worst, power_sum_disagreement(direct, spectral))
-        assert worst <= 1e-3
+        assert worst <= 1e-11
+
+    def test_near_double_critical_point(self):
+        # unit 682 of the crosscheck benchmark's seed 1006: a nearly double
+        # critical point, where the spectral route misses the 1024 n u floor
+        # (6.4e-13 from the truth at 50 digits in the power-sum measure) and
+        # the gate passes on the direct route's own spread over a relisting
+        cfg = sample_config(3, "roots_of_unity_perturbed", 3314515914)
+        direct = critical_points_direct(cfg).as_array()
+        with mpmath.mp.workdps(50):
+            truth = np.array([complex(w) for w in mp_critical_points(cfg.zeros)])
+        assert matched_distance(direct, truth) <= 2.5e-13 * np.abs(truth).max()
+        assert_within_crosscheck_tolerance(cfg)
 
 
-class TestRootsOracle:
-    """roots against the loop it replaced (conftest.reference_roots): the
-    same roots bit for bit, or the same RootFindingError."""
-
-    @staticmethod
-    def assert_same(poly):
-        outcomes = []
-        for find in (roots, reference_roots):
-            try:
-                outcomes.append(find(poly))
-            except RootFindingError as err:
-                outcomes.append((str(err), err.best, err.residual))
-        got, expected = outcomes
-        if isinstance(expected, tuple):
-            assert isinstance(got, tuple), f"expected RootFindingError {expected[0]}"
-            assert got[0] == expected[0] and got[2] == expected[2]
-            got, expected = got[1], expected[1]
-        assert np.array_equal(got, expected)
-
-    @staticmethod
-    def direct(zeros, centered=False):
-        return derivative(from_roots(ZeroConfig(tuple(zeros), centered=centered)))
+class TestDirectAgainstTruth:
+    """The direct route against the critical points at 40 digits."""
 
     @pytest.mark.parametrize("n", [3, 8, 16, 32])
     def test_sampled_cells(self, n):
+        worst = 0.0
         for dist in DISTRIBUTIONS:
-            for seed in range(20):
-                self.assert_same(self.direct(sample_config(n, dist, seed).zeros))
+            for seed in range(8):
+                cfg = sample_config(n, dist, seed)
+                start = critical_points_spectral(cfg).as_array()
+                with mpmath.mp.workdps(40):
+                    truth = np.array([complex(w) for w in mp_critical_points(cfg.zeros, start)])
+                direct = critical_points_direct(cfg).as_array()
+                worst = max(worst, matched_distance(direct, truth) / np.abs(truth).max())
+        assert worst <= 1e-13
 
-    def test_edge_inputs(self):
-        pinned = [complex(re, im) for re, im in TestDirectAgainstSpectral.PINNED_CLUSTER]
-        self.assert_same(self.direct(pinned, centered=True))
-        for n in (8, 16):
-            for seed in range(5):
-                # roots well inside the unit disk, which the rescale must move
-                self.assert_same(self.direct(sample_config(n, "disk", seed).as_array() * 1e-3))
-        self.assert_same(self.direct((1e200, 1e-10, -1e-10)))
-        # an exact multiple root, polished on rounding noise
-        self.assert_same(self.direct([1] * 5))
-
-    def test_failures_carry_the_same_fields(self, monkeypatch):
-        # under a gate nothing passes both loops raise, from the same iterate
-        monkeypatch.setattr(polyzero, "TOL_ROOT", 0.0)
-        for n, dist in ((3, "disk"), (8, "clustered"), (16, "real")):
-            poly = self.direct(sample_config(n, dist, 0).zeros)
-            with pytest.raises(RootFindingError):
-                roots(poly)
-            self.assert_same(poly)
+    @pytest.mark.parametrize("tilt", [0.0, 1e-13, 1e-9])
+    def test_nearly_collinear(self, rng, tilt):
+        # zeros on a turned line, each moved off it by at most ``tilt``
+        for n in (3, 6, 12):
+            for _ in range(5):
+                t = np.sort(rng.uniform(-1.0, 1.0, n))
+                z = (t + 1j * tilt * rng.uniform(-1.0, 1.0, n)) * np.exp(1j * rng.uniform(0, np.pi))
+                cfg = ZeroConfig(tuple(z))
+                start = critical_points_spectral(cfg).as_array()
+                with mpmath.mp.workdps(40):
+                    truth = np.array([complex(w) for w in mp_critical_points(cfg.zeros, start)])
+                direct = critical_points_direct(cfg).as_array()
+                assert matched_distance(direct, truth) <= 1e-13 * np.abs(truth).max()
 
 
 class TestCentroidCenter:

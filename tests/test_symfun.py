@@ -234,10 +234,20 @@ class TestPrefixProductsHold:
 
 class TestCriticalEsfIdentity:
     def test_repeated_ones(self):
-        # q = (z-1)^4 has critical points (1,1,1); the identity is exact but
-        # the triple root comes back as an eps^(1/3)-sized cluster, so the
-        # residual sits above the simple-root floor
+        # q = (z-1)^4 has the critical points (1,1,1), which the direct route
+        # returns exactly
         assert critical_esf_identity_error([1.0, 1.0, 1.0, 1.0]) <= 1e-8
+
+    @pytest.mark.parametrize("n", range(5, 10))
+    @pytest.mark.parametrize("value", [1.0, 2.0])
+    def test_multiple_root(self, value, n):
+        # an expansion into coefficients left these clusters off by up to
+        # 3.2e-5; a zero of multiplicity n is returned n - 1 times, exactly
+        assert critical_esf_identity_error([value] * n) <= 1e-14
+
+    @pytest.mark.parametrize("n", range(5, 10))
+    def test_multiple_root_next_to_a_simple_one(self, n):
+        assert critical_esf_identity_error([2.0] * (n - 1) + [0.5]) <= 1e-14
 
     def test_all_zero(self):
         assert critical_esf_identity_error([0.0, 0.0, 0.0]) <= 1e-12
