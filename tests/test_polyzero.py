@@ -14,6 +14,7 @@ from schoenberg.polyzero import (
     centroid,
     critical_points_direct,
 )
+from schoenberg.symfun import esf_table
 
 from conftest import matched_distance, mp_critical_points
 
@@ -88,12 +89,79 @@ class TestCriticalPointsDirect:
 
 
 class TestRoots:
+    """critical_points_direct as a root finder: the roots of the secular
+    equation against closed forms and numpy."""
+
+    def test_quadratic_formula_case(self, rng):
+        # n = 3: p'/3 = w^2 - (2/3) e_1 w + e_2 / 3, solved by the quadratic
+        # formula with the larger-modulus sign first
+        for _ in range(50):
+            z = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+            e1, e2 = z.sum(), z[0] * z[1] + z[0] * z[2] + z[1] * z[2]
+            d = np.sqrt(e1 * e1 - 3 * e2)
+            q = e1 + d if abs(e1 + d) >= abs(e1 - d) else e1 - d
+            expected = [q / 3, e2 / q]
+            got = critical_points_direct(ZeroConfig(tuple(z))).as_array()
+            assert matched_distance(got, expected) <= 1e-14 * np.abs(expected).max()
+
+    def test_fourth_roots_of_unity(self):
+        # p = z^5 - 5z + c has p' = 5(z^4 - 1), whatever c; its zeros are
+        # rounded from 40 digits
+        for c in (1.0, 2j, -3.0):
+            with mpmath.mp.workdps(40):
+                coeffs = [1, 0, 0, 0, -5, c]
+                zeros = [complex(v) for v in mpmath.polyroots(coeffs, maxsteps=200, extraprec=100)]
+            got = critical_points_direct(ZeroConfig(tuple(zeros))).as_array()
+            assert matched_distance(got, [1, 1j, -1, -1j]) < 1e-13
+
+    def test_double_root(self):
+        # zeros c + 3 omega^k, omega a cube root of unity: p' = 3(w - c)^2,
+        # a double root of the secular equation away from every zero; it
+        # comes back as a tight cluster, not exact
+        c = 2.0 - 1.0j
+        zeros = c + 3.0 * np.exp(2j * np.pi * np.arange(3) / 3)
+        got = critical_points_direct(ZeroConfig(tuple(zeros))).as_array()
+        assert matched_distance(got, [c, c]) < 1e-6
+
+    def test_against_numpy_roots(self, rng):
+        for _ in range(30):
+            n = int(rng.integers(2, 11))
+            z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            got = critical_points_direct(ZeroConfig(tuple(z))).as_array()
+            assert matched_distance(got, np.roots(np.polyder(np.poly(z)))) < 1e-8
+
+    def test_large_magnitude_conditioning(self):
+        # zeros at the 1e4 scale are solved scaled by 2^-15
+        z = (1e4, -1e4, 2e4 + 5e3j, -2e4 - 5e3j)
+        with mpmath.mp.workdps(40):
+            truth = np.array([complex(w) for w in mp_critical_points(z)])
+        got = critical_points_direct(ZeroConfig(z)).as_array()
+        assert matched_distance(got, truth) / np.abs(truth).max() < 1e-14
+
     def test_failure_carries_best_iterate(self):
         # pins the error object's fields; test_a_missed_gate_raises below
         # makes critical_points_direct raise one
         err = RootFindingError("stalled", best=np.array([1j]), residual=0.5)
         assert err.residual == 0.5
         assert err.best[0] == 1j
+
+
+class TestRoundTrip:
+    def test_random_multisets(self, rng):
+        # zeros -> critical points -> coefficients: e_k of the critical points
+        # is ((n - k) / n) e_k of the zeros, the coefficients of p' / n, on
+        # multisets drawn with repeats; relative to that e_k of |z|
+        worst = 0.0
+        for _ in range(150):
+            n = int(rng.integers(2, 17))
+            pool = rng.uniform(-10, 10, n) + 1j * rng.uniform(-10, 10, n)
+            z = rng.choice(pool, n)
+            w = critical_points_direct(ZeroConfig(tuple(z))).as_array()
+            k = np.arange(1, n)
+            target = (n - k) / n * esf_table(z)[1:n]
+            scale = (n - k) / n * esf_table(np.abs(z))[1:n]
+            worst = max(worst, float((np.abs(esf_table(w)[1:n] - target) / scale).max()))
+        assert worst < 1e-13, f"worst relative round-trip defect {worst:.3e}"
 
 
 class TestSecularAdversarial:
@@ -360,8 +428,15 @@ class TestDirectAgainstSpectral:
         assert_within_crosscheck_tolerance(cfg)
 
 
-class TestDirectAgainstTruth:
+class TestRootsOracle:
     """The direct route against the critical points at 40 digits."""
+
+    @staticmethod
+    def truth(zeros):
+        cfg = ZeroConfig(tuple(zeros))
+        start = critical_points_spectral(cfg).as_array()
+        with mpmath.mp.workdps(40):
+            return np.array([complex(w) for w in mp_critical_points(cfg.zeros, start)])
 
     @pytest.mark.parametrize("n", [3, 8, 16, 32])
     def test_sampled_cells(self, n):
@@ -369,9 +444,7 @@ class TestDirectAgainstTruth:
         for dist in DISTRIBUTIONS:
             for seed in range(8):
                 cfg = sample_config(n, dist, seed)
-                start = critical_points_spectral(cfg).as_array()
-                with mpmath.mp.workdps(40):
-                    truth = np.array([complex(w) for w in mp_critical_points(cfg.zeros, start)])
+                truth = self.truth(cfg.zeros)
                 direct = critical_points_direct(cfg).as_array()
                 worst = max(worst, matched_distance(direct, truth) / np.abs(truth).max())
         assert worst <= 1e-13
@@ -383,12 +456,43 @@ class TestDirectAgainstTruth:
             for _ in range(5):
                 t = np.sort(rng.uniform(-1.0, 1.0, n))
                 z = (t + 1j * tilt * rng.uniform(-1.0, 1.0, n)) * np.exp(1j * rng.uniform(0, np.pi))
-                cfg = ZeroConfig(tuple(z))
-                start = critical_points_spectral(cfg).as_array()
-                with mpmath.mp.workdps(40):
-                    truth = np.array([complex(w) for w in mp_critical_points(cfg.zeros, start)])
-                direct = critical_points_direct(cfg).as_array()
+                truth = self.truth(z)
+                direct = critical_points_direct(ZeroConfig(tuple(z))).as_array()
                 assert matched_distance(direct, truth) <= 1e-13 * np.abs(truth).max()
+
+    def test_edge_inputs(self):
+        pinned = [complex(re, im) for re, im in TestDirectAgainstSpectral.PINNED_CLUSTER]
+        cases = [pinned, (1e200, 1e-10, -1e-10)]
+        for n in (8, 16):
+            for seed in range(5):
+                # zeros well inside the unit disk, which the scaling must move
+                cases.append(sample_config(n, "disk", seed).as_array() * 1e-3)
+        for zeros in cases:
+            truth = self.truth(zeros)
+            direct = critical_points_direct(ZeroConfig(tuple(zeros))).as_array()
+            assert matched_distance(direct, truth) <= 1e-15 * np.abs(truth).max()
+        # an exact multiple zero is returned as itself, with no rounding
+        assert critical_points_direct(ZeroConfig((1.0,) * 5)).points == (1.0,) * 4
+
+    def test_failures_carry_the_same_fields(self, monkeypatch):
+        # with no step taken every call misses its gate; the error carries
+        # the starts and the worst backward error of those starts, which
+        # is recomputed here at 40 digits:
+        # |sum 1/(w - z)| / (sum |w - z|^-1 + |w| sum |w - z|^-2)
+        monkeypatch.setattr(polyzero, "_MAX_STEPS", 0)
+        for n, dist in ((3, "disk"), (8, "clustered"), (16, "real")):
+            cfg = sample_config(n, dist, 0)
+            with pytest.raises(RootFindingError) as info:
+                critical_points_direct(cfg)
+            best = info.value.best
+            assert best.shape == (n - 1,) and np.all(np.isfinite(best))
+            with mpmath.mp.workdps(40):
+                worst = max(
+                    abs(sum(1 / (w - z) for z in zs))
+                    / (sum(1 / abs(w - z) for z in zs) + abs(w) * sum(1 / abs(w - z) ** 2 for z in zs))
+                    for w, zs in ((mpmath.mpc(w), [mpmath.mpc(z) for z in cfg.zeros]) for w in best)
+                )
+            assert info.value.residual == pytest.approx(float(worst), rel=1e-12)
 
 
 class TestCentroidCenter:
