@@ -248,12 +248,6 @@ def _power_sums(mods: np.ndarray, orders) -> np.ndarray:
     return sums
 
 
-def _critical_moduli(z: np.ndarray) -> np.ndarray:
-    """The n-1 critical moduli of each row of the zeros z, nonincreasing:
-    the eigenvalue moduli of its compression, (..., n-1)."""
-    return _descending_moduli(densela._eigvals(densela._compression(z)))
-
-
 def _descending_moduli(lam: np.ndarray) -> np.ndarray:
     """|lam| sorted nonincreasing along the last axis."""
     # negating twice keeps the array contiguous, so every transcendental on

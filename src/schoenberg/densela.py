@@ -110,8 +110,9 @@ def _finite_compression(z: np.ndarray) -> np.ndarray:
     """_compression(z) of finite zeros, with OverflowError in place of a
     non-finite entry, which LAPACK's SVD would take without raising (it
     returns NaN, and OpenBLAS prints a complaint to standard output).  The
-    check is one pass over the stack; the search objectives, whose zeros
-    are O(1), leave it out."""
+    check is one pass over the stack.  The searches in ``sharpness`` take
+    their compressions from a linear map of their coordinates, built from
+    _compression of real basis rows, with no finiteness pass."""
     with np.errstate(over="ignore", invalid="ignore"):
         return _require_finite(_compression(z))
 

@@ -364,9 +364,20 @@ def _record_error(
 
 def re_evaluate_violation(entry: dict, spec: AuditSpec) -> certs.Certificate:
     """Re-run the single certificate stored in a violation entry; a name the
-    evaluator does not make is a KeyError, and a certificate whose n is not
-    the number of stored zeros is a ValueError."""
+    evaluator does not make is a KeyError.  An entry whose n is not the
+    number of stored zeros or not one of the spec's, whose distribution is
+    not one of the spec's, or whose certificate's n is not the number of
+    stored zeros is a ValueError."""
     cfg = _pairs_to_config(entry["zeros"])
+    if entry["n"] != cfg.n:
+        raise ValueError(f"the entry has n = {entry['n']}, but stores {cfg.n} zeros")
+    if entry["n"] not in spec.n_values:
+        raise ValueError(f"the entry has n = {entry['n']}, not one of {spec.n_values}")
+    if entry["distribution"] not in spec.distributions:
+        raise ValueError(
+            f"the entry has distribution {entry['distribution']!r}, "
+            f"not one of {spec.distributions}"
+        )
     stored = certs.Certificate.from_dict(entry["certificate"])
     if stored.n != cfg.n:
         raise ValueError(f"the certificate has n = {stored.n}, but the entry stores {cfg.n} zeros")

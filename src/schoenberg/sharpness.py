@@ -9,21 +9,28 @@ tests/test_certs.py::TestIntermediateOrderCounterexample), so there the
 second family attains it without being extremal; PAPER.md does not settle
 which constant the paper states.  Both searches validate the order as
 ``certs`` does, and n, the budget and the seed as integers, and share one
-routine, which parametrizes the centered subspace by the first n-1 zeros
+routine, which parametrizes the centered subspace by the first n-1 zeros h
 (the last is minus their sum, so the constraint is exact by construction)
-and runs restarted Nelder-Mead on a simplex held as arrays.  The loop
-keeps the vertices in stable sorted order by inserting the one it
-replaces, hands each family's up-front value to the simplex that starts
-there, and makes its random generator only when a random restart needs
-it; every point it evaluates, and so every result, is bit for bit that
-of a loop that argsorts the simplex before every move.  One search
-maximizes the Schoenberg certificate ratio, from the ``certs`` power sums
-of the critical moduli and of |z|; ``ratio`` reads the best configuration's
-value from the ``certs`` columnar evaluator on a batch of one, as the audit
-does.  The other maximizes the Schatten-to-l^p quotient of the
-differentiator map, from the ``certs`` power sums of its singular values
-and of |z|.  Eigenvalues cross at multiplicity changes, so the objective is
-continuous but not smooth; a simplex method is the right tool.
+and runs restarted Nelder-Mead on a simplex held as arrays.  The zeros and
+their compression to the mean-zero subspace are both real-linear in the
+2(n-1) coordinates, so each search builds one real matrix, the coordinate
+map, whose columns are the zeros e_k - e_n and their compressions, and
+reads both from one matrix product per evaluation: the first n-1 zeros are
+h exactly, and the compression is that of the exactly centered
+configuration, so nothing is recentered.  The loop keeps the vertices in
+stable sorted order by inserting the one it replaces, hands each family's
+up-front value to the simplex that starts there, and makes its random
+generator only when a random restart needs it; every point it evaluates,
+and so every result, is bit for bit that of a loop that argsorts the
+simplex before every move.  One search maximizes the Schoenberg
+certificate ratio, from the ``certs`` power sums of the eigenvalue moduli
+of the compression, the critical moduli, and of |z|; ``ratio`` reads the
+best configuration's value from the ``certs`` columnar evaluator on a
+batch of one, as the audit does.  The other maximizes the Schatten-to-l^p
+quotient of the differentiator map, from the ``certs`` power sums of the
+singular values of the compression and of |z|.  Eigenvalues cross at
+multiplicity changes, so the objective is continuous but not smooth; a
+simplex method is the right tool.
 """
 
 from __future__ import annotations
@@ -191,28 +198,61 @@ def _random_start(n: int, rng) -> np.ndarray:
     return _coords_from_zeros(full)
 
 
-def _search(n: int, p: float, budget: int, entropy, value_at, families=()):
-    """Maximize value_at(n, p), a function of n centered zeros, by restarted
-    Nelder-Mead until ``budget`` evaluations are spent.
+def _coordinate_map(n: int) -> np.ndarray:
+    """The real (n + (n-1)^2) x (n-1) matrix M whose column k is the zeros
+    e_k - e_n stacked on the row-major compression of diag(e_k - e_n).
 
-    The extremal ``families`` are evaluated up front and seed the first
-    restarts, the last first; each hands its value to the simplex as that of
-    its first vertex, which is not evaluated again but counts against the
-    budget.  The other restarts start at random points drawn from
-    SeedSequence(entropy), whose generator is made only when the first of
-    them needs it.  Returns (best coordinates, best value, evaluations,
-    restarts), not counting the up-front evaluations.
+    The search coordinates x hold h in C^(n-1), real parts first, and mean
+    the centered zeros z = (h, -sum h).  Both z and its compression are
+    linear in h with real coefficients, so (M @ x.reshape(2, n-1).T) read
+    as complex is z stacked on its compression.  The first n-1 zeros are
+    h exactly: their rows of M are those of the identity, so each is one
+    product with 1 plus products with 0.  The compression is that of the
+    exactly centered z, with the rounding of the product alone and nothing
+    left to recenter.  Its part of M is densela._compression of the basis
+    rows, which are real, so the Householder formula is stated only there.
     """
-    value = value_at(n, p)
-    rng = None
+    basis = np.eye(n - 1, n)
+    basis[:, -1] = -1.0
+    compressions = densela._compression(basis).real.reshape(n - 1, -1)
+    return np.ascontiguousarray(np.hstack((basis, compressions)).T)
+
+
+def _coordinate_objective(n: int, value):
+    """The function to minimize over the search coordinates x: minus
+    value(|z|, compression), with both read from one product with the
+    coordinate map, built here once; 0 where the zeros all vanish or their
+    largest modulus is not finite."""
+    m = _coordinate_map(n)
 
     def objective(x: np.ndarray) -> float:
-        z = _zeros_from_coords(x)
-        top = np.abs(z).max()
+        mapped = (m @ x.reshape(2, n - 1).T).view(complex)[:, 0]
+        mods = np.abs(mapped[:n])
+        top = mods.max()
         if top == 0.0 or not math.isfinite(top):
             return 0.0
-        return -value(z - z.sum() / z.size)
+        return -value(mods, mapped[n:].reshape(n - 1, n - 1))
 
+    return objective
+
+
+def _search(n: int, p: float, budget: int, entropy, value_at, families=()):
+    """Maximize value_at(n, p), a function of the moduli of n centered
+    zeros and of their compression, by restarted Nelder-Mead until
+    ``budget`` evaluations are spent.
+
+    Each evaluation reads the zeros and the compression from one product
+    with the coordinate map, which is built once per call
+    (_coordinate_objective).  The extremal ``families`` are evaluated up
+    front and seed the first restarts, the last first; each hands its value
+    to the simplex as that of its first vertex, which is not evaluated
+    again but counts against the budget.  The other restarts start at
+    random points drawn from SeedSequence(entropy), whose generator is made
+    only when the first of them needs it.  Returns (best coordinates, best
+    value, evaluations, restarts), not counting the up-front evaluations.
+    """
+    objective = _coordinate_objective(n, value_at(n, p))
+    rng = None
     found = [
         (objective(x), x)
         for x in (_coords_from_zeros(family(n).as_array()) for family in families)
@@ -249,34 +289,37 @@ def _check_search(n, budget, seed) -> tuple[int, int, int]:
 
 
 def _schoenberg_ratio(n: int, p: float):
-    """The ratio of the order-p Schoenberg certificate as a function of n
-    centered zeros, 0 where the right side vanishes: the certs power sums on
-    a batch of one of the n-1 critical moduli, whose shadows ratio() snaps
-    to zero, so the two can differ in the last bits."""
+    """The ratio of the order-p Schoenberg certificate as a function of the
+    moduli of n centered zeros and their compression, 0 where the right
+    side vanishes: the certs power sums of the n-1 critical moduli, the
+    eigenvalue moduli of the compression, and of the zero moduli.  ratio()
+    snaps the shadows of the critical moduli to zero, so the two can differ
+    in the last bits."""
     constant = schoenberg_constant(n, p)
     orders = [p]
 
-    def value(z: np.ndarray) -> float:
-        z = z[None]
-        denom = constant * certs._power_sums(np.abs(z), orders)[0, 0]
+    def value(mods: np.ndarray, compression: np.ndarray) -> float:
+        denom = constant * certs._power_sums(mods, orders)[0]
         if denom == 0.0:
             return 0.0
-        return certs._power_sums(certs._critical_moduli(z), orders)[0, 0] / denom
+        moduli = certs._descending_moduli(densela._eigvals(compression))
+        return certs._power_sums(moduli, orders)[0] / denom
 
     return value
 
 
 def _schatten_quotient(n: int, p: float):
-    """||Q diag(z) Q||_Sp / ||z||_p as a function of n zeros, 0 at z = 0:
-    the p-th root of the certs power sums of the singular values of the
-    compression over those of |z|."""
+    """||Q diag(z) Q||_Sp / ||z||_p as a function of the moduli of n
+    centered zeros and their compression, 0 at z = 0: the p-th root of the
+    certs power sums of the singular values of the compression over those
+    of the zero moduli."""
     orders = [p]
 
-    def value(z: np.ndarray) -> float:
-        denom = certs._power_sums(np.abs(z), orders)[0]
+    def value(mods: np.ndarray, compression: np.ndarray) -> float:
+        denom = certs._power_sums(mods, orders)[0]
         if denom == 0.0:
             return 0.0
-        sigma = densela._svdvals(densela._compression(z))
+        sigma = densela._svdvals(compression)
         return (certs._power_sums(sigma, orders)[0] / denom) ** (1.0 / p)
 
     return value

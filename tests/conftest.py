@@ -151,18 +151,10 @@ def reference_search(n, p, budget, entropy, value_at, families=()):
     argsort of the vertices before every move, the restart diameter as the
     largest edge, each family start evaluated again as its first vertex and
     the generator made up front.  ``value_at`` is one of the frozen
-    objectives below.  Returns (best coordinates, best value, evaluations,
-    restarts)."""
-    value = value_at(n, p)
+    objectives below, read through reference_coordinate_objective.  Returns
+    (best coordinates, best value, evaluations, restarts)."""
+    objective = reference_coordinate_objective(n, value_at(n, p))
     rng = np.random.default_rng(np.random.SeedSequence(entropy))
-
-    def objective(x):
-        z = reference_zeros_from_coords(x)
-        top = np.abs(z).max()
-        if top == 0.0 or not np.isfinite(top):
-            return 0.0
-        return -value(z - z.sum() / z.size)
-
     starts = [_coords_from_zeros(family(n).as_array()) for family in families]
     found = [(objective(x), x) for x in starts]
     spent = 0
@@ -173,6 +165,43 @@ def reference_search(n, p, budget, entropy, value_at, families=()):
         found.append((fx, x))
     best_value, best_x = min(found, key=lambda pair: pair[0])
     return best_x, -best_value, spent, len(found) - len(families)
+
+
+def reference_coordinate_map(n):
+    """The real (n + (n-1)^2) x (n-1) matrix whose column k stacks the zeros
+    e_k - e_n on the row-major compression of diag(e_k - e_n), built one
+    column at a time."""
+    columns = []
+    for k in range(n - 1):
+        e = np.zeros(n)
+        e[k], e[-1] = 1.0, -1.0
+        columns.append(np.concatenate([e, densela._compression(e).real.ravel()]))
+    return np.ascontiguousarray(np.column_stack(columns))
+
+
+def mapped_coordinates(m, x):
+    """The n zeros and the (n-1) x (n-1) compression that the coordinate
+    map ``m`` gives at the search coordinates x."""
+    n = x.size // 2 + 1
+    mapped = (m @ x.reshape(2, n - 1).T).view(complex)[:, 0]
+    return mapped[:n], mapped[n:].reshape(n - 1, n - 1)
+
+
+def reference_coordinate_objective(n, value):
+    """Minus value(|z|, compression) at the search coordinates, both read
+    through reference_coordinate_map; 0 where every zero vanishes or the
+    largest modulus is not finite."""
+    m = reference_coordinate_map(n)
+
+    def objective(x):
+        z, compression = mapped_coordinates(m, x)
+        mods = np.abs(z)
+        top = mods.max()
+        if top == 0.0 or not np.isfinite(top):
+            return 0.0
+        return -value(mods, compression)
+
+    return objective
 
 
 def reference_nelder_mead(objective, x0, budget):
@@ -241,31 +270,31 @@ def _reference_power_sum(mods, p):
 
 
 def reference_schoenberg_ratio(n, p):
-    """The order-p Schoenberg ratio objective, with each power sum taken by
-    ``.sum(axis=-1)``, over the n-1 critical moduli: the eigenvalue moduli
-    of the compression."""
+    """The order-p Schoenberg ratio objective on the zero moduli and the
+    compression, with each power sum taken by ``.sum(axis=-1)``, over the
+    n-1 critical moduli: the eigenvalue moduli of the compression."""
     constant = certs.schoenberg_constant(n, p)
 
-    def value(z):
-        z = z[None]
-        denom = constant * _reference_power_sum(np.abs(z), p)[0]
+    def value(mods, compression):
+        denom = constant * _reference_power_sum(mods, p)
         if denom == 0.0:
             return 0.0
-        return _reference_power_sum(certs._critical_moduli(z), p)[0] / denom
+        moduli = certs._descending_moduli(densela._eigvals(compression))
+        return _reference_power_sum(moduli, p) / denom
 
     return value
 
 
 def reference_schatten_quotient(n, p):
-    """The Schatten-to-l^p quotient objective, with each power sum taken by
-    ``.sum(axis=-1)``, over the singular values of the compression."""
+    """The Schatten-to-l^p quotient objective on the zero moduli and the
+    compression, with each power sum taken by ``.sum(axis=-1)``, over the
+    singular values of the compression."""
 
-    def value(z):
-        denom = _reference_power_sum(np.abs(z), p)
+    def value(mods, compression):
+        denom = _reference_power_sum(mods, p)
         if denom == 0.0:
             return 0.0
-        sigma = densela._svdvals(densela._compression(z))
+        sigma = densela._svdvals(compression)
         return (_reference_power_sum(sigma, p) / denom) ** (1.0 / p)
 
     return value
-

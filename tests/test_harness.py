@@ -327,6 +327,32 @@ class TestRunAudit:
         with pytest.raises(ValueError, match="n = 7, but the entry stores 3 zeros"):
             re_evaluate_violation(forged, SMALL_SPEC)
 
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"n": 4}, "n = 4, but stores 3 zeros"),
+            ({"n": 12, "distribution": "nonsense"}, "n = 12, but stores 3 zeros"),
+            ({"distribution": "nonsense"}, "distribution 'nonsense', not one of"),
+            ({"distribution": "gaussian"}, "distribution 'gaussian', not one of"),
+        ],
+        ids=["n", "n-and-distribution", "unknown-distribution", "distribution-not-in-spec"],
+    )
+    def test_recheck_rejects_an_entry_that_is_not_its_own(self, change, message):
+        # the entry's own n and distribution were never read: an n = 3 entry
+        # edited to n = 12 and a distribution no audit draws was re-evaluated
+        report = run_audit(SMALL_SPEC, sabotage=True)
+        entry = next(v for v in report.violations if v["n"] == 3)
+        with pytest.raises(ValueError, match=message):
+            re_evaluate_violation({**entry, **change}, SMALL_SPEC)
+
+    def test_recheck_rejects_an_n_the_spec_does_not_sample(self):
+        # the zeros and both n agree, but the spec never samples that n
+        report = run_audit(SMALL_SPEC, sabotage=True)
+        entry = next(v for v in report.violations if v["n"] == 3)
+        spec = dataclasses.replace(SMALL_SPEC, n_values=(4, 5))
+        with pytest.raises(ValueError, match=r"n = 3, not one of \(4, 5\)"):
+            re_evaluate_violation(entry, spec)
+
     def test_deterministic_reports(self, tmp_path):
         r1 = run_audit(SMALL_SPEC)
         r2 = run_audit(SMALL_SPEC)

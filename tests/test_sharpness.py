@@ -1,3 +1,4 @@
+import warnings
 import zlib
 
 import numpy as np
@@ -17,8 +18,10 @@ from schoenberg.sharpness import (
 from schoenberg.polyzero import ZeroConfig
 
 from conftest import (
+    mapped_coordinates,
     mp_schoenberg_ratio,
     random_centered,
+    reference_coordinate_objective,
     reference_nelder_mead,
     reference_schatten_quotient,
     reference_schoenberg_ratio,
@@ -147,17 +150,18 @@ class TestMaximizeRatio:
         self, monkeypatch, n, p, budget, seed, evaluations, restarts
     ):
         calls = []
-        moduli = certs._critical_moduli
+        eigvals = densela._eigvals
 
-        def counted(z):
+        def counted(m):
             calls.append(1)
-            return moduli(z)
+            return eigvals(m)
 
-        monkeypatch.setattr(certs, "_critical_moduli", counted)
+        monkeypatch.setattr(densela, "_eigvals", counted)
         res = maximize_ratio(n, p, budget=budget, seed=seed)
-        # the ratio of the best configuration comes from the batch evaluator,
-        # which reads the eigenvalues of its own differentiator stack
-        assert res.evaluations == len(calls)
+        # every objective call reads the eigenvalues of one compression, and
+        # the ratio of the best configuration, from the batch evaluator,
+        # reads them once more
+        assert res.evaluations == len(calls) - 1
         assert (res.evaluations, res.restarts) == (evaluations, restarts)
 
     def test_never_exceeds_one_at_proven_orders(self, rng):
@@ -180,9 +184,9 @@ class TestMaximizeRatio:
     @pytest.mark.parametrize("p", [np.inf, np.nan])
     def test_rejects_bad_order_before_searching(self, monkeypatch, p):
         calls = []
-        zeros = sharpness._zeros_from_coords
+        coordinate_map = sharpness._coordinate_map
         monkeypatch.setattr(
-            sharpness, "_zeros_from_coords", lambda x: calls.append(1) or zeros(x)
+            sharpness, "_coordinate_map", lambda n: calls.append(1) or coordinate_map(n)
         )
         with pytest.raises(ValueError):
             maximize_ratio(5, p, budget=300, seed=0)
@@ -270,11 +274,11 @@ class TestOpnormLowerBound:
         est, bound = opnorm_lower_bound(8, 1.5, budget=1000, seed=0)
         assert est > bound * (1.0 + 1e-6)
 
-    @pytest.mark.parametrize("n, svds", [(5, 100), (8, 101)])
+    @pytest.mark.parametrize("n, svds", [(5, 100), (8, 102)])
     def test_family_starts_are_evaluated_once(self, monkeypatch, n, svds):
         # budget 100 plus the up-front family values (1 at n = 5, 2 at
         # n = 8), less the one that seeds the first simplex; the final move
-        # ends on the budget at both n
+        # ends on the budget at n = 5 and overruns it by one at n = 8
         calls = []
         svdvals = densela._svdvals
 
@@ -291,6 +295,43 @@ class TestOpnormLowerBound:
             opnorm_lower_bound(2, 2.0)
         with pytest.raises(ValueError):
             opnorm_lower_bound(4, 0.3)
+
+
+class TestCoordinateMap:
+    """The searches read the zeros and the compression from one product
+    with sharpness._coordinate_map."""
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 8, 16])
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+    def test_map_gives_the_zeros_and_their_compression(self, rng, n, scale):
+        # the head zeros are the coordinates exactly; the last zero is a sum
+        # of n-1 terms on both routes, whose real and imaginary parts are
+        # each within (n-2)/2 eps of the sum of their terms' moduli, so the
+        # two differ by at most (n-2) eps sum |x|; every compression entry
+        # is a short sum on either route
+        eps = np.finfo(float).eps
+        m = sharpness._coordinate_map(n)
+        assert m.shape == (n + (n - 1) ** 2, n - 1) and m.dtype == float
+        for _ in range(50):
+            x = scale * rng.standard_normal(2 * (n - 1))
+            z, compression = mapped_coordinates(m, x)
+            want = sharpness._zeros_from_coords(x)
+            assert np.array_equal(z[:-1], want[:-1])
+            assert abs(z[-1] - want[-1]) <= (n - 2) * eps * np.abs(x).sum()
+            want_compression = densela._compression(want)
+            top = np.abs(want_compression).max()
+            assert np.abs(compression - want_compression).max() <= 4 * eps * top
+
+    @pytest.mark.parametrize("n", [3, 4, 8])
+    @pytest.mark.parametrize(
+        "value_at", [sharpness._schoenberg_ratio, sharpness._schatten_quotient]
+    )
+    def test_objectives_vanish_at_the_origin(self, n, value_at):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = value_at(n, 1.5)
+            assert sharpness._coordinate_objective(n, value)(np.zeros(2 * (n - 1))) == 0.0
+            assert value(np.zeros(n), np.zeros((n - 1, n - 1), dtype=complex)) == 0.0
 
 
 def reference_maximize_ratio(n, p, budget, seed):
@@ -345,16 +386,19 @@ class TestSearchOracle:
     @pytest.mark.parametrize("n", [3, 4, 5, 8, 16])
     @pytest.mark.parametrize("p", [1.0, 1.75, 3.0])
     def test_objectives_match_the_full_matrix(self, rng, n, p):
-        """The objectives read the compression; they give the values of the
-        formulas they replaced, over the spectra of the n x n Q diag(z) Q
-        less its structural zeros, to 1e-13 relative."""
+        """The objectives, fed search coordinates, give the values of the
+        formulas they replaced, over the spectra of the n x n Q diag(z) Q of
+        the zeros those coordinates name, less its structural zeros, to
+        1e-13 relative."""
         constant = certs.schoenberg_constant(n, p)
+        own, ref = sharpness._coordinate_objective, reference_coordinate_objective
         objectives = [
-            (sharpness._schoenberg_ratio(n, p), sharpness._schatten_quotient(n, p)),
-            (reference_schoenberg_ratio(n, p), reference_schatten_quotient(n, p)),
+            (own(n, sharpness._schoenberg_ratio(n, p)), own(n, sharpness._schatten_quotient(n, p))),
+            (ref(n, reference_schoenberg_ratio(n, p)), ref(n, reference_schatten_quotient(n, p))),
         ]
         for _ in range(20):
-            z = random_centered(rng, n)
+            x = sharpness._coords_from_zeros(random_centered(rng, n))
+            z = reference_zeros_from_coords(x)
             a = densela.differentiator(ZeroConfig(tuple(z)))
             moduli = np.sort(np.abs(np.linalg.eigvals(a)))[1:]
             sigma = np.linalg.svd(a, compute_uv=False)[:-1]
@@ -362,8 +406,8 @@ class TestSearchOracle:
             want_ratio = (moduli**p).sum() / (constant * z_sum)
             want_quotient = ((sigma**p).sum() / z_sum) ** (1.0 / p)
             for ratio_at, quotient_at in objectives:
-                assert ratio_at(z) == pytest.approx(want_ratio, rel=1e-13, abs=0)
-                assert quotient_at(z) == pytest.approx(want_quotient, rel=1e-13, abs=0)
+                assert -ratio_at(x) == pytest.approx(want_ratio, rel=1e-13, abs=0)
+                assert -quotient_at(x) == pytest.approx(want_quotient, rel=1e-13, abs=0)
 
     def test_even_case_restarts_past_both_families(self):
         _, _, _, restarts = sharpness._search(
