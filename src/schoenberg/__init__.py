@@ -17,7 +17,6 @@ from .certs import (
 from .densela import (
     ConvergenceError,
     UnderflowError,
-    centering_projector,
     critical_points_spectral,
     differentiator,
     eigenvalues,
@@ -42,7 +41,7 @@ from .sharpness import (
     opnorm_lower_bound,
     ratio,
 )
-from .symfun import critical_esf_identity_error, esf, weak_log_majorization
+from .symfun import critical_esf_identity_error, esf
 
 __version__ = "0.1.0"
 
@@ -57,7 +56,6 @@ __all__ = [
     "UnderflowError",
     "ZeroConfig",
     "center",
-    "centering_projector",
     "centroid",
     "check_all",
     "critical_esf_identity_error",
@@ -86,6 +84,5 @@ __all__ = [
     "singular_values",
     "sv_product_check",
     "sweep_p",
-    "weak_log_majorization",
     "weyl_check",
 ]

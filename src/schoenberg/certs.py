@@ -547,7 +547,7 @@ def sv_product_check(x: np.ndarray, d) -> list[Certificate]:
     are exact zeros with no ratio.  A right prefix that underflows where no
     factor is zero raises UnderflowError.  X must be square and X and D
     finite (ValueError); a product X* D X or X* |D| X that overflows raises
-    OverflowError.
+    OverflowError.  This is the package's one prefix-product verdict.
     """
     x = densela._check_square(x)
     d = np.asarray(d, dtype=complex).ravel()

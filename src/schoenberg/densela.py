@@ -46,18 +46,6 @@ class UnderflowError(ArithmeticError):
     underflows while at least k values are nonzero."""
 
 
-def centering_projector(n: int) -> np.ndarray:
-    """The centering projector with entries delta_ij - 1/n.
-
-    An orthogonal projection of rank n-1: it annihilates the all-ones vector
-    and fixes its complement.  n must be an integer (ValueError).
-    """
-    n = _integer(n, "projector order")
-    if n <= 1:
-        raise ValueError(f"projector order must be at least 2, got {n}")
-    return np.eye(n) - np.full((n, n), 1.0 / n)
-
-
 def differentiator(cfg: ZeroConfig) -> np.ndarray:
     """The matrix Q diag(z) Q, evaluated entrywise.
 

@@ -1,8 +1,9 @@
-"""Elementary symmetric functions and weak log-majorization checks.
+"""Elementary symmetric functions and the critical-point esf identity.
 
-The majorization checks take arbitrary sequences, with no matrix to measure
-a rounding shadow against, so they keep their own rank floor, RANK_REL_TOL
-of the leading value; the certificates of ``certs`` do not use them.
+``esf`` and ``esf_table`` evaluate e_k by the product recurrence;
+``critical_esf_identity_error`` checks e_k(critical points) =
+((n-k)/n) e_k(moduli) for nonnegative real roots, which measures the
+secular root-finding path of ``polyzero``.
 """
 
 from __future__ import annotations
@@ -10,12 +11,6 @@ from __future__ import annotations
 import numpy as np
 
 from . import densela, polyzero
-
-MAJORIZATION_REL_TOL = 1e-9
-
-# entries this far below a sequence's leading value are the floating-point
-# shadow of an exact zero (rank-deficient inputs) and short-circuit as such
-RANK_REL_TOL = 1e-12
 
 _TINY = np.finfo(float).tiny
 
@@ -69,47 +64,6 @@ def esf_table(values) -> np.ndarray:
     return e
 
 
-def prefix_products_hold(a, b) -> np.ndarray:
-    """Per-prefix verdicts prod a[:k] <= prod b[:k] for k = 1 .. len(a).
-
-    Rows run along the last axis; leading axes are a batch.  Products are
-    compared in log space with relative slack MAJORIZATION_REL_TOL.  Entries
-    at or below RANK_REL_TOL of their row's leading value count as the exact
-    zeros they shadow (rank-deficient inputs whose trailing singular values
-    are pure rounding noise): a prefix of a holding one is 0 and holds
-    against anything; otherwise a prefix of b holding one is 0 and fails.
-    Inputs are not validated; see weak_log_majorization.
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    zero_a, zero_b = (
-        np.logical_or.accumulate(seq <= RANK_REL_TOL * seq[..., :1], axis=-1) for seq in (a, b)
-    )
-    with np.errstate(divide="ignore"):  # zeros are settled by the masks
-        logs_hold = np.cumsum(np.log(a), axis=-1) <= np.cumsum(
-            np.log(b), axis=-1
-        ) + np.log1p(MAJORIZATION_REL_TOL)
-    return zero_a | (~zero_b & logs_hold)
-
-
-def weak_log_majorization(a, b) -> bool:
-    """Whether every prefix product of a is bounded by the same prefix of b.
-
-    Both sequences must be nonincreasing and nonnegative, of equal length;
-    the verdict is that of prefix_products_hold on every prefix.
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape or a.ndim != 1:
-        raise ValueError("sequences must be 1-d and of equal length")
-    for name, seq in (("a", a), ("b", b)):
-        if np.any(seq < 0) or not np.all(np.isfinite(seq)):
-            raise ValueError(f"sequence {name} must be nonnegative and finite")
-        if np.any(np.diff(seq) > 0):
-            raise ValueError(f"sequence {name} must be nonincreasing")
-    return bool(prefix_products_hold(a, b).all())
-
-
 def critical_esf_identity_error(moduli) -> float:
     """Worst relative defect in e_k(critical points) = ((n-k)/n) e_k(moduli).
 
@@ -118,8 +72,11 @@ def critical_esf_identity_error(moduli) -> float:
     moduli are solved from the moduli themselves by the secular Aberth
     iteration of ``polyzero.critical_points_direct``, and the elementary
     symmetric functions of those computed critical points compared against
-    the closed form, for every k = 1 .. n-1.  Errors are relative to
-    max(1, e_k(moduli)).
+    the closed form, for every k = 1 .. n-1.  The moduli are first scaled
+    by the power of two that brings the largest into [1/2, 1), which is
+    exact, and each error is taken relative to max(1, (n-k)/n e_k) of the
+    scaled moduli; the identity is homogeneous, so the result does not
+    depend on the scale of the input, and no e_k overflows.
     """
     arr = np.asarray(moduli, dtype=float)
     if arr.ndim != 1 or arr.size < 2:
@@ -127,6 +84,7 @@ def critical_esf_identity_error(moduli) -> float:
     if np.any(arr < 0) or not np.all(np.isfinite(arr)):
         raise ValueError("moduli must be nonnegative and finite")
     n = arr.size
+    arr = np.ldexp(arr, -np.frexp(arr.max())[1])
     cfg = polyzero.ZeroConfig(tuple(complex(v) for v in arr))
     xi = polyzero.critical_points_direct(cfg).as_array()
     k = np.arange(1, n)

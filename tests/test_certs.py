@@ -25,7 +25,7 @@ from schoenberg.certs import (
     sv_product_check,
     weyl_check,
 )
-from schoenberg.densela import centering_projector, differentiator, lp_norm, schatten_norm
+from schoenberg.densela import differentiator, lp_norm, schatten_norm
 from schoenberg.harness import (
     DEFAULT_N_VALUES,
     DEFAULT_P_GRID,
@@ -332,7 +332,7 @@ class TestSvProduct:
             assert cert.lhs == pytest.approx(cert.rhs, rel=1e-12)
 
     def test_projector_annihilates(self):
-        rows = sv_product_check(centering_projector(2), [1.0, -1.0])
+        rows = sv_product_check(np.eye(2) - 1.0 / 2, [1.0, -1.0])
         assert rows[0].lhs == pytest.approx(0.0, abs=1e-14)
         assert rows[0].rhs == pytest.approx(1.0)
         assert all(cert.holds for cert in rows)
@@ -343,6 +343,33 @@ class TestSvProduct:
             x = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2)
             d = rng.standard_normal(n) + 1j * rng.standard_normal(n)
             assert all(cert.holds for cert in sv_product_check(x, d))
+
+    def test_nonnegative_d_is_reflexive(self, rng):
+        # D = |D| makes the two sides one matrix: equal at every k, ratio 1
+        for _ in range(10):
+            n = int(rng.integers(2, 8))
+            x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            for cert in sv_product_check(x, rng.uniform(0.5, 2.0, n)):
+                assert cert.holds and cert.lhs == cert.rhs and cert.ratio == 1.0
+
+    @pytest.mark.parametrize("zero", ["x", "d"])
+    def test_zero_products_hold_with_no_ratio(self, rng, zero):
+        n = 4
+        x = np.zeros((n, n)) if zero == "x" else rng.standard_normal((n, n))
+        d = np.zeros(n) if zero == "d" else rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        rows = sv_product_check(x, d)
+        assert len(rows) == n
+        for cert in rows:
+            assert cert.lhs == 0.0 and cert.rhs == 0.0
+            assert cert.holds and cert.ratio is None
+
+    def test_projector_instance(self, rng):
+        # sigma(Q diag(z) Q) against sigma(Q diag(|z|) Q), the instance that
+        # check_all audits
+        for _ in range(25):
+            n = int(rng.integers(2, 9))
+            z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            assert all(cert.holds for cert in sv_product_check(np.eye(n) - 1.0 / n, z))
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -756,7 +783,7 @@ class TestNonFiniteSides:
         for run in (
             lambda: check_all(cfg, [1.0, 2.0, 4.0]),
             lambda: esf_bounds(cfg),
-            lambda: sv_product_check(centering_projector(8), d),
+            lambda: sv_product_check(np.eye(8) - 1.0 / 8, d),
         ):
             with pytest.raises(UnderflowError):
                 run()

@@ -7,7 +7,6 @@ from schoenberg.densela import (
     ConvergenceError,
     _compression,
     _differentiator,
-    centering_projector,
     critical_points_spectral,
     differentiator,
     eigenvalues,
@@ -20,41 +19,6 @@ from schoenberg.polyzero import ZeroConfig, critical_points_direct
 from conftest import matched_distance, mp_critical_points, random_centered
 
 
-class TestCenteringProjector:
-    def test_order_two(self):
-        np.testing.assert_allclose(
-            centering_projector(2), [[0.5, -0.5], [-0.5, 0.5]], atol=0
-        )
-
-    def test_order_three_entries(self):
-        q = centering_projector(3)
-        np.testing.assert_allclose(np.diag(q), [2 / 3] * 3, atol=1e-16)
-        assert q[0, 1] == pytest.approx(-1 / 3, abs=1e-16)
-
-    def test_idempotent_and_symmetric(self):
-        for n in range(2, 17):
-            q = centering_projector(n)
-            assert np.abs(q @ q - q).max() <= 1e-15
-            assert np.abs(q - q.T).max() == 0.0
-
-    def test_projection_singular_values(self):
-        np.testing.assert_allclose(
-            singular_values(centering_projector(3)), [1, 1, 0], atol=1e-14
-        )
-        np.testing.assert_allclose(
-            singular_values(centering_projector(4)), [1, 1, 1, 0], atol=1e-14
-        )
-
-    def test_small_order_rejected(self):
-        with pytest.raises(ValueError):
-            centering_projector(1)
-
-    @pytest.mark.parametrize("n", [3.5, 3.0, True, "3"])
-    def test_order_must_be_an_integer(self, n):
-        with pytest.raises(ValueError, match="must be an integer"):
-            centering_projector(n)
-
-
 class TestDifferentiator:
     def test_conjugate_pair_gives_zero_matrix(self):
         a = differentiator(ZeroConfig((1.0, -1.0)))
@@ -65,7 +29,7 @@ class TestDifferentiator:
             n = int(rng.integers(2, 12))
             z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
             a = differentiator(ZeroConfig(tuple(z)))
-            q = centering_projector(n)
+            q = np.eye(n) - 1.0 / n
             np.testing.assert_allclose(a, q @ np.diag(z) @ q, atol=1e-13)
 
     def test_trace_of_centered_vanishes(self, rng):

@@ -1,26 +1,11 @@
 from itertools import combinations
-from math import comb, log, log1p, prod
+from math import comb, prod
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from schoenberg.densela import (
-    UnderflowError,
-    centering_projector,
-    differentiator,
-    singular_values,
-)
-from schoenberg.polyzero import ZeroConfig
-from schoenberg.symfun import (
-    MAJORIZATION_REL_TOL,
-    RANK_REL_TOL,
-    critical_esf_identity_error,
-    esf,
-    prefix_products_hold,
-    weak_log_majorization,
-)
+from schoenberg.densela import UnderflowError
+from schoenberg.symfun import critical_esf_identity_error, esf
 
 
 def esf_bruteforce(values, k):
@@ -126,112 +111,6 @@ class TestEsf:
                 assert esf(bumped, k) >= esf(values, k) - 1e-12
 
 
-class TestWeakLogMajorization:
-    def test_zero_prefix_accepts(self):
-        assert weak_log_majorization([1.0, 0.0], [1.0, 1.0])
-
-    def test_strict_violation(self):
-        assert not weak_log_majorization([2.0, 1.0], [1.0, 1.0])
-
-    def test_differentiator_instance(self, rng):
-        # sigma(Q diag(z) Q) weakly log-majorized by sigma(Q diag(|z|) Q)
-        for _ in range(25):
-            n = int(rng.integers(2, 9))
-            z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            a = singular_values(differentiator(ZeroConfig(tuple(z))))
-            b = singular_values(differentiator(ZeroConfig(tuple(np.abs(z) + 0j))))
-            assert weak_log_majorization(a, b)
-
-    def test_reflexive(self, rng):
-        for _ in range(10):
-            seq = np.sort(rng.uniform(0, 2, 6))[::-1]
-            assert weak_log_majorization(seq, seq)
-
-    def test_transitive(self, rng):
-        for _ in range(40):
-            a = np.sort(rng.uniform(0, 2, 5))[::-1]
-            b = np.sort(rng.uniform(0, 2, 5))[::-1]
-            c = np.sort(rng.uniform(0, 2, 5))[::-1]
-            if weak_log_majorization(a, b) and weak_log_majorization(b, c):
-                assert weak_log_majorization(a, c)
-
-    def test_zero_against_zero(self):
-        assert weak_log_majorization([0.0, 0.0], [0.0, 0.0])
-
-    def test_positive_against_zero_fails(self):
-        assert not weak_log_majorization([1.0, 1.0], [0.0, 0.0])
-
-    def test_rejects_increasing(self):
-        with pytest.raises(ValueError):
-            weak_log_majorization([1.0, 2.0], [2.0, 1.0])
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            weak_log_majorization([1.0, -0.5], [2.0, 1.0])
-
-    def test_rejects_length_mismatch(self):
-        with pytest.raises(ValueError):
-            weak_log_majorization([1.0], [1.0, 0.5])
-
-
-def prefix_verdicts_bruteforce(a, b):
-    """Oracle: each prefix judged on its own, straight from the definition."""
-    out = []
-    for k in range(1, len(a) + 1):
-        if any(x <= RANK_REL_TOL * a[0] for x in a[:k]):
-            out.append(True)  # prod a[:k] is zero
-        elif any(y <= RANK_REL_TOL * b[0] for y in b[:k]):
-            out.append(False)  # positive against zero
-        else:
-            log_a = sum(log(x) for x in a[:k])
-            log_b = sum(log(y) for y in b[:k])
-            out.append(log_a <= log_b + log1p(MAJORIZATION_REL_TOL))
-    return out
-
-
-@st.composite
-def sequence_pairs(draw):
-    """Nonincreasing nonnegative pairs with exact zeros (all-zero sequences
-    too), entries under the rank floor, and b within a few
-    MAJORIZATION_REL_TOL of a."""
-    n = draw(st.integers(1, 10))
-
-    def sequence():
-        lead = draw(st.one_of(st.just(0.0), st.floats(1e-3, 1e3)))
-        entries = [lead]
-        for _ in range(n - 1):
-            kind = draw(st.sampled_from(("positive", "zero", "below_floor")))
-            if kind == "positive":
-                entries.append(draw(st.floats(1e-3, 1.0)) * lead)
-            elif kind == "zero":
-                entries.append(0.0)
-            else:
-                entries.append(draw(st.floats(0.0, 1.0)) * RANK_REL_TOL * lead)
-        return sorted(entries, reverse=True)
-
-    a = sequence()
-    if draw(st.booleans()):
-        b = sequence()
-    else:
-        jitter = st.floats(-3 * MAJORIZATION_REL_TOL, 3 * MAJORIZATION_REL_TOL)
-        b = sorted((x * (1.0 + draw(jitter)) for x in a), reverse=True)
-    return a, b
-
-
-class TestPrefixProductsHold:
-    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
-    @given(sequence_pairs())
-    def test_matches_bruteforce(self, pair):
-        a, b = pair
-        got = prefix_products_hold(a, b)
-        assert got.tolist() == prefix_verdicts_bruteforce(a, b)
-        assert weak_log_majorization(a, b) == all(got)
-
-    def test_zero_prefixes(self):
-        assert prefix_products_hold([2.0, 0.0], [1.0, 1.0]).tolist() == [False, True]
-        assert prefix_products_hold([1.0, 1.0], [1.0, 0.0]).tolist() == [True, False]
-
-
 class TestCriticalEsfIdentity:
     def test_repeated_ones(self):
         # q = (z-1)^4 has the critical points (1,1,1), which the direct route
@@ -267,3 +146,16 @@ class TestCriticalEsfIdentity:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             critical_esf_identity_error([1.0, -1.0])
+
+    @pytest.mark.parametrize("n", [3, 6, 12, 30])
+    def test_scale_free(self, rng, n):
+        # the identity is homogeneous, so a power-of-two scaling of the
+        # moduli must leave the error bit-identical
+        moduli = rng.uniform(0, 2, n)
+        errors = [critical_esf_identity_error(2.0**k * moduli) for k in (-900, -600, 0, 600, 900)]
+        assert errors == [errors[2]] * 5
+        assert errors[2] <= 1e-9
+
+    def test_huge_repeated_moduli(self):
+        # e_3 of the unscaled moduli overflows
+        assert critical_esf_identity_error([1e200, 1e200, 3e200]) <= 1e-14
