@@ -34,14 +34,14 @@ certificates or an error by one rule, _error.  The one fault-injection hook
 is run_audit(sabotage=True), which halves the Schoenberg constant.
 
 A power sum is a direct sum of powers, one order at a time.  A side that
-overflows to a non-finite value, or a compression that does, is an
-OverflowError.  A right side that underflows below the smallest normal
-float where it is not an exact zero is an UnderflowError: a power sum of
-the moduli of nonzero zeros, an e_k(|z|) of at least k nonzero moduli, or
-a prefix product of singular values above the shadow threshold.  Neither is
-ever a verdict.  The evaluator marks each of these per column, so a
-function raises only for the columns it returns, and OverflowError before
-UnderflowError.
+overflows to a non-finite value is an OverflowError, and so is every side
+of a row whose compression does, which is zeroed before LAPACK reads it.  A
+right side that underflows below the smallest normal float where it is not
+an exact zero is an UnderflowError: a power sum of the moduli of nonzero
+zeros, an e_k(|z|) of at least k nonzero moduli, or a prefix product of
+singular values above the shadow threshold.  Neither is ever a verdict.  The
+evaluator marks each of these per column, so a function raises only for the
+columns it returns, and OverflowError before UnderflowError.
 """
 
 from __future__ import annotations
@@ -398,15 +398,17 @@ def _certify_batch(z: np.ndarray, orders, scale: float, tols) -> _Columns:
     column is marked as underflowed where a power sum of |z| that it reads
     (at its order; at 2 and 4 for the quartic family; at 1 for S1 and 2 for
     S2), its e_k(|z|) or its singular value prefix product underflows.
-    Every column is judged in one pass under ``tols``.  A LAPACK failure
-    anywhere in the stack raises ConvergenceError for the whole stack, and
-    a compression that overflows, in either half, raises OverflowError for
-    the whole stack before any LAPACK call.
+    Every column is judged in one pass under ``tols``.  A row whose
+    compression overflows, in either half, is zeroed before LAPACK and its
+    left sides made infinite: an OverflowError of that row alone (_error).
+    A LAPACK failure raises ConvergenceError for the whole stack.
     """
     n = z.shape[-1]
     with _arithmetic():
         z_mod = np.abs(z)
-        d = densela._finite_compression(np.stack((z, z_mod)))
+        d = densela._compression(np.stack((z, z_mod)))
+        over = ~np.isfinite(d).all(axis=(0, 2, 3))
+        d[:, over] = 0.0
         w_mod = _descending_moduli(densela._eigvals(d[0]))
         sv = densela._svdvals(d)
         shadow = tols[0] * sv[1, :, :1]
@@ -434,7 +436,9 @@ def _certify_batch(z: np.ndarray, orders, scale: float, tols) -> _Columns:
             _sv_product(*sv_full),
             _weyl(orders, w_sums, sigma_sums),
         ]
-        return _judged(_concat(blocks), tols)
+        block = _concat(blocks)
+        block.lhs[over] = np.inf
+        return _judged(block, tols)
 
 
 def _sort_key(label: _Label) -> tuple[str, float]:

@@ -41,7 +41,10 @@ def parse_zeros(source: str) -> ZeroConfig:
                     raise ValueError(
                         f"{source}:{line_no}: expected 're im', got {line!r}"
                     )
-                zeros.append(complex(float(parts[0]), float(parts[1])))
+                try:
+                    zeros.append(complex(float(parts[0]), float(parts[1])))
+                except ValueError as exc:
+                    raise ValueError(f"{source}:{line_no}: {exc}") from exc
     else:
         zeros = [_parse_complex_literal(tok) for tok in source.split(",") if tok.strip()]
     if len(zeros) < 2:

@@ -94,22 +94,13 @@ def _diagonal_plus_rank_two(d: np.ndarray, r: float, s: np.ndarray) -> np.ndarra
     return a
 
 
-def _finite_compression(z: np.ndarray) -> np.ndarray:
-    """_compression(z) of finite zeros, with OverflowError in place of a
-    non-finite entry, which LAPACK's SVD would take without raising (it
-    returns NaN, and OpenBLAS prints a complaint to standard output).  The
-    check is one pass over the stack.  The searches in ``sharpness`` take
-    their compressions from a linear map of their coordinates, built from
-    _compression of real basis rows, with no finiteness pass."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _require_finite(_compression(z))
-
-
 def _require_finite(m: np.ndarray, what: str = "a matrix entry") -> np.ndarray:
     """``m``, a matrix built from finite inputs or the spectrum of a finite
     matrix; OverflowError when an entry is not finite, which is how it shows
     that it overflowed (LAPACK gives the eigenvalues of
-    np.full((2, 2), 1e308) as [inf, 1.4e276])."""
+    np.full((2, 2), 1e308) as [inf, 1.4e276]).  LAPACK's SVD takes such a
+    matrix without raising (NaN, and OpenBLAS prints to standard output);
+    certs._certify_batch masks each overflowed row of a stack instead."""
     if not np.isfinite(m).all():
         raise OverflowError(f"{what} overflowed to a non-finite value")
     return m
@@ -165,8 +156,8 @@ def _svdvals(m: np.ndarray) -> np.ndarray:
 
 def _lapack_error(what: str, m: np.ndarray, exc: Exception) -> ArithmeticError:
     """A failed decomposition of ``m``: OverflowError when an entry is not
-    finite, which is how an overflowed compression reaches LAPACK, and
-    ConvergenceError otherwise."""
+    finite, which np.linalg.eigvals refuses, and ConvergenceError
+    otherwise."""
     if not np.isfinite(m).all():
         return OverflowError(f"a matrix entry is not finite, so the {what} iteration failed")
     return ConvergenceError(f"{what} iteration failed: {exc}")
@@ -236,5 +227,8 @@ def _check_order(p: float) -> float:
 def critical_points_spectral(cfg: ZeroConfig) -> CriticalSet:
     """Critical points as the n-1 eigenvalues of the compression of diag(z)
     to the mean-zero subspace, sorted by nonincreasing modulus as
-    ``eigenvalues`` sorts them."""
-    return CriticalSet(tuple(_sort_spectrum(_eigvals(_finite_compression(cfg.as_array())))))
+    ``eigenvalues`` sorts them.  Zeros that are finite but so large that the
+    compression overflows raise OverflowError, as in ``differentiator``."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = _require_finite(_compression(cfg.as_array()))
+    return CriticalSet(tuple(_sort_spectrum(_eigvals(d))))

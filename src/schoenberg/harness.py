@@ -14,7 +14,7 @@ sample in sampling order that attains it.  The (re, im) pairs of each
 distinct argmax sample are built once, at the end of the audit.
 Violations and errors are entries in sampling order, and the violations
 of one sample come in the evaluator's column order.  So the report is the
-same for any slice size.
+same for any slice size, and a LAPACK failure is bisected to its sample.
 
 Reports have a fixed schema and are written field by field by a flat
 writer, every value by the one field rule stated in ``emit_report``, so
@@ -192,14 +192,16 @@ def sample_config(n: int, dist: str, seed: int) -> ZeroConfig:
     The result is row 0 of the audit cell (n, dist) under ``seed``: the
     first row drawn from the stream SeedSequence(seed, spawn_key=(n,
     DISTRIBUTIONS.index(dist))) in the row layout of ``_draw_rows``, and
-    centered by ``center_rows``.  n and the seed must be integers
-    (ValueError).
+    centered by ``center_rows``.  n and the seed must be integers, n >= 2
+    and the seed nonnegative (ValueError).
     """
     n, seed = densela._integer(n, "n"), densela._integer(seed, "seed")
     if dist not in DISTRIBUTIONS:
         raise ValueError(f"unknown distribution {dist!r}")
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     z = center_rows(_draw_rows(_cell_generator(seed, n, dist), n, dist, 1))
     return ZeroConfig(tuple(z[0]), centered=True)
 
@@ -309,8 +311,9 @@ def _certify_slice(
     raised, with its sample and zeros (an earlier sample keeps a tie), and
     record violations and errors in the report.
 
-    A LAPACK failure fails the whole stacked evaluation, so the slice is then
-    certified one sample at a time and only the failing samples are errors.
+    The evaluator masks every other failure per row, but a LAPACK failure
+    fails the whole stack, so the slice is then certified as two halves, in
+    sampling order, down to the failing samples, the only errors.
     """
     try:
         batch = certs._certify_batch(z, orders, scale, report.spec.tolerances)
@@ -318,8 +321,9 @@ def _certify_slice(
         if len(z) == 1:
             _record_error(report, n, first, z[0], exc)
         else:
-            for row in range(len(z)):
-                _certify_slice(report, winners, n, first + row, z[row : row + 1], orders, scale)
+            half = len(z) // 2
+            _certify_slice(report, winners, n, first, z[:half], orders, scale)
+            _certify_slice(report, winners, n, first + half, z[half:], orders, scale)
         return
     failed = ~batch.finite | batch.underflow.any(axis=1)
     for row in np.flatnonzero(failed):

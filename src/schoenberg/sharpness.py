@@ -18,11 +18,10 @@ map, whose columns are the zeros e_k - e_n and their compressions, and
 reads both from one matrix product per evaluation: the first n-1 zeros are
 h exactly, and the compression is that of the exactly centered
 configuration, so nothing is recentered.  The loop keeps the vertices in
-stable sorted order by inserting the one it replaces, hands each family's
-up-front value to the simplex that starts there, and makes its random
-generator only when a random restart needs it; every point it evaluates,
-and so every result, is bit for bit that of a loop that argsorts the
-simplex before every move.  One search maximizes the Schoenberg
+stable sorted order by inserting the one it replaces and hands each
+family's up-front value to the simplex that starts there; every point it
+evaluates, and so every result, is bit for bit that of a loop that
+argsorts the simplex before every move.  One search maximizes the Schoenberg
 certificate ratio, from the ``certs`` power sums of the eigenvalue moduli
 of the compression, the critical moduli, and of |z|; ``ratio`` reads the
 best configuration's value from the ``certs`` columnar evaluator on a
@@ -211,6 +210,7 @@ def _coordinate_map(n: int) -> np.ndarray:
     exactly centered z, with the rounding of the product alone and nothing
     left to recenter.  Its part of M is densela._compression of the basis
     rows, which are real, so the Householder formula is stated only there.
+    The compressions read from M get no finiteness pass.
     """
     basis = np.eye(n - 1, n)
     basis[:, -1] = -1.0
@@ -247,12 +247,12 @@ def _search(n: int, p: float, budget: int, entropy, value_at, families=()):
     front and seed the first restarts, the last first; each hands its value
     to the simplex as that of its first vertex, which is not evaluated
     again but counts against the budget.  The other restarts start at
-    random points drawn from SeedSequence(entropy), whose generator is made
-    only when the first of them needs it.  Returns (best coordinates, best
-    value, evaluations, restarts), not counting the up-front evaluations.
+    random points drawn from SeedSequence(entropy).  Returns (best
+    coordinates, best value, evaluations, restarts), not counting the
+    up-front evaluations.
     """
     objective = _coordinate_objective(n, value_at(n, p))
-    rng = None
+    rng = np.random.default_rng(np.random.SeedSequence(entropy))
     found = [
         (objective(x), x)
         for x in (_coords_from_zeros(family(n).as_array()) for family in families)
@@ -263,8 +263,6 @@ def _search(n: int, p: float, budget: int, entropy, value_at, families=()):
         if starts:
             f0, x0 = starts.pop()
         else:
-            if rng is None:
-                rng = np.random.default_rng(np.random.SeedSequence(entropy))
             f0, x0 = None, _random_start(n, rng)
         x, fx, used = _nelder_mead(objective, x0, budget - spent, f0)
         spent += used

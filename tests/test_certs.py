@@ -8,11 +8,13 @@ import pytest
 import schoenberg
 from schoenberg import densela, harness
 from schoenberg.certs import (
+    _NOT_FINITE,
     ABS_TOL,
     REL_TOL,
     Certificate,
     UnderflowError,
     _certify_batch,
+    _error,
     _power_sums,
     check_all,
     endpoint_checks,
@@ -830,11 +832,18 @@ class TestNonFiniteSides:
                     run()
         assert c_output(capfd) == ("", "")
 
-    def test_batch_raises_for_an_overflowed_absolute_half(self, capfd):
+    def test_batch_marks_an_overflowed_absolute_half_per_row(self, capfd):
+        # only the overflowed row is an error; the other keeps the bits of
+        # its batch of one, and LAPACK never sees the overflowed one
         z = np.array([self.HALF_FINITE, (1.0, -1.0, 1j, -1j)])
-        with pytest.raises(OverflowError):
-            _certify_batch(z, [2.0], 1.0, (ABS_TOL, REL_TOL))
-        assert len(_certify_batch(z[1:], [2.0], 1.0, (ABS_TOL, REL_TOL)).lhs) == 1
+        batch = _certify_batch(z, [2.0], 1.0, (ABS_TOL, REL_TOL))
+        assert batch.finite.tolist() == [False, True]
+        error = _error(batch.row(0))
+        assert isinstance(error, OverflowError) and str(error) == _NOT_FINITE
+        one = _certify_batch(z[1:], [2.0], 1.0, (ABS_TOL, REL_TOL))
+        assert one.labels == batch.labels
+        for got, want in zip(batch.row(1)[1:], one.row(0)[1:]):
+            assert got.tobytes() == want.tobytes()
         assert c_output(capfd) == ("", "")
 
     def test_overflowed_product_is_an_overflow_error(self):

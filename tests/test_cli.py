@@ -44,9 +44,10 @@ class TestComplexLiterals:
 
     def test_file_rejects_bad_line(self, tmp_path):
         path = tmp_path / "zeros.txt"
-        path.write_text("1.0\n")
-        with pytest.raises(ValueError, match="zeros.txt:1"):
-            parse_zeros(str(path))
+        for text, where in (("1.0\n", "zeros.txt:1"), ("1 0\nabc 2\n", "zeros.txt:2")):
+            path.write_text(text)
+            with pytest.raises(ValueError, match=where):
+                parse_zeros(str(path))
 
 
 class TestCheckCommand:

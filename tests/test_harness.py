@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import re
 import stat
@@ -70,6 +71,10 @@ class TestSampleConfig:
         # seed 1.5 once drew the configuration of seed 1
         with pytest.raises(ValueError, match="must be an integer"):
             sample_config(n, "disk", seed)
+
+    def test_rejects_a_negative_seed(self):
+        with pytest.raises(ValueError, match="seed must be nonnegative, got -1"):
+            sample_config(3, "disk", -1)
 
     def test_takes_numpy_integers(self):
         got = sample_config(np.int64(4), "disk", np.uint32(7))
@@ -374,7 +379,10 @@ class TestRunAudit:
         assert report.errors[0]["error"].startswith("ConvergenceError")
         assert report.total == 0
 
-    def test_one_svd_failure_leaves_the_other_samples(self, monkeypatch):
+    # the audit is one 30-row slice: 0 and 29 are its ends, 13 lies inside
+    # its first half and 14 ends that half
+    @pytest.mark.parametrize("sample", [0, 13, 14, 29])
+    def test_one_svd_failure_leaves_the_other_samples(self, monkeypatch, sample):
         spec = AuditSpec(
             n_values=(5,),
             p_grid=(1.5, 1.75, 2.0),
@@ -383,22 +391,27 @@ class TestRunAudit:
             seed=3,
         )
         clean = run_audit(spec)
-        # the 14th sample in sampling order: the "real" cell, index 3
-        chosen = ZeroConfig(tuple(cell(spec.seed, 5, "real", 4)[3]), centered=True)
+        dist, index = spec.distributions[sample // 10], sample % 10
+        chosen = ZeroConfig(tuple(cell(spec.seed, 5, dist, index + 1)[index]), centered=True)
         target = densela._compression(chosen.as_array())
         lost = {
             _certificate_key(c.name, c.p): c.holds
             for c in check_all(chosen, spec.p_grid)
         }
         real_svd = np.linalg.svd
+        calls = []
 
         def svd(a, *args, **kwargs):
+            calls.append(len(a))
             if any(np.array_equal(m, target) for m in np.reshape(a, (-1,) + target.shape)):
                 raise np.linalg.LinAlgError("SVD did not converge")
             return real_svd(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "svd", svd)
         report = run_audit(spec)
+        # the slice is bisected down to the failing sample, not retried row
+        # by row
+        assert len(calls) <= 2 * math.ceil(math.log2(30)) + 1
         pairs = [[z.real, z.imag] for z in chosen.as_array()]
         assert len(report.errors) == 1
         assert report.errors[0]["zeros"] == pairs
@@ -484,6 +497,36 @@ class TestRunAudit:
         assert report.errors[0]["zeros"][0] == [a, 0.0]
         assert {stats.total for stats in report.per_certificate.values()} == {4}
         assert c_output(capfd) == ("", "")
+
+    def test_overflowed_row_keeps_one_stacked_evaluation(self, monkeypatch):
+        # one row of a five-row slice overflows its |z| compression: the
+        # slice still takes one eigendecomposition, and that row is the one
+        # error
+        a = 0.6e308
+        huge = (a, -a, a * 1j, -a * 1j)
+        draw_rows = harness._draw_rows
+        eigvals = densela._eigvals
+        calls = []
+
+        def one_huge(rng, n, dist, rows):
+            z = draw_rows(rng, n, dist, rows)
+            z[2] = huge
+            return z
+
+        def counted(m):
+            calls.append(len(m))
+            return eigvals(m)
+
+        monkeypatch.setattr(harness, "_draw_rows", one_huge)
+        monkeypatch.setattr(densela, "_eigvals", counted)
+        spec = AuditSpec(
+            n_values=(4,), distributions=("disk",), samples_per_cell=5, seed=5
+        )
+        report = run_audit(spec)
+        assert calls == [5]
+        assert [e["zeros"] for e in report.errors] == [[[z.real, z.imag] for z in huge]]
+        assert report.errors[0]["error"] == f"OverflowError: {harness.certs._NOT_FINITE}"
+        assert {stats.total for stats in report.per_certificate.values()} == {4}
 
     def test_loose_tolerances_report_no_more_violations(self):
         spec = AuditSpec(
