@@ -23,17 +23,24 @@ eigenvalue moduli and of the singular values of Q diag(z) Q, elementary
 symmetric functions, and prefix products.  The columnar evaluator behind
 the audit certifies a (B, n) stack of configurations with one batched
 eigendecomposition and one batched singular value decomposition (of the
-compressions of z and of |z|), and judges every column once, in one
-pass.  Every certificate of one configuration built from its zeros is that
-evaluator on a batch of one: check_all takes all of its columns, each
-single-family function, harness.sweep_p and harness.re_evaluate_violation
-select their own, and sharpness.ratio reads that of schoenberg_order_p.
-Only weyl_check and sv_product_check, whose matrices come from outside the
-program, build their spectra themselves.  Every judged row becomes
-certificates or an error by one rule, _error.  The one fault-injection hook
-is run_audit(sabotage=True), which halves the Schoenberg constant.
+compressions of z and of |z|).  Each family writes its columns into its
+own slice of one (B, K) table of left sides, right sides and underflow
+marks; where each slice lies, its labels and the constants it multiplies
+by depend only on n, the orders and the Schoenberg scale, and are built
+once per such key and cached read-only (_layout).  The table is judged
+once, in one pass.  Every certificate of one configuration built from its
+zeros is that evaluator on a batch of one: check_all takes all of its
+columns, each single-family function, harness.sweep_p and
+harness.re_evaluate_violation select their own, and sharpness.ratio reads
+that of schoenberg_order_p.  Only weyl_check and sv_product_check, whose
+matrices come from outside the program, build their spectra themselves,
+and judge their own small tables by the same rule (_judged).  Every judged
+row becomes certificates or an error by one rule, _error.  The one
+fault-injection hook is run_audit(sabotage=True), which halves the
+Schoenberg constant.
 
-A power sum is a direct sum of powers, one order at a time.  A side that
+A power sum is a direct sum of powers; each column has the bits of that
+order summed alone (_power_sums).  A side that
 overflows to a non-finite value is an OverflowError, and so is every side
 of a row whose compression does, which is zeroed before LAPACK reads it.  A
 right side that underflows below the smallest normal float where it is not
@@ -46,6 +53,7 @@ columns it returns, and OverflowError before UnderflowError.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, fields
 from typing import NamedTuple
 
@@ -61,7 +69,7 @@ REL_TOL = 1e-9
 _TOLS = (ABS_TOL, REL_TOL)
 
 # the one statement judged in both directions
-_EQUALITIES = frozenset({"endpoint_s2"})
+_EQUALITY = ("endpoint_s2", None)
 _NOT_FINITE = "a certificate side overflowed to a non-finite value"
 _UNDERFLOWED = "a right side underflowed below the smallest normal float"
 _TINY = np.finfo(float).tiny
@@ -174,27 +182,18 @@ def opnorm_constant(n: int, p: float) -> float:
     return float(((n - 2) / n) ** min(1.0 / p, 0.5))
 
 
-# --- the per-family formulas, over a leading batch axis ---------------------
+# --- the columnar evaluator --------------------------------------------------
 
 _Label = tuple[str, float | None]
 _QUARTIC = (("quartic_dbs", None), ("quartic_kt", None), ("quartic_dominance", None))
 _ENDPOINT = (("endpoint_s1", None), ("endpoint_s2", None), ("endpoint_sinf", None))
 
 
-class _Block(NamedTuple):
-    """Columns not yet judged: labels (k,); lhs, rhs and ``underflow``
-    (..., k).  ``underflow`` marks a right side that fell below the smallest
-    normal float where it is not an exact zero."""
-
-    labels: list[_Label]
-    lhs: np.ndarray
-    rhs: np.ndarray
-    underflow: np.ndarray
-
-
 class _Columns(NamedTuple):
     """Judged columns: K labels; lhs, rhs, ratio (NaN where missing), holds
-    and underflow (as in _Block), each (B, K), or (K,) for one row."""
+    and underflow, each (B, K), or (K,) for one row.  ``underflow`` marks a
+    right side that fell below the smallest normal float where it is not an
+    exact zero."""
 
     labels: tuple[_Label, ...]
     lhs: np.ndarray
@@ -217,125 +216,151 @@ class _Columns(NamedTuple):
         return _Columns(labels, *(column[..., cols] for column in self[1:]))
 
 
-def _concat(parts) -> _Block:
-    """The columns of the _Blocks ``parts``, side by side."""
-    return _Block(
-        tuple(label for part in parts for label in part.labels),
-        *(np.concatenate(arrays, axis=-1) for arrays in list(zip(*parts))[1:]),
-    )
-
-
 def _arithmetic():
     # overflow and inf - inf leave non-finite sides, which become an
     # OverflowError where certificates are made
     return np.errstate(over="ignore", invalid="ignore")
 
 
+def _frozen(values) -> np.ndarray:
+    """``values`` as a float array that raises ValueError when written."""
+    arr = np.array(values, dtype=float)
+    arr.flags.writeable = False
+    return arr
+
+
+class _OrderSet(NamedTuple):
+    """Orders prepared for _power_sums: the exponents as a read-only (P, 1)
+    array, and the index of p = 2 among them, or None."""
+
+    exponents: np.ndarray
+    square: int | None
+
+
+def _order_set(orders) -> _OrderSet:
+    """The orders, in the order given, prepared for _power_sums."""
+    orders = [float(p) for p in orders]
+    square = orders.index(2.0) if 2.0 in orders else None
+    return _OrderSet(_frozen(orders).reshape(-1, 1), square)
+
+
 def _power_sums(mods: np.ndarray, orders) -> np.ndarray:
     """sum(mods ** p) along the last axis, one column per order: (..., P).
 
-    A direct sum of the powers, with no scaling.  Scaling by the peak would
+    ``orders`` is an _OrderSet, or a sequence of orders that is prepared
+    here; callers that sum at the same orders again prepare them once.  A
+    direct sum of the powers, with no scaling.  Scaling by the peak would
     buy no range: the result is the power sum itself, which is at least its
     largest term, so it is out of range however it is computed, and it
-    underflows only when every term does (_certify_batch marks that).  Each
-    column is computed on its own, so a sum does not depend on which other
-    orders are asked with it; each power is reduced straight into its
-    column, with the bits of ``.sum(axis=-1)``.
+    underflows only when every term does (_certify_batch marks that).
+
+    Every order is raised in one broadcast power and reduced in one pass,
+    with the bits of ``(mods ** p).sum(axis=-1)`` for each p alone, so a sum
+    does not depend on which other orders are asked with it.  The square
+    column is the exception that keeps this true: ``mods ** 2.0`` takes
+    numpy's scalar fast path, np.square, which is correctly rounded, while
+    the broadcast power is not and differs from it in the last bit of some
+    squares; so the p = 2 column is taken as ``mods * mods``.  At every
+    other order tried, the default grid, 1.9 and 3.7, the two agree bit for
+    bit (tests/test_certs.py::TestPowerSums).
     """
-    sums = np.empty(mods.shape[:-1] + (len(orders),))
-    for col, p in enumerate(orders):
-        np.add.reduce(mods**p, axis=-1, out=sums[..., col])
-    return sums
+    if not isinstance(orders, _OrderSet):
+        orders = _order_set(orders)
+    powers = mods[..., None, :] ** orders.exponents
+    if orders.square is not None:
+        np.multiply(mods, mods, out=powers[..., orders.square, :])
+    return np.add.reduce(powers, axis=-1)
 
 
 def _descending_moduli(lam: np.ndarray) -> np.ndarray:
-    """|lam| sorted nonincreasing along the last axis."""
-    # negating twice keeps the array contiguous, so every transcendental on
-    # the moduli takes the same vector path for a stack as for a batch of one
+    """|lam| sorted nonincreasing along the last axis, as a new contiguous
+    array.
+
+    Negating twice keeps the result contiguous, so every power taken of the
+    moduli runs the same vector loop for a stack as for a batch of one, and
+    _power_sums gives a row the same bits in both.
+    """
     return -np.sort(-np.abs(lam), axis=-1)
 
 
-def _schoenberg(n, orders, w_sums, z_sums, z_low, scale) -> _Block:
-    """sum |w_k|^p <= scale * C(n, p) sum |z_j|^p, one column per order."""
-    constants = scale * np.array([schoenberg_constant(n, p) for p in orders])
-    return _Block([("schoenberg", p) for p in orders], w_sums, constants * z_sums, z_low)
+class _Layout(NamedTuple):
+    """What the columns of _certify_batch are at one (n, orders, scale),
+    built once by _layout: the labels in build order, each family's slice
+    of them, and every constant a family multiplies by, in read-only
+    arrays."""
+
+    labels: tuple[_Label, ...]
+    endpoint: slice
+    esf: slice
+    pereira: slice
+    quartic: slice
+    schoenberg: slice
+    sv_product: slice
+    weyl: slice
+    # the critical moduli and singular values are summed at the orders, |z|
+    # at the orders followed by those of 1, 2 and 4 not among them
+    orders: _OrderSet
+    z_orders: _OrderSet
+    fixed: tuple[int, int, int]  # the columns of 1, 2 and 4 in z_orders
+    # sqrt((n-2)/n) and (n-2)/n, the S1 and S2 factors
+    endpoint_factors: tuple[float, float]
+    # scale * C(n, p) per order
+    constants: np.ndarray
+    # k and (n-k)/n for k = 1 .. n-1
+    esf_k: np.ndarray
+    esf_factors: np.ndarray
+    # the column of endpoint_s2, judged in both directions
+    equality: int
 
 
-def _pereira(n, orders, w_sums, z_sums, z_low) -> _Block:
-    """sum |w_k|^p <= ((n-1)/n) sum |z_j|^p, one column per order."""
-    return _Block([("pereira", p) for p in orders], w_sums, (n - 1) / n * z_sums, z_low)
+# the orders of the |z| power sums that the endpoint and quartic families read
+_FIXED_ORDERS = (1.0, 2.0, 4.0)
 
 
-def _weyl(orders, lam_sums, sigma_sums) -> _Block:
-    """sum |lambda_i|^p <= sum sigma_i^p, one column per order."""
-    labels = [("weyl", p) for p in orders]
-    return _Block(labels, lam_sums, sigma_sums, np.zeros_like(sigma_sums, dtype=bool))
-
-
-def _quartic(n, z, w_mod, pow2, pow4, low, abs_tol) -> _Block:
-    """The dBS bound, the dominance of KT by dBS and the KT bound, in name
-    order, from the power sums ``pow2`` and ``pow4`` of |z|; ``low`` marks
-    the rows where either underflowed.  A finite side at or below
-    ``abs_tol`` times the finite size of its terms is a shadow (the right
-    sides cancel for n < 4) and becomes an exact zero; an overflowed side
-    stays as it is."""
-    lhs = (w_mod**4).sum(axis=-1)
-    sum_sq = np.abs((z**2).sum(axis=-1)) ** 2
-    rhs_dbs = (n - 4) / n * pow4 + 2.0 / n**2 * pow2**2
-    rhs_kt = (n - 4) / n * pow4 + (pow2**2 + sum_sq) / n**2
-    sides = np.stack((lhs, rhs_kt, lhs, rhs_dbs, rhs_dbs, rhs_kt), axis=-1)
-    terms = (abs(n - 4) / n * pow4 + 2.0 / n**2 * pow2**2)[..., None]
-    sides[(np.abs(sides) <= abs_tol * terms) & np.isfinite(terms)] = 0.0
-    return _Block(sorted(_QUARTIC), sides[..., :3], sides[..., 3:], np.stack((low,) * 3, axis=-1))
-
-
-def _endpoint(n, sigma, z_mod, pow1, pow2, low1, low2) -> _Block:
-    """S1, S2 (an equality) and S-infinity bounds on A = Q diag(z) Q, from
-    the power sums ``pow1`` and ``pow2`` of |z|, which ``low1`` and
-    ``low2`` mark where they underflowed."""
-    return _Block(
-        list(_ENDPOINT),
-        np.stack((sigma.sum(axis=-1), (sigma**2).sum(axis=-1), sigma[..., 0]), axis=-1),
-        np.stack(
-            (np.sqrt((n - 2) / n) * pow1, (n - 2) / n * pow2, z_mod.max(axis=-1)),
-            axis=-1,
-        ),
-        np.stack((low1, low2, np.zeros_like(low1)), axis=-1),
+@functools.lru_cache(maxsize=128)
+def _layout(n: int, orders: tuple, scale: float) -> _Layout:
+    """The _Layout of n zeros at the sorted ``orders``, with every
+    Schoenberg constant multiplied by ``scale``."""
+    families = [
+        ("endpoint", list(_ENDPOINT)),
+        ("esf", [(f"esf_k{k}", None) for k in range(1, n)]),
+        ("pereira", [("pereira", p) for p in orders]),
+        ("quartic", sorted(_QUARTIC)),
+        ("schoenberg", [("schoenberg", p) for p in orders]),
+        ("sv_product", [(f"sv_product_k{k}", None) for k in range(1, n + 1)]),
+        ("weyl", [("weyl", p) for p in orders]),
+    ]
+    labels, slices = [], {}
+    for family, part in families:
+        slices[family] = slice(len(labels), len(labels) + len(part))
+        labels += part
+    z_orders = list(orders) + [p for p in _FIXED_ORDERS if p not in orders]
+    k = np.arange(1, n)
+    k.flags.writeable = False
+    return _Layout(
+        labels=tuple(labels),
+        **slices,
+        orders=_order_set(orders),
+        z_orders=_order_set(z_orders),
+        fixed=tuple(z_orders.index(p) for p in _FIXED_ORDERS),
+        endpoint_factors=(float(np.sqrt((n - 2) / n)), (n - 2) / n),
+        constants=_frozen(scale * np.array([schoenberg_constant(n, p) for p in orders])),
+        esf_k=k,
+        esf_factors=_frozen((n - k) / n),
+        equality=labels.index(_EQUALITY),
     )
 
 
-def _esf(n, sigma, z_mod) -> _Block:
-    """e_k(sigma_1..sigma_{n-1}) <= ((n-k)/n) e_k(|z|) for k = 1 .. n-1,
-    from the n-1 singular values ``sigma``.  An e_k(|z|) below the smallest
-    normal float is an underflow when at least k of the |z| are nonzero.
-    """
-    lhs = symfun.esf_table(sigma)[..., 1:]
-    rhs = symfun.esf_table(z_mod)[..., 1:n]
-    k = np.arange(1, n)
-    low = (rhs < _TINY) & (k <= np.count_nonzero(z_mod, axis=-1)[..., None])
-    return _Block([(f"esf_k{j}", None) for j in k], lhs, (n - k) / n * rhs, low)
-
-
-def _sv_product(sig_d, sig_abs) -> _Block:
-    """Prefix products of sigma(X* D X) against sigma(X* |D| X), nonincreasing
-    singular values whose shadows the caller has snapped to exact zeros.  A
-    right prefix below the smallest normal float is an underflow unless one
-    of its factors is an exact zero."""
-    rhs = np.cumprod(sig_abs, axis=-1)
-    labels = [(f"sv_product_k{k}", None) for k in range(1, sig_d.shape[-1] + 1)]
-    return _Block(labels, np.cumprod(sig_d, axis=-1), rhs, (rhs < _TINY) & (sig_abs > 0))
-
-
-def _judged(block: _Block, tols) -> _Columns:
-    """The one verdict rule on every column of ``block`` at once,
-    _EQUALITIES both ways, and the ratios, NaN (missing) where the right
-    side is not positive."""
-    labels, lhs, rhs, underflow = block
-    tol = tols[1] * np.maximum(np.abs(lhs), np.abs(rhs))
+def _judged(labels, lhs, rhs, underflow, tols, equality=None) -> _Columns:
+    """The one verdict rule on every column of the table ``lhs``, ``rhs``
+    at once, the column ``equality`` both ways, and the ratios, NaN
+    (missing) where the right side is not positive."""
+    tol = np.maximum(np.abs(lhs), np.abs(rhs))
+    tol *= tols[1]
     holds = lhs <= rhs + tol
-    both = [i for i, (name, _) in enumerate(labels) if name in _EQUALITIES]
-    if both:
-        holds[..., both] = np.abs(lhs[..., both] - rhs[..., both]) <= tol[..., both]
+    if equality is not None:
+        gap = np.abs(lhs[..., equality] - rhs[..., equality])
+        holds[..., equality] = gap <= tol[..., equality]
     ratio = np.divide(lhs, rhs, out=np.full(lhs.shape, np.nan), where=rhs > 0)
     return _Columns(tuple(labels), lhs, rhs, ratio, holds, underflow)
 
@@ -373,13 +398,6 @@ def _certificates(n, row: _Columns) -> list[Certificate]:
     ]
 
 
-# --- the columnar evaluator --------------------------------------------------
-
-
-# the orders of the |z| power sums that the endpoint and quartic families read
-_FIXED_ORDERS = (1.0, 2.0, 4.0)
-
-
 def _certify_batch(z: np.ndarray, orders, scale: float, tols) -> _Columns:
     """Every certificate of check_all for each row of the (B, n) zeros
     ``z``, at the sorted ``orders``, which may be empty, in the order the
@@ -389,56 +407,138 @@ def _certify_batch(z: np.ndarray, orders, scale: float, tols) -> _Columns:
     k = 2 there.  ``scale`` multiplies every Schoenberg constant:
     run_audit(sabotage=True) passes 0.5, the one fault-injection hook.
 
-    The compressions of z and of |z| are built once, as one stack: one
-    batched eigendecomposition of its z half and one batched SVD of both.
-    The shadows in both spectra become exact zeros, and every family reads
-    those snapped spectra.  The power sums of |z| are taken at the orders,
-    and at 1, 2 and 4 for the endpoint and quartic families; each is
-    reduced on its own, so an order in both has the same bits in both.  A
-    column is marked as underflowed where a power sum of |z| that it reads
-    (at its order; at 2 and 4 for the quartic family; at 1 for S1 and 2 for
-    S2), its e_k(|z|) or its singular value prefix product underflows.
-    Every column is judged in one pass under ``tols``.  A row whose
-    compression overflows, in either half, is zeroed before LAPACK and its
-    left sides made infinite: an OverflowError of that row alone (_error).
-    A LAPACK failure raises ConvergenceError for the whole stack.
+    The columns are one (B, K) table of left sides, right sides and
+    underflow marks, allocated once; each family writes its own slice of
+    it, at the place the cached _Layout of (n, orders, scale) gives, with
+    the constants the layout holds.  The compressions of z and of |z| are
+    built once, as one stack: one batched eigendecomposition of its z half
+    and one batched SVD of both.  The shadows in both spectra become exact
+    zeros, and every family reads those snapped spectra.  The power sums of
+    |z| are taken once, at the orders and at those of 1, 2 and 4 that the
+    endpoint and quartic families read; those of the critical moduli and of
+    the singular values at the orders, as one stack.  The elementary
+    symmetric functions of the singular values and of |z| come from one
+    stacked recurrence of n steps.  The singular values enter after their
+    exact zero sigma_n: taken first, it adds 0 to every e_j, each then 1
+    or 0, and changes no bit, where taken last it would add 0 * inf = NaN
+    after an e_k that overflowed.  |z| enters in descending order, as
+    esf_table sorts it.
+
+    A column is marked as underflowed where a power sum of |z| that it
+    reads (at its order; at 2 and 4 for the quartic family; at 1 for S1 and
+    2 for S2), its e_k(|z|) or its singular value prefix product
+    underflows.  Every column is judged in one pass under ``tols``.  A row
+    whose compression overflows, in either half, is zeroed before LAPACK
+    and its left sides made infinite: an OverflowError of that row alone
+    (_error).  A LAPACK failure raises ConvergenceError for the whole
+    stack.
     """
-    n = z.shape[-1]
+    batch, n = z.shape
+    lay = _layout(n, tuple(orders), scale)
+    width = len(lay.labels)
     with _arithmetic():
         z_mod = np.abs(z)
-        d = densela._compression(np.stack((z, z_mod)))
+        stack = np.empty((2, batch, n), dtype=complex)
+        stack[0], stack[1] = z, z_mod
+        d = densela._compression(stack)
         over = ~np.isfinite(d).all(axis=(0, 2, 3))
-        d[:, over] = 0.0
-        w_mod = _descending_moduli(densela._eigvals(d[0]))
+        if over.any():
+            d[:, over] = 0.0
+        spectra = np.empty((2, batch, n - 1))  # critical moduli, singular values
+        spectra[0] = _descending_moduli(densela._eigvals(d[0]))
         sv = densela._svdvals(d)
         shadow = tols[0] * sv[1, :, :1]
-        w_mod[w_mod <= shadow] = 0.0
         sv[sv <= shadow] = 0.0
-        sigma, sigma_abs = sv
-        z_sums = _power_sums(z_mod, orders)
-        fixed = _power_sums(z_mod, _FIXED_ORDERS)
-        w_sums, sigma_sums = _power_sums(np.stack((w_mod, sigma)), orders)
-        # a power sum of |z| below the smallest normal float, in a row that
-        # is not all zero
-        nonzero = (z_mod > 0).any(axis=-1, keepdims=True)
-        z_low = (z_sums < _TINY) & nonzero
-        pow1, pow2, pow4 = fixed.T
-        low1, low2, low4 = ((fixed < _TINY) & nonzero).T
-        # Q diag(z) Q has rank n-1, so its sigma_n, and that of Q diag(|z|) Q,
-        # is an exact zero
-        sv_full = np.concatenate((sv, np.zeros(sv.shape[:-1] + (1,))), axis=-1)
-        blocks = [
-            _endpoint(n, sigma, z_mod, pow1, pow2, low1, low2),
-            _esf(n, sigma, z_mod),
-            _pereira(n, orders, w_sums, z_sums, z_low),
-            _quartic(n, z, w_mod, pow2, pow4, low2 | low4, tols[0]),
-            _schoenberg(n, orders, w_sums, z_sums, z_low, scale),
-            _sv_product(*sv_full),
-            _weyl(orders, w_sums, sigma_sums),
-        ]
-        block = _concat(blocks)
-        block.lhs[over] = np.inf
-        return _judged(block, tols)
+        spectra[1] = sv[0]
+        w_mod, sigma = spectra[0], spectra[1]
+        w_mod[w_mod <= shadow] = 0.0
+
+        sides = np.empty((2, batch, width))
+        lhs, rhs = sides[0], sides[1]
+        underflow = np.zeros((batch, width), dtype=bool)
+
+        # power sums, and a power sum of |z| below the smallest normal
+        # float in a row that is not all zero
+        grid = len(orders)
+        spectra_sums = _power_sums(spectra, lay.orders)
+        z_sums = _power_sums(z_mod, lay.z_orders)
+        nonzero = (z_mod > 0).sum(axis=-1)[:, None]
+        z_low = (z_sums < _TINY) & (nonzero > 0)
+        pow1, pow2, pow4 = (z_sums[:, col] for col in lay.fixed)
+        low1, low2, low4 = (z_low[:, col] for col in lay.fixed)
+
+        # S1, S2 (an equality) and S-infinity on A = Q diag(z) Q
+        col = lay.endpoint.start
+        np.add.reduce(sigma, axis=-1, out=lhs[:, col])
+        np.add.reduce(sigma * sigma, axis=-1, out=lhs[:, col + 1])
+        lhs[:, col + 2] = sigma[:, 0]
+        np.multiply(lay.endpoint_factors[0], pow1, out=rhs[:, col])
+        np.multiply(lay.endpoint_factors[1], pow2, out=rhs[:, col + 1])
+        np.maximum.reduce(z_mod, axis=-1, out=rhs[:, col + 2])
+        underflow[:, col] = low1
+        underflow[:, col + 1] = low2
+
+        # e_k(sigma_1..sigma_{n-1}) <= ((n-k)/n) e_k(|z|), k = 1 .. n-1; an
+        # e_k(|z|) below the smallest normal float is an underflow when at
+        # least k of the |z| are nonzero
+        ordered = np.empty((2, batch, n))
+        ordered[0, :, 0] = 0.0
+        ordered[0, :, 1:] = sigma
+        ordered[1] = _descending_moduli(z_mod)
+        e = symfun._esf_recurrence(ordered)[..., 1:n]
+        cols = lay.esf
+        lhs[:, cols] = e[0]
+        np.multiply(lay.esf_factors, e[1], out=rhs[:, cols])
+        underflow[:, cols] = (e[1] < _TINY) & (lay.esf_k <= nonzero)
+
+        # sum |w_k|^p <= ((n-1)/n) sum |z_j|^p, one column per order
+        cols = lay.pereira
+        lhs[:, cols] = spectra_sums[0]
+        np.multiply((n - 1) / n, z_sums[:, :grid], out=rhs[:, cols])
+        underflow[:, cols] = z_low[:, :grid]
+
+        # the dBS bound, the dominance of KT by dBS and the KT bound, in
+        # name order: a finite side at or below abs_tol times the finite
+        # size of its terms is a shadow (the right sides cancel for n < 4)
+        # and becomes an exact zero; an overflowed side stays as it is
+        cols = lay.quartic
+        col = cols.start
+        square2 = pow2 * pow2
+        head = (n - 4) / n * pow4
+        tail = 2.0 / n**2 * square2
+        modulus = np.abs((z**2).sum(axis=-1))
+        lhs4 = np.add.reduce(w_mod**4, axis=-1)
+        rhs_dbs = head + tail
+        rhs_kt = head + (square2 + modulus * modulus) / n**2
+        lhs[:, col], rhs[:, col] = lhs4, rhs_dbs
+        lhs[:, col + 1], rhs[:, col + 1] = rhs_kt, rhs_dbs
+        lhs[:, col + 2], rhs[:, col + 2] = lhs4, rhs_kt
+        terms = (abs(n - 4) / n * pow4 + tail)[:, None]
+        quartic = sides[:, :, cols]
+        quartic[(np.abs(quartic) <= tols[0] * terms) & np.isfinite(terms)] = 0.0
+        underflow[:, cols] = (low2 | low4)[:, None]
+
+        # sum |w_k|^p <= scale * C(n, p) sum |z_j|^p, one column per order
+        cols = lay.schoenberg
+        lhs[:, cols] = spectra_sums[0]
+        np.multiply(lay.constants, z_sums[:, :grid], out=rhs[:, cols])
+        underflow[:, cols] = z_low[:, :grid]
+
+        # prefix products of the singular values of Q diag(z) Q against
+        # those of Q diag(|z|) Q, whose sigma_n is an exact zero (rank n-1);
+        # a right prefix below the smallest normal float is an underflow
+        # unless one of its factors is an exact zero
+        cols = lay.sv_product
+        sv_full = np.concatenate((sv, np.zeros((2, batch, 1))), axis=-1)
+        np.cumprod(sv_full, axis=-1, out=sides[:, :, cols])
+        underflow[:, cols] = (rhs[:, cols] < _TINY) & (sv_full[1] > 0)
+
+        # sum |lambda_i|^p <= sum sigma_i^p, one column per order
+        sides[:, :, lay.weyl] = spectra_sums
+
+        if over.any():
+            lhs[over] = np.inf
+        return _judged(lay.labels, lhs, rhs, underflow, tols, lay.equality)
 
 
 def _sort_key(label: _Label) -> tuple[str, float]:
@@ -513,7 +613,8 @@ def weyl_check(m: np.ndarray, p: float) -> Certificate:
     lam_mod = _descending_moduli(densela._eigvals(m))
     sigma = densela._svdvals(m)
     with _arithmetic():
-        row = _judged(_weyl([p], _power_sums(lam_mod, [p]), _power_sums(sigma, [p])), _TOLS)
+        lhs, rhs = _power_sums(np.stack((lam_mod, sigma)), [p])
+        row = _judged((("weyl", p),), lhs, rhs, np.zeros(1, dtype=bool), _TOLS)
         return _certificates(lam_mod.size, row)[0]
 
 
@@ -566,7 +667,10 @@ def sv_product_check(x: np.ndarray, d) -> list[Certificate]:
             densela._require_finite(np.stack((xh @ np.diag(d) @ x, xh @ np.diag(np.abs(d)) @ x)))
         )
         sv[sv <= ABS_TOL * sv[1, :1]] = 0.0
-        return _certificates(n, _judged(_sv_product(*sv), _TOLS))
+        lhs, rhs = np.cumprod(sv, axis=-1)
+        labels = [(f"sv_product_k{k}", None) for k in range(1, n + 1)]
+        underflow = (rhs < _TINY) & (sv[1] > 0)  # unless a factor is an exact zero
+        return _certificates(n, _judged(labels, lhs, rhs, underflow, _TOLS))
 
 
 def check_all(

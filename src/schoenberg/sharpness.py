@@ -290,11 +290,12 @@ def _schoenberg_ratio(n: int, p: float):
     """The ratio of the order-p Schoenberg certificate as a function of the
     moduli of n centered zeros and their compression, 0 where the right
     side vanishes: the certs power sums of the n-1 critical moduli, the
-    eigenvalue moduli of the compression, and of the zero moduli.  ratio()
-    snaps the shadows of the critical moduli to zero, so the two can differ
-    in the last bits."""
+    eigenvalue moduli of the compression, and of the zero moduli, at the
+    one order, prepared here once for every evaluation.  ratio() snaps the
+    shadows of the critical moduli to zero, so the two can differ in the
+    last bits."""
     constant = schoenberg_constant(n, p)
-    orders = [p]
+    orders = certs._order_set([p])
 
     def value(mods: np.ndarray, compression: np.ndarray) -> float:
         denom = constant * certs._power_sums(mods, orders)[0]
@@ -310,8 +311,8 @@ def _schatten_quotient(n: int, p: float):
     """||Q diag(z) Q||_Sp / ||z||_p as a function of the moduli of n
     centered zeros and their compression, 0 at z = 0: the p-th root of the
     certs power sums of the singular values of the compression over those
-    of the zero moduli."""
-    orders = [p]
+    of the zero moduli, at the one order, prepared here once."""
+    orders = certs._order_set([p])
 
     def value(mods: np.ndarray, compression: np.ndarray) -> float:
         denom = certs._power_sums(mods, orders)[0]

@@ -1,6 +1,7 @@
 """Elementary symmetric functions and the critical-point esf identity.
 
-``esf`` and ``esf_table`` evaluate e_k by the product recurrence;
+``esf`` and ``esf_table`` evaluate e_k by the product recurrence, which
+the certificate evaluator runs once on a stack of its two spectra;
 ``critical_esf_identity_error`` checks e_k(critical points) =
 ((n-k)/n) e_k(moduli) for nonnegative real roots, which measures the
 secular root-finding path of ``polyzero``.
@@ -45,22 +46,31 @@ def esf(values, k: int):
 def esf_table(values) -> np.ndarray:
     """Every e_0 .. e_m of each row of values, along the last axis.
 
-    Computed by the incremental product recurrence (building the
-    coefficients of prod (1 + v_j t) one factor at a time), over entries
-    sorted by descending modulus to bound intermediate growth.  A row of m
+    The product recurrence of _esf_recurrence over the entries sorted by
+    descending modulus, which bounds intermediate growth.  A row of m
     values gives m + 1 entries; the dtype is float for real input and
     complex otherwise.
     """
     arr = np.asarray(values)
     order = np.argsort(-np.abs(arr), axis=-1, kind="stable")
-    ordered = np.take_along_axis(arr, order, axis=-1)
-    m = arr.shape[-1]
-    e = np.zeros(arr.shape[:-1] + (m + 1,), dtype=np.result_type(arr, float))
+    return _esf_recurrence(np.take_along_axis(arr, order, axis=-1))
+
+
+def _esf_recurrence(ordered: np.ndarray) -> np.ndarray:
+    """e_0 .. e_m of each row of ``ordered`` along the last axis, by the
+    incremental product recurrence: the coefficients of prod (1 + v_j t)
+    built one factor at a time, in the order the entries are given.  An
+    exact zero taken first changes no bit: every e_j is then 1 or 0, so it
+    adds 0 to each."""
+    m = ordered.shape[-1]
+    e = np.zeros(ordered.shape[:-1] + (m + 1,), dtype=np.result_type(ordered, float))
     e[..., 0] = 1.0
+    low, high = e[..., :-1], e[..., 1:]
+    values = ordered[..., None]
     for i in range(m):
         # the right side is evaluated before the in-place add, so every e_j
         # is updated from the previous step's e_(j-1)
-        e[..., 1:] += ordered[..., i, None] * e[..., :-1]
+        high += values[..., i, :] * low
     return e
 
 

@@ -1,4 +1,5 @@
 import ctypes
+from typing import NamedTuple
 
 import mpmath
 import numpy as np
@@ -298,3 +299,236 @@ def reference_schatten_quotient(n, p):
         return (_reference_power_sum(sigma, p) / denom) ** (1.0 / p)
 
     return value
+
+
+# --- the columnar evaluator before its one-table rewrite, kept as its oracle --
+#
+# reference_certify_batch is that evaluator verbatim: one _Block per family,
+# joined by _concat, each power sum reduced one order at a time, and each
+# spectrum's elementary symmetric functions by their own recurrence.  Only
+# names are changed, and the unchanged closed forms are read from certs.
+
+_Label = tuple[str, float | None]
+_EQUALITIES = frozenset({"endpoint_s2"})
+_TINY = np.finfo(float).tiny
+_QUARTIC = certs._QUARTIC
+_ENDPOINT = certs._ENDPOINT
+
+
+def _arithmetic():
+    return np.errstate(over="ignore", invalid="ignore")
+
+
+def _reference_esf_table(values) -> np.ndarray:
+    """Every e_0 .. e_m of each row of values, along the last axis.
+
+    Computed by the incremental product recurrence (building the
+    coefficients of prod (1 + v_j t) one factor at a time), over entries
+    sorted by descending modulus to bound intermediate growth.  A row of m
+    values gives m + 1 entries; the dtype is float for real input and
+    complex otherwise.
+    """
+    arr = np.asarray(values)
+    order = np.argsort(-np.abs(arr), axis=-1, kind="stable")
+    ordered = np.take_along_axis(arr, order, axis=-1)
+    m = arr.shape[-1]
+    e = np.zeros(arr.shape[:-1] + (m + 1,), dtype=np.result_type(arr, float))
+    e[..., 0] = 1.0
+    for i in range(m):
+        # the right side is evaluated before the in-place add, so every e_j
+        # is updated from the previous step's e_(j-1)
+        e[..., 1:] += ordered[..., i, None] * e[..., :-1]
+    return e
+
+
+def _descending_moduli(lam: np.ndarray) -> np.ndarray:
+    """|lam| sorted nonincreasing along the last axis."""
+    # negating twice keeps the array contiguous, so every transcendental on
+    # the moduli takes the same vector path for a stack as for a batch of one
+    return -np.sort(-np.abs(lam), axis=-1)
+
+
+class _Block(NamedTuple):
+    """Columns not yet judged: labels (k,); lhs, rhs and ``underflow``
+    (..., k).  ``underflow`` marks a right side that fell below the smallest
+    normal float where it is not an exact zero."""
+
+    labels: list[_Label]
+    lhs: np.ndarray
+    rhs: np.ndarray
+    underflow: np.ndarray
+
+
+def _concat(parts) -> _Block:
+    """The columns of the _Blocks ``parts``, side by side."""
+    return _Block(
+        tuple(label for part in parts for label in part.labels),
+        *(np.concatenate(arrays, axis=-1) for arrays in list(zip(*parts))[1:]),
+    )
+
+
+def _reference_power_sums(mods: np.ndarray, orders) -> np.ndarray:
+    """sum(mods ** p) along the last axis, one column per order: (..., P).
+
+    A direct sum of the powers, with no scaling.  Scaling by the peak would
+    buy no range: the result is the power sum itself, which is at least its
+    largest term, so it is out of range however it is computed, and it
+    underflows only when every term does (_certify_batch marks that).  Each
+    column is computed on its own, so a sum does not depend on which other
+    orders are asked with it; each power is reduced straight into its
+    column, with the bits of ``.sum(axis=-1)``.
+    """
+    sums = np.empty(mods.shape[:-1] + (len(orders),))
+    for col, p in enumerate(orders):
+        np.add.reduce(mods**p, axis=-1, out=sums[..., col])
+    return sums
+
+
+def _schoenberg(n, orders, w_sums, z_sums, z_low, scale) -> _Block:
+    """sum |w_k|^p <= scale * C(n, p) sum |z_j|^p, one column per order."""
+    constants = scale * np.array([certs.schoenberg_constant(n, p) for p in orders])
+    return _Block([("schoenberg", p) for p in orders], w_sums, constants * z_sums, z_low)
+
+
+def _pereira(n, orders, w_sums, z_sums, z_low) -> _Block:
+    """sum |w_k|^p <= ((n-1)/n) sum |z_j|^p, one column per order."""
+    return _Block([("pereira", p) for p in orders], w_sums, (n - 1) / n * z_sums, z_low)
+
+
+def _weyl(orders, lam_sums, sigma_sums) -> _Block:
+    """sum |lambda_i|^p <= sum sigma_i^p, one column per order."""
+    labels = [("weyl", p) for p in orders]
+    return _Block(labels, lam_sums, sigma_sums, np.zeros_like(sigma_sums, dtype=bool))
+
+
+def _quartic(n, z, w_mod, pow2, pow4, low, abs_tol) -> _Block:
+    """The dBS bound, the dominance of KT by dBS and the KT bound, in name
+    order, from the power sums ``pow2`` and ``pow4`` of |z|; ``low`` marks
+    the rows where either underflowed.  A finite side at or below
+    ``abs_tol`` times the finite size of its terms is a shadow (the right
+    sides cancel for n < 4) and becomes an exact zero; an overflowed side
+    stays as it is."""
+    lhs = (w_mod**4).sum(axis=-1)
+    sum_sq = np.abs((z**2).sum(axis=-1)) ** 2
+    rhs_dbs = (n - 4) / n * pow4 + 2.0 / n**2 * pow2**2
+    rhs_kt = (n - 4) / n * pow4 + (pow2**2 + sum_sq) / n**2
+    sides = np.stack((lhs, rhs_kt, lhs, rhs_dbs, rhs_dbs, rhs_kt), axis=-1)
+    terms = (abs(n - 4) / n * pow4 + 2.0 / n**2 * pow2**2)[..., None]
+    sides[(np.abs(sides) <= abs_tol * terms) & np.isfinite(terms)] = 0.0
+    return _Block(sorted(_QUARTIC), sides[..., :3], sides[..., 3:], np.stack((low,) * 3, axis=-1))
+
+
+def _endpoint(n, sigma, z_mod, pow1, pow2, low1, low2) -> _Block:
+    """S1, S2 (an equality) and S-infinity bounds on A = Q diag(z) Q, from
+    the power sums ``pow1`` and ``pow2`` of |z|, which ``low1`` and
+    ``low2`` mark where they underflowed."""
+    return _Block(
+        list(_ENDPOINT),
+        np.stack((sigma.sum(axis=-1), (sigma**2).sum(axis=-1), sigma[..., 0]), axis=-1),
+        np.stack(
+            (np.sqrt((n - 2) / n) * pow1, (n - 2) / n * pow2, z_mod.max(axis=-1)),
+            axis=-1,
+        ),
+        np.stack((low1, low2, np.zeros_like(low1)), axis=-1),
+    )
+
+
+def _esf(n, sigma, z_mod) -> _Block:
+    """e_k(sigma_1..sigma_{n-1}) <= ((n-k)/n) e_k(|z|) for k = 1 .. n-1,
+    from the n-1 singular values ``sigma``.  An e_k(|z|) below the smallest
+    normal float is an underflow when at least k of the |z| are nonzero.
+    """
+    lhs = _reference_esf_table(sigma)[..., 1:]
+    rhs = _reference_esf_table(z_mod)[..., 1:n]
+    k = np.arange(1, n)
+    low = (rhs < _TINY) & (k <= np.count_nonzero(z_mod, axis=-1)[..., None])
+    return _Block([(f"esf_k{j}", None) for j in k], lhs, (n - k) / n * rhs, low)
+
+
+def _sv_product(sig_d, sig_abs) -> _Block:
+    """Prefix products of sigma(X* D X) against sigma(X* |D| X), nonincreasing
+    singular values whose shadows the caller has snapped to exact zeros.  A
+    right prefix below the smallest normal float is an underflow unless one
+    of its factors is an exact zero."""
+    rhs = np.cumprod(sig_abs, axis=-1)
+    labels = [(f"sv_product_k{k}", None) for k in range(1, sig_d.shape[-1] + 1)]
+    return _Block(labels, np.cumprod(sig_d, axis=-1), rhs, (rhs < _TINY) & (sig_abs > 0))
+
+
+def _reference_judged(block: _Block, tols) -> certs._Columns:
+    """The one verdict rule on every column of ``block`` at once,
+    _EQUALITIES both ways, and the ratios, NaN (missing) where the right
+    side is not positive."""
+    labels, lhs, rhs, underflow = block
+    tol = tols[1] * np.maximum(np.abs(lhs), np.abs(rhs))
+    holds = lhs <= rhs + tol
+    both = [i for i, (name, _) in enumerate(labels) if name in _EQUALITIES]
+    if both:
+        holds[..., both] = np.abs(lhs[..., both] - rhs[..., both]) <= tol[..., both]
+    ratio = np.divide(lhs, rhs, out=np.full(lhs.shape, np.nan), where=rhs > 0)
+    return certs._Columns(tuple(labels), lhs, rhs, ratio, holds, underflow)
+
+
+# the orders of the |z| power sums that the endpoint and quartic families read
+_FIXED_ORDERS = (1.0, 2.0, 4.0)
+
+
+def reference_certify_batch(z: np.ndarray, orders, scale: float, tols) -> certs._Columns:
+    """Every certificate of check_all for each row of the (B, n) zeros
+    ``z``, at the sorted ``orders``, which may be empty, in the order the
+    families are built: by family name, and within a family by order or by
+    k.  For n <= 9 that is check_all's (name, p) order; from n = 10 the
+    labels esf_k10 and sv_product_k10 follow k = 9 here but sort before
+    k = 2 there.  ``scale`` multiplies every Schoenberg constant:
+    run_audit(sabotage=True) passes 0.5, the one fault-injection hook.
+
+    The compressions of z and of |z| are built once, as one stack: one
+    batched eigendecomposition of its z half and one batched SVD of both.
+    The shadows in both spectra become exact zeros, and every family reads
+    those snapped spectra.  The power sums of |z| are taken at the orders,
+    and at 1, 2 and 4 for the endpoint and quartic families; each is
+    reduced on its own, so an order in both has the same bits in both.  A
+    column is marked as underflowed where a power sum of |z| that it reads
+    (at its order; at 2 and 4 for the quartic family; at 1 for S1 and 2 for
+    S2), its e_k(|z|) or its singular value prefix product underflows.
+    Every column is judged in one pass under ``tols``.  A row whose
+    compression overflows, in either half, is zeroed before LAPACK and its
+    left sides made infinite: an OverflowError of that row alone (_error).
+    A LAPACK failure raises ConvergenceError for the whole stack.
+    """
+    n = z.shape[-1]
+    with _arithmetic():
+        z_mod = np.abs(z)
+        d = densela._compression(np.stack((z, z_mod)))
+        over = ~np.isfinite(d).all(axis=(0, 2, 3))
+        d[:, over] = 0.0
+        w_mod = _descending_moduli(densela._eigvals(d[0]))
+        sv = densela._svdvals(d)
+        shadow = tols[0] * sv[1, :, :1]
+        w_mod[w_mod <= shadow] = 0.0
+        sv[sv <= shadow] = 0.0
+        sigma, sigma_abs = sv
+        z_sums = _reference_power_sums(z_mod, orders)
+        fixed = _reference_power_sums(z_mod, _FIXED_ORDERS)
+        w_sums, sigma_sums = _reference_power_sums(np.stack((w_mod, sigma)), orders)
+        # a power sum of |z| below the smallest normal float, in a row that
+        # is not all zero
+        nonzero = (z_mod > 0).any(axis=-1, keepdims=True)
+        z_low = (z_sums < _TINY) & nonzero
+        pow1, pow2, pow4 = fixed.T
+        low1, low2, low4 = ((fixed < _TINY) & nonzero).T
+        # Q diag(z) Q has rank n-1, so its sigma_n, and that of Q diag(|z|) Q,
+        # is an exact zero
+        sv_full = np.concatenate((sv, np.zeros(sv.shape[:-1] + (1,))), axis=-1)
+        blocks = [
+            _endpoint(n, sigma, z_mod, pow1, pow2, low1, low2),
+            _esf(n, sigma, z_mod),
+            _pereira(n, orders, w_sums, z_sums, z_low),
+            _quartic(n, z, w_mod, pow2, pow4, low2 | low4, tols[0]),
+            _schoenberg(n, orders, w_sums, z_sums, z_low, scale),
+            _sv_product(*sv_full),
+            _weyl(orders, w_sums, sigma_sums),
+        ]
+        block = _concat(blocks)
+        block.lhs[over] = np.inf
+        return _reference_judged(block, tols)

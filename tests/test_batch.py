@@ -9,15 +9,20 @@ single-family function must return exactly check_all's rows for its family
 (weyl_check on the public differentiator, to rounding), at every order of
 the default grid, and raise exactly where the batch marks one of its
 columns.  A power sum must not depend on which other orders are asked with
-it.
+it.  The one-table evaluator must give, bit for bit, the columns of the
+block-per-family evaluator it replaced (conftest.reference_certify_batch),
+and its cached layouts must not leak between audits of other keys.
 """
+
+import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schoenberg import densela, harness, symfun
+from schoenberg import certs, densela, harness, symfun
 from schoenberg.certs import (
     ABS_TOL,
     REL_TOL,
@@ -32,10 +37,11 @@ from schoenberg.certs import (
     schoenberg_order_p,
     weyl_check,
 )
-from schoenberg.harness import DEFAULT_P_GRID, AuditSpec, emit_report, run_audit
+from schoenberg.harness import DEFAULT_P_GRID, AuditSpec, dumps_report, emit_report, run_audit
 from schoenberg.polyzero import ZeroConfig, center_rows
 
-from conftest import random_centered
+from conftest import random_centered, reference_certify_batch
+from test_acceptance import PINNED_REPORTS
 
 TOLS = (ABS_TOL, REL_TOL)
 KINDS = ("random", "zero", "double", "collinear")
@@ -78,6 +84,51 @@ def test_rows_equal_batch_of_one(case):
         assert one.labels == batch.labels
         for field in ("lhs", "rhs", "ratio", "holds", "finite", "underflow"):
             np.testing.assert_array_equal(getattr(one, field)[0], getattr(batch, field)[i])
+
+
+@st.composite
+def reference_cases(draw):
+    """A stack of stacks(max_exponent=700), its last row replaced half the
+    time by one whose compression overflows (from n = 3 on), with an order
+    set that holds 2.0 or leaves it out (possibly empty), a scale of 1.0 or
+    0.5 and the default or a custom tolerance pair."""
+    z, _ = draw(stacks(max_exponent=700))
+    if draw(st.booleans()):
+        z = z.copy()
+        z[-1] = 0.0
+        z[-1, :2] = 0.9e308, -0.9e308  # |z| sums to inf in the compression
+    others = [p for p in DEFAULT_P_GRID if p != 2.0] + [1.9, 3.7]
+    orders = draw(st.sets(st.sampled_from(others), max_size=4))
+    if draw(st.booleans()):
+        orders.add(2.0)
+    scale = draw(st.sampled_from((1.0, 0.5)))
+    tols = draw(st.sampled_from((TOLS, (1e-8, 1e-3))))
+    return z, sorted(orders), scale, tols
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(reference_cases())
+def test_equals_the_block_evaluator_bit_for_bit(case):
+    z, orders, scale, tols = case
+    got = _certify_batch(z, orders, scale, tols)
+    want = reference_certify_batch(z, orders, scale, tols)
+    assert got.labels == want.labels
+    assert [type(p) for _, p in got.labels] == [type(p) for _, p in want.labels]
+    for field in ("lhs", "rhs", "ratio", "holds", "underflow", "finite"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert a.dtype == b.dtype and a.shape == b.shape, field
+        assert a.tobytes() == b.tobytes(), field
+
+
+def test_overflow_rows_reach_the_reference():
+    """The overflowed row of reference_cases is one from n = 3 on: the
+    compression of its |z| is not finite, so the row alone is an
+    OverflowError."""
+    z = np.zeros((2, 4), dtype=complex)
+    z[0] = 1.0, -1.0, 1j, -1j
+    z[1, :2] = 0.9e308, -0.9e308
+    batch = _certify_batch(z, [2.0], 1.0, TOLS)
+    assert batch.finite.tolist() == [True, False]
 
 
 QUARTIC = [("quartic_dbs", None), ("quartic_kt", None), ("quartic_dominance", None)]
@@ -328,3 +379,50 @@ def test_sweep_keeps_repeated_orders():
     assert [row.p for row in rows] == [1.0, 1.0, 2.0]
     assert rows[0] == rows[1]
     assert rows[2] == harness.sweep_p(cfg, [2.0])[0]
+
+
+# the specs of test_acceptance.PINNED_REPORTS, in its order
+PINNED_SPECS = (
+    AuditSpec(samples_per_cell=334, seed=2026),
+    AuditSpec(samples_per_cell=334, seed=2026, tolerances=(0.0, 1e-9)),
+    AuditSpec(n_values=(3, 5, 8, 11, 16), samples_per_cell=50, seed=6001),
+    AuditSpec(n_values=(10, 12), samples_per_cell=30, seed=5, tolerances=(0.0, 1e-15)),
+)
+
+
+def assert_pinned(spec: AuditSpec, pin) -> None:
+    text = dumps_report(run_audit(spec)).encode()
+    assert (len(text), hashlib.sha256(text).hexdigest()) == tuple(pin[1:]), pin[0]
+
+
+def test_layout_cache_keeps_every_audit_its_pinned_bytes():
+    """The cached layouts are keyed by everything they hold: audits that
+    alternate sabotage (another scale), a second tolerance pair and a second
+    grid, at the n of each pinned audit, leave every pinned audit its bytes,
+    run before them and after them, from a cold cache and a warm one."""
+
+    def others(spec: AuditSpec) -> None:
+        small = dataclasses.replace(spec, samples_per_cell=1)
+        run_audit(small, sabotage=True)
+        run_audit(dataclasses.replace(small, tolerances=(1e-6, 1e-3)))
+        run_audit(dataclasses.replace(small, p_grid=(1.5, 2.0, 5.0)))
+
+    certs._layout.cache_clear()
+    for spec, pin in zip(PINNED_SPECS, PINNED_REPORTS):
+        assert_pinned(spec, pin)
+        others(spec)
+    for spec, pin in reversed(list(zip(PINNED_SPECS, PINNED_REPORTS))):
+        others(spec)
+        assert_pinned(spec, pin)
+    assert certs._layout.cache_info().hits > 0
+
+
+def test_cached_layout_arrays_are_read_only():
+    layout = certs._layout(5, tuple(DEFAULT_P_GRID), 1.0)
+    assert certs._layout(5, tuple(DEFAULT_P_GRID), 1.0) is layout
+    arrays = [value for value in layout if isinstance(value, np.ndarray)]
+    arrays += [order_set.exponents for order_set in (layout.orders, layout.z_orders)]
+    assert len(arrays) == 5
+    for array in arrays:
+        with pytest.raises(ValueError):
+            array[(0,) * array.ndim] = array[(0,) * array.ndim]

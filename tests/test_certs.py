@@ -15,6 +15,7 @@ from schoenberg.certs import (
     UnderflowError,
     _certify_batch,
     _error,
+    _order_set,
     _power_sums,
     check_all,
     endpoint_checks,
@@ -709,6 +710,49 @@ class TestPowerSums:
         sums = _power_sums(mods, (1.0, 2.0))
         np.testing.assert_array_equal(sums[:, 0], mods.sum(axis=-1))
         np.testing.assert_array_equal(sums[:, 1], (mods * mods).sum(axis=-1))
+
+    ORDERS = (*DEFAULT_P_GRID, 1.9, 3.7)
+    SHAPES = ((10_000, 1), (5_000, 2), (2_000, 5), (1_250, 8), (625, 16), (100, 100))
+
+    @classmethod
+    def moduli(cls, seed: int):
+        """Seeded (B, n) stacks of 10,000 moduli each, over 2^-40 .. 2^40."""
+        rng = np.random.default_rng(seed)
+        for shape in cls.SHAPES:
+            mods = np.abs(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+            yield mods * 2.0 ** rng.integers(-40, 41, shape)
+
+    def test_prepared_orders_give_the_bits_of_each_power_alone(self):
+        # the broadcast power differs from np.square, the scalar fast path
+        # of mods ** 2.0, in the last bit of some squares; a p = 2 column
+        # taken by the broadcast power fails here
+        prepared = _order_set(self.ORDERS)
+        for mods in self.moduli(0):
+            sums = _power_sums(mods, prepared)
+            assert sums.shape == (mods.shape[0], len(self.ORDERS))
+            for col, p in enumerate(self.ORDERS):
+                want = (mods**p).sum(axis=-1)
+                assert sums[:, col].tobytes() == want.tobytes(), (mods.shape, p)
+
+    def test_a_column_does_not_depend_on_the_other_orders(self):
+        together = _order_set(self.ORDERS)
+        backwards = _order_set(self.ORDERS[::-1])
+        for mods in self.moduli(1):
+            sums = _power_sums(mods, together)
+            reversed_sums = _power_sums(mods, backwards)[:, ::-1]
+            assert sums.tobytes() == np.ascontiguousarray(reversed_sums).tobytes()
+            for col, p in enumerate(self.ORDERS):
+                alone = _power_sums(mods, _order_set([p]))
+                assert alone.shape == (mods.shape[0], 1)
+                assert alone[:, 0].tobytes() == sums[:, col].tobytes(), (mods.shape, p)
+                # an unprepared sequence is prepared on the spot
+                assert _power_sums(mods, [p]).tobytes() == alone.tobytes()
+
+    def test_prepared_orders_are_read_only(self):
+        prepared = _order_set([1.5, 2.0])
+        assert prepared.square == 1 and _order_set([1.5]).square is None
+        with pytest.raises(ValueError):
+            prepared.exponents[0, 0] = 3.0
 
 
 class TestNonFiniteSides:
