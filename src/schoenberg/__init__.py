@@ -7,12 +7,10 @@ from .certs import (
     endpoint_checks,
     esf_bounds,
     opnorm_constant,
-    pereira_bound,
     quartic_bounds,
     schoenberg_constant,
     schoenberg_order_p,
     sv_product_check,
-    weyl_check,
 )
 from .densela import (
     ConvergenceError,
@@ -41,7 +39,7 @@ from .sharpness import (
     opnorm_lower_bound,
     ratio,
 )
-from .symfun import critical_esf_identity_error, esf
+from .symfun import critical_esf_identity_error
 
 __version__ = "0.1.0"
 
@@ -65,7 +63,6 @@ __all__ = [
     "eigenvalues",
     "emit_report",
     "endpoint_checks",
-    "esf",
     "esf_bounds",
     "extremal_high",
     "extremal_low",
@@ -73,7 +70,6 @@ __all__ = [
     "maximize_ratio",
     "opnorm_constant",
     "opnorm_lower_bound",
-    "pereira_bound",
     "quartic_bounds",
     "ratio",
     "run_audit",
@@ -84,5 +80,4 @@ __all__ = [
     "singular_values",
     "sv_product_check",
     "sweep_p",
-    "weyl_check",
 ]

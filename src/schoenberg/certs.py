@@ -32,12 +32,12 @@ once, in one pass.  Every certificate of one configuration built from its
 zeros is that evaluator on a batch of one: check_all takes all of its
 columns, each single-family function, harness.sweep_p and
 harness.re_evaluate_violation select their own, and sharpness.ratio reads
-that of schoenberg_order_p.  Only weyl_check and sv_product_check, whose
-matrices come from outside the program, build their spectra themselves,
-and judge their own small tables by the same rule (_judged).  Every judged
-row becomes certificates or an error by one rule, _error.  The one
-fault-injection hook is run_audit(sabotage=True), which halves the
-Schoenberg constant.
+that of schoenberg_order_p.  The weyl and pereira columns have no other
+path.  Only sv_product_check, whose matrices come from outside the
+program, builds its spectra itself, and judges its own small table by the
+same rule (_judged).  Every judged row becomes certificates or an error by
+one rule, _error.  The one fault-injection hook is
+run_audit(sabotage=True), which halves the Schoenberg constant.
 
 A power sum is a direct sum of powers; each column has the bits of that
 order summed alone (_power_sums).  A side that
@@ -593,31 +593,6 @@ def quartic_bounds(cfg: ZeroConfig) -> tuple[Certificate, Certificate, Certifica
     return dbs, kt, dominance
 
 
-def pereira_bound(cfg: ZeroConfig, p: float) -> Certificate:
-    """Pereira's certificate: sum |w_k|^p <= ((n-1)/n) sum |z_j|^p.
-
-    Holds with no centroid condition.  The critical points are the spectrum
-    of the compression of diag(z) to the mean-zero subspace, for centered
-    and uncentered zeros alike (Pereira, J. Math. Anal. Appl. 285, 2003),
-    so this takes them by the one path every certificate reads and never
-    expands the polynomial.
-    """
-    p = densela._check_order(p)
-    return _select(cfg, [p], [("pereira", p)])[0]
-
-
-def weyl_check(m: np.ndarray, p: float) -> Certificate:
-    """Weyl majorization certificate: sum |lambda_i|^p <= sum sigma_i^p."""
-    p = densela._check_order(p)
-    m = densela._check_square(m)
-    lam_mod = _descending_moduli(densela._eigvals(m))
-    sigma = densela._svdvals(m)
-    with _arithmetic():
-        lhs, rhs = _power_sums(np.stack((lam_mod, sigma)), [p])
-        row = _judged((("weyl", p),), lhs, rhs, np.zeros(1, dtype=bool), _TOLS)
-        return _certificates(lam_mod.size, row)[0]
-
-
 def endpoint_checks(
     cfg: ZeroConfig,
 ) -> tuple[Certificate, Certificate, Certificate]:
@@ -695,7 +670,8 @@ def check_all(
     UnderflowError, as does an e_k(|z|) or a singular value prefix product
     that underflows where it is not an exact zero.  This is every column of
     the columnar evaluator on a batch of one, the one path of every
-    single-configuration certificate but weyl_check and sv_product_check.
+    single-configuration certificate but sv_product_check, whose matrices
+    come from outside the program.
     """
     _require_centered(cfg, "check_all")
     orders = sorted({densela._check_order(p) for p in p_list})

@@ -11,11 +11,11 @@ that the certificates, the searches and the critical points read is taken
 from the compression; the public ``differentiator`` builds Q diag(z) Q
 itself.  The certificates read the private LAPACK wrappers ``_eigvals``
 and ``_svdvals`` of the compression (of the given matrices, for
-weyl_check and sv_product_check) and take their power sums with
-``certs._power_sums``; the public eigenvalues, singular values, Schatten
-norms and vector l^p norms are for callers outside the certificates.  The
-private constructions and LAPACK wrappers also take stacks of matrices
-along leading axes, which the columnar evaluator in ``certs`` uses.
+sv_product_check) and take their power sums with ``certs._power_sums``;
+the public eigenvalues, singular values, Schatten norms and vector l^p
+norms are for callers outside the certificates.  The private
+constructions and LAPACK wrappers also take stacks of matrices along
+leading axes, which the columnar evaluator in ``certs`` uses.
 
 Eigenvalues come from LAPACK (Hessenberg reduction followed by shifted QR),
 singular values from LAPACK's divide-and-conquer SVD; each is the one
@@ -39,11 +39,10 @@ class ConvergenceError(ArithmeticError):
 
 class UnderflowError(ArithmeticError):
     """A quantity that is not an exact zero fell below the smallest normal
-    float, so whatever reads it would be vacuous: in the certificates, a
-    right side (a power sum of the moduli of nonzero zeros, an e_k(|z|) of
+    float, so whatever reads it would be vacuous: a right side of a
+    certificate (a power sum of the moduli of nonzero zeros, an e_k(|z|) of
     at least k nonzero moduli, or a prefix product of singular values above
-    the shadow threshold); in symfun.esf, an e_k whose e_k of the moduli
-    underflows while at least k values are nonzero."""
+    the shadow threshold)."""
 
 
 def differentiator(cfg: ZeroConfig) -> np.ndarray:

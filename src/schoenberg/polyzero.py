@@ -30,6 +30,7 @@ import numpy as np
 TOL_CENTER = 1e-12
 
 _EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
 # steps per call before the final gate decides; over 1,000 sampled
 # configurations per order, calls take at most 11, 14, 14 and 16 steps at
 # n = 3, 8, 16 and 32 (5.5, 7.3, 8.1 and 8.8 on average)
@@ -111,9 +112,12 @@ def critical_points_direct(cfg: ZeroConfig) -> CriticalSet:
 
     The secular equation is solved for the zeros scaled by a power of two
     that brings their largest part into [1/2, 1), so the scaling is exact
-    up to underflow.  An iterate starts next to each distinct zero but the
-    last, a quarter of its distance to the nearest other zero away, in the
-    direction 0.4 + 2 pi j / (r - 1) radians for the j-th.
+    up to underflow.  Zeros whose scaled gaps are subnormal are merged
+    first into one zero of their summed multiplicity
+    (_merge_subnormal_gaps), so (1, 1e-320, -1e-320) gives 2/3 and 1e-320.
+    An iterate starts next to each distinct zero but the last, a quarter of
+    its distance to the nearest other zero away, in the direction
+    0.4 + 2 pi j / (r - 1) radians for the j-th.
     With S_1 = sum m/(w - zeta), S_2 = sum m/(w - zeta)^2 and T_1 =
     sum 1/(w - zeta), the Newton correction for the degree r - 1 polynomial
     whose roots are sought is S_1 / (S_1 T_1 - S_2); the Aberth step
@@ -139,16 +143,18 @@ def critical_points_direct(cfg: ZeroConfig) -> CriticalSet:
     counts = Counter(cfg.zeros)
     zeta = np.array(list(counts), dtype=complex)
     m = np.array(list(counts.values()))
+    e = int(np.frexp(np.maximum(np.abs(zeta.real), np.abs(zeta.imag)).max())[1])
+    scaled = _ldexp(zeta, -e)
+    gaps = np.abs(np.subtract.outer(scaled, scaled))
+    gaps.reshape(-1)[:: zeta.size + 1] = np.inf
+    if gaps.min() < _TINY:
+        zeta, m, scaled, gaps = _merge_subnormal_gaps(zeta, m, scaled, gaps)
     repeated = tuple(np.repeat(zeta, m - 1))
-    r = zeta.size
+    zeta, r = scaled, scaled.size
     if r == 1:
         return CriticalSet(repeated)
-    e = int(np.frexp(np.maximum(np.abs(zeta.real), np.abs(zeta.imag)).max())[1])
-    zeta = _ldexp(zeta, -e)
     # the discs about the zeros that the starts reach are disjoint, so no two
     # starts coincide and none sits on a zero
-    gaps = np.abs(np.subtract.outer(zeta, zeta))
-    gaps.reshape(-1)[:: r + 1] = np.inf
     k = r - 1
     spin = np.exp(1j * (2.0 * np.pi / k * np.arange(k) + 0.4))
     start = zeta[:k] + 0.25 * gaps[:k].min(axis=1) * spin
@@ -164,6 +170,28 @@ def critical_points_direct(cfg: ZeroConfig) -> CriticalSet:
             residual=worst,
         )
     return CriticalSet(tuple(w) + repeated)
+
+
+def _merge_subnormal_gaps(zeta, m, scaled, gaps):
+    """The distinct zeros, their multiplicities, their scaled values and
+    the gaps between those, with each set of zeros linked by scaled gaps
+    below the smallest normal float merged into the one of them listed
+    first, its multiplicities summed.
+
+    An iterate between such zeros would be subnormal, with too few bits to
+    meet the gate, and numpy's complex division of one subnormal by another
+    overflows, since it forms the reciprocal of the divisor.  Merging moves
+    a zero by less than 2^-1022 against a largest part in [1/2, 1), far
+    below the rounding of any normal part, and the copies of the merged
+    zero stand for the critical points among the zeros merged into it.
+    """
+    group = np.arange(zeta.size)
+    for i, j in zip(*np.nonzero(np.triu(gaps < _TINY))):
+        low, high = sorted((group[i], group[j]))
+        group[group == high] = low
+    first = np.unique(group)
+    merged = np.bincount(group, weights=m)[first].astype(int)
+    return zeta[first], merged, scaled[first], gaps[np.ix_(first, first)]
 
 
 def _secular_roots(zeta: np.ndarray, m: np.ndarray, w: np.ndarray):

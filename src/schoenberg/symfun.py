@@ -1,46 +1,18 @@
 """Elementary symmetric functions and the critical-point esf identity.
 
-``esf`` and ``esf_table`` evaluate e_k by the product recurrence, which
-the certificate evaluator runs once on a stack of its two spectra;
+Every e_k comes from one product recurrence, ``_esf_recurrence``: the
+certificate evaluator runs it once on a stack of its two spectra, and
+``esf_table`` runs it on values it sorts by descending modulus.
 ``critical_esf_identity_error`` checks e_k(critical points) =
-((n-k)/n) e_k(moduli) for nonnegative real roots, which measures the
-secular root-finding path of ``polyzero``.
+((n-k)/n) e_k(moduli) for nonnegative real roots through ``esf_table``,
+which measures the secular root-finding path of ``polyzero``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from . import densela, polyzero
-
-_TINY = np.finfo(float).tiny
-
-
-def esf(values, k: int):
-    """The k-th elementary symmetric function e_k of the given values.
-
-    Read off esf_table; e_0 = 1.  Returns a float for real input, complex
-    otherwise.  k must be an integer and the values finite (ValueError); an
-    e_k of finite values that overflows raises OverflowError.  Where at
-    least k values are nonzero and e_k of their moduli falls below the
-    smallest normal float, e_k is not an exact zero but an underflow, and
-    raises UnderflowError; e_k itself may still cancel to zero, as e_1 of
-    1 and -1 does.
-    """
-    k = densela._integer(k, "k")
-    arr = np.asarray(values).ravel()
-    if not (0 <= k <= arr.size):
-        raise ValueError(f"k must lie in [0, {arr.size}], got {k}")
-    if not np.isfinite(arr).all():
-        raise ValueError("values must be finite")
-    # only the e_j with j <= k feed e_k, so an overflow above it is harmless
-    with np.errstate(over="ignore", invalid="ignore"):
-        e = esf_table(arr)[k]
-        # |e_k| <= e_k(|v|), so only a small e_k can hide an underflow
-        if abs(e) < _TINY and k <= np.count_nonzero(arr) and esf_table(np.abs(arr))[k] < _TINY:
-            raise densela.UnderflowError(f"e_{k} underflowed below the smallest normal float")
-    e = densela._require_finite(e, f"e_{k}")
-    return complex(e) if np.iscomplexobj(e) else float(e)
+from . import polyzero
 
 
 def esf_table(values) -> np.ndarray:

@@ -3,15 +3,17 @@
 Stacks mix adversarial rows: n = 2, all-zero rows, double roots, nearly
 collinear sets and power-of-two scalings.  Each row of a stack must equal the
 batch of one bit for bit, the batch of one must agree with a scalar oracle
-built from densela.lp_norm and symfun.esf that applies the verdict rule on
-its own, the audit report must not depend on the slice size, and each
-single-family function must return exactly check_all's rows for its family
-(weyl_check on the public differentiator, to rounding), at every order of
-the default grid, and raise exactly where the batch marks one of its
-columns.  A power sum must not depend on which other orders are asked with
-it.  The one-table evaluator must give, bit for bit, the columns of the
-block-per-family evaluator it replaced (conftest.reference_certify_batch),
-and its cached layouts must not leak between audits of other keys.
+built from densela.lp_norm and symfun.esf_table that applies the verdict
+rule on its own, the audit report must not depend on the slice size, and
+each single-family function must return exactly check_all's rows for its
+family, at every order of the default grid, and raise exactly where the
+batch marks one of its columns.  The Weyl rows, which no single-family
+function returns, must agree to rounding with the spectra of the public
+n x n differentiator taken by np.linalg.  A power sum must not depend on
+which other orders are asked with it.  The one-table evaluator must give,
+bit for bit, the columns of the block-per-family evaluator it replaced
+(conftest.reference_certify_batch), and its cached layouts must not leak
+between audits of other keys.
 """
 
 import dataclasses
@@ -31,11 +33,9 @@ from schoenberg.certs import (
     check_all,
     endpoint_checks,
     esf_bounds,
-    pereira_bound,
     quartic_bounds,
     schoenberg_constant,
     schoenberg_order_p,
-    weyl_check,
 )
 from schoenberg.harness import DEFAULT_P_GRID, AuditSpec, dumps_report, emit_report, run_audit
 from schoenberg.polyzero import ZeroConfig, center_rows
@@ -145,11 +145,7 @@ def family_calls(cfg: ZeroConfig, orders):
         (lambda: esf_bounds(cfg), [(f"esf_k{k}", None) for k in range(1, n)]),
     ]
     for p in orders:
-        calls += [
-            (lambda p=p: [schoenberg_order_p(cfg, p)], [("schoenberg", p)]),
-            (lambda p=p: [pereira_bound(cfg, p)], [("pereira", p)]),
-            (lambda p=p: [weyl_check(densela.differentiator(cfg), p)], [("weyl", p)]),
-        ]
+        calls.append((lambda p=p: [schoenberg_order_p(cfg, p)], [("schoenberg", p)]))
     return calls
 
 
@@ -159,8 +155,9 @@ def test_single_family_errors_are_the_batch_marks_of_its_columns(case):
     """Each single-family function raises OverflowError where the batch
     has a non-finite side in one of its columns, else UnderflowError where
     the batch marks one of its columns as underflowed, and otherwise
-    returns its columns of the batch row bit for bit (Weyl's to rounding,
-    by assert_weyl_row)."""
+    returns its columns of the batch row bit for bit.  The Weyl columns
+    overflow where the n x n route does, and otherwise agree with it to
+    rounding (assert_weyl_row)."""
     z, orders = case
     batch = _certify_batch(z, orders, 1.0, TOLS)
     index = {label: col for col, label in enumerate(batch.labels)}
@@ -180,30 +177,49 @@ def test_single_family_errors_are_the_batch_marks_of_its_columns(case):
             certs = call()
             assert [(c.name, c.p) for c in certs] == labels
             for cert, col in zip(certs, cols):
-                if cert.name == "weyl":
-                    sides = batch.lhs[i, col], batch.rhs[i, col], batch.holds[i, col]
-                    assert_weyl_row(cert, *sides, cfg)
-                    continue
                 ratio = batch.ratio[i, col]
                 assert cert.lhs == batch.lhs[i, col], (cert, col)
                 assert cert.rhs == batch.rhs[i, col], (cert, col)
                 assert cert.holds == batch.holds[i, col], (cert, col)
                 assert cert.ratio == (None if np.isnan(ratio) else ratio), (cert, col)
+        for p in orders:
+            col = index[("weyl", p)]
+            sides = batch.lhs[i, col], batch.rhs[i, col], batch.holds[i, col]
+            if np.isfinite(sides[:2]).all():
+                assert_weyl_row(*sides, cfg, p)
+            else:
+                with pytest.raises(OverflowError):
+                    raw_weyl_sides(cfg, p)
 
 
-def assert_weyl_row(cert, lhs, rhs, holds, cfg: ZeroConfig) -> None:
-    """weyl_check(differentiator(cfg), p) against the batch's Weyl row at p:
-    the same verdict, and sides equal to 1e-13 of the larger side or of
-    sigma_1(Q diag(|z|) Q)^p, the scale of the shadow threshold.
-    The check reads the raw spectra of the n x n matrix, with its rounded
-    structural zero; the batch reads the snapped spectra of the
+def raw_weyl_sides(cfg: ZeroConfig, p: float) -> tuple[float, float]:
+    """sum |lambda_i|^p and sum sigma_i^p over the n eigenvalues and singular
+    values of the n x n matrix densela.differentiator(cfg), from np.linalg;
+    OverflowError where the matrix or a side is not finite."""
+    a = densela.differentiator(cfg)
+    lam = -np.sort(-np.abs(np.linalg.eigvals(a)))
+    sigma = np.linalg.svd(a, compute_uv=False)
+    with np.errstate(over="ignore"):
+        lhs, rhs = float((lam**p).sum()), float((sigma**p).sum())
+    if not np.isfinite([lhs, rhs]).all():
+        raise OverflowError("a Weyl side overflowed")
+    return lhs, rhs
+
+
+def assert_weyl_row(lhs, rhs, holds, cfg: ZeroConfig, p: float) -> None:
+    """The Weyl sides at p of the raw n x n spectra against the batch's
+    Weyl row: the verdict of the one rule on them, and sides equal to 1e-13
+    of the larger side or of sigma_1(Q diag(|z|) Q)^p, the scale of the
+    shadow threshold.  The raw spectra keep the rounded structural zero of
+    the n x n matrix; the batch reads the snapped spectra of the
     compression, so the two agree to rounding, not bit for bit."""
+    raw = raw_weyl_sides(cfg, p)
     abs_cfg = ZeroConfig(tuple(np.abs(cfg.as_array()).astype(complex)))
     with np.errstate(over="ignore"):
-        scale = densela.singular_values(densela.differentiator(abs_cfg))[0] ** cert.p
-    for got, want in ((cert.lhs, lhs), (cert.rhs, rhs)):
-        assert abs(got - want) <= 1e-13 * max(abs(got), abs(want), scale), (cert, lhs, rhs)
-    assert cert.holds == holds, (cert, lhs, rhs)
+        scale = np.linalg.svd(densela.differentiator(abs_cfg), compute_uv=False)[0] ** p
+    for got, want in zip(raw, (lhs, rhs)):
+        assert abs(got - want) <= 1e-13 * max(abs(got), abs(want), scale), (p, raw, lhs, rhs)
+    assert (raw[0] <= raw[1] + REL_TOL * max(map(abs, raw))) == holds, (p, raw, lhs, rhs)
 
 
 def scalar_oracle(z: np.ndarray, orders) -> dict:
@@ -239,12 +255,9 @@ def scalar_oracle(z: np.ndarray, orders) -> dict:
         ("endpoint_s2", None): ((sig**2).sum(), (n - 2) / n * power(z, 2), 0.0),
         ("endpoint_sinf", None): (sig[0], z_mod.max(), 0.0),
     }
+    e_sig, e_z = symfun.esf_table(sig), symfun.esf_table(z_mod)
     for k in range(1, n):
-        rows[(f"esf_k{k}", None)] = (
-            symfun.esf(sig, k),
-            (n - k) / n * symfun.esf(z_mod, k),
-            0.0,
-        )
+        rows[(f"esf_k{k}", None)] = (e_sig[k], (n - k) / n * e_z[k], 0.0)
     pow4, pow2 = power(z, 4), power(z, 2)
     sum_sq = abs((z**2).sum()) ** 2
     terms = abs(n - 4) / n * pow4 + 2.0 / n**2 * pow2**2
@@ -336,8 +349,8 @@ def test_audit_bytes_do_not_depend_on_slice_size(tmp_path, monkeypatch):
 
 def test_single_family_functions_equal_check_all_rows(rng):
     """One implementation per certificate: each single-family function
-    returns exactly the rows check_all gives for its family, and
-    weyl_check(differentiator(cfg), p) the Weyl rows to rounding."""
+    returns exactly the rows check_all gives for its family, and the raw
+    n x n spectra give the Weyl rows to rounding."""
     grid = DEFAULT_P_GRID
     for n in (2, 3, 5, 8):
         for _ in range(5):
@@ -345,13 +358,12 @@ def test_single_family_functions_equal_check_all_rows(rng):
             rows = {(c.name, c.p): c for c in check_all(cfg, grid)}
             singles = [*endpoint_checks(cfg), *esf_bounds(cfg), *quartic_bounds(cfg)]
             for p in grid:
-                singles += [schoenberg_order_p(cfg, p), pereira_bound(cfg, p)]
+                singles.append(schoenberg_order_p(cfg, p))
             for cert in singles:
                 assert cert == rows[(cert.name, cert.p)]
             for p in grid:
                 want = rows[("weyl", p)]
-                cert = weyl_check(densela.differentiator(cfg), p)
-                assert_weyl_row(cert, want.lhs, want.rhs, want.holds, cfg)
+                assert_weyl_row(want.lhs, want.rhs, want.holds, cfg, p)
 
 
 def test_sweep_rows_equal_single_order_certificates():

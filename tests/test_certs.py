@@ -13,6 +13,7 @@ from schoenberg.certs import (
     REL_TOL,
     Certificate,
     UnderflowError,
+    _certificates,
     _certify_batch,
     _error,
     _order_set,
@@ -21,14 +22,12 @@ from schoenberg.certs import (
     endpoint_checks,
     esf_bounds,
     opnorm_constant,
-    pereira_bound,
     quartic_bounds,
     schoenberg_constant,
     schoenberg_order_p,
     sv_product_check,
-    weyl_check,
 )
-from schoenberg.densela import differentiator, lp_norm, schatten_norm
+from schoenberg.densela import critical_points_spectral, differentiator, lp_norm, schatten_norm
 from schoenberg.harness import (
     DEFAULT_N_VALUES,
     DEFAULT_P_GRID,
@@ -51,6 +50,20 @@ PAIR = ZeroConfig((1.0, -1.0), centered=True)
 
 def centered_sample(rng, n):
     return ZeroConfig(tuple(random_centered(rng, n)), centered=True)
+
+
+def pereira_row(cfg: ZeroConfig, p: float) -> Certificate:
+    """The pereira column at p of the columnar evaluator's row for cfg,
+    centered or not, as a Certificate; the row's error where the column has
+    an overflowed side or an underflow mark."""
+    batch = _certify_batch(cfg.as_array()[None], [p], 1.0, (ABS_TOL, REL_TOL))
+    return _certificates(cfg.n, batch.row(0).take([batch.labels.index(("pereira", p))]))[0]
+
+
+def weyl_row(cfg: ZeroConfig, p: float) -> Certificate:
+    """check_all's weyl certificate of cfg at p."""
+    (cert,) = [c for c in check_all(cfg, [p]) if c.name == "weyl"]
+    return cert
 
 
 class TestConstants:
@@ -176,18 +189,18 @@ class TestPereira:
     )
 
     def test_pair(self):
-        cert = pereira_bound(PAIR, 2.0)
+        cert = pereira_row(PAIR, 2.0)
         assert cert.lhs == pytest.approx(0.0, abs=1e-14)
         assert cert.rhs == pytest.approx(1.0)
 
     def test_low_family_order_one(self):
-        cert = pereira_bound(LOW3, 1.0)
+        cert = pereira_row(LOW3, 1.0)
         assert cert.lhs == pytest.approx(1.1547, abs=1e-4)
         assert cert.rhs == pytest.approx(4 / 3, abs=1e-12)
 
     def test_uncentered_parabola(self):
         # p = z(z-1)(z-2), p' has roots 1 +- 1/sqrt(3)
-        cert = pereira_bound(ZeroConfig((0.0, 1.0, 2.0)), 2.0)
+        cert = pereira_row(ZeroConfig((0.0, 1.0, 2.0)), 2.0)
         assert cert.lhs == pytest.approx(8 / 3, abs=1e-10)
         assert cert.rhs == pytest.approx(10 / 3, abs=1e-12)
         assert cert.holds
@@ -196,7 +209,7 @@ class TestPereira:
         for _ in range(25):
             n = int(rng.integers(2, 9))
             z = rng.standard_normal(n) + 1j * rng.standard_normal(n) + 0.7
-            assert pereira_bound(ZeroConfig(tuple(z)), 1.5).holds
+            assert pereira_row(ZeroConfig(tuple(z)), 1.5).holds
 
     def test_uncentered_against_mpmath(self, rng):
         # the spectral route reads uncentered zeros as well as centered ones;
@@ -206,7 +219,8 @@ class TestPereira:
             n = int(rng.integers(3, 12))
             offset = complex(*rng.uniform(-3.0, 3.0, 2))
             z = rng.standard_normal(n) + 1j * rng.standard_normal(n) + offset
-            lhs = pereira_bound(ZeroConfig(tuple(z)), 2.0).lhs
+            w = critical_points_spectral(ZeroConfig(tuple(z))).as_array()
+            lhs = float((np.abs(w) ** 2).sum())
             with mpmath.mp.workdps(50):
                 exact = float(mpmath.fsum(abs(w) ** 2 for w in mp_critical_points(z)))
             worst = max(worst, abs(lhs - exact) / exact)
@@ -217,8 +231,8 @@ class TestPereira:
         for _ in range(10):
             n = int(rng.integers(3, 12))
             z = rng.standard_normal(n) + 1j * rng.standard_normal(n) + 1.5
-            at_one = pereira_bound(ZeroConfig(tuple(z)), 2.0)
-            scaled = pereira_bound(ZeroConfig(tuple(z * 2.0**exponent)), 2.0)
+            at_one = pereira_row(ZeroConfig(tuple(z)), 2.0)
+            scaled = pereira_row(ZeroConfig(tuple(z * 2.0**exponent)), 2.0)
             assert scaled.holds
             assert scaled.ratio == at_one.ratio
             assert scaled.lhs == at_one.lhs * 2.0 ** (2 * exponent)
@@ -227,46 +241,28 @@ class TestPereira:
         # prod (z - z_j) has the constant term 2^1050, out of the double
         # range, but the spectral route never expands it: scaling by a power
         # of two leaves the ratio bit for bit
-        cert = pereira_bound(ZeroConfig((2.0**350, 2.0**350 * 1j, 2.0**351)), 2.0)
+        cert = pereira_row(ZeroConfig((2.0**350, 2.0**350 * 1j, 2.0**351)), 2.0)
         assert cert.holds
-        assert cert.ratio == pereira_bound(ZeroConfig((1.0, 1j, 2.0)), 2.0).ratio
+        assert cert.ratio == pereira_row(ZeroConfig((1.0, 1j, 2.0)), 2.0).ratio
 
     def test_small_uncentered_config(self):
         # uncentered zeros go through the spectral route like centered ones,
         # which must read a configuration deep inside the unit disk as it
         # reads it at scale 1
         z = np.array([complex(re, im) for re, im in self.DISK16]) + 0.5
-        at_one = pereira_bound(ZeroConfig(tuple(z)), 2.0)
-        small = pereira_bound(ZeroConfig(tuple(1e-3 * z)), 2.0)
+        at_one = pereira_row(ZeroConfig(tuple(z)), 2.0)
+        small = pereira_row(ZeroConfig(tuple(1e-3 * z)), 2.0)
         assert at_one.holds and small.holds
         assert small.lhs / 1e-6 == pytest.approx(at_one.lhs, rel=1e-10)
         assert at_one.lhs / float((np.abs(z) ** 2).sum()) == pytest.approx(0.8632, abs=1e-4)
 
 
 class TestWeyl:
-    def test_diagonal_equality(self):
-        m = np.diag([2.0, -1j, 0.5])
-        for p in (1.0, 2.0, 3.5):
-            cert = weyl_check(m, p)
-            assert cert.holds
-            assert cert.lhs == pytest.approx(cert.rhs, rel=1e-13)
-
-    def test_shift_matrix(self):
-        cert = weyl_check(np.array([[0.0, 1.0], [0.0, 0.0]]), 2.0)
-        assert cert.lhs == pytest.approx(0.0, abs=1e-15)
-        assert cert.rhs == pytest.approx(1.0)
-
     def test_symmetric_differentiator_equality(self):
-        cert = weyl_check(differentiator(ZeroConfig((2.0, -1.0, -1.0))), 3.0)
+        cert = weyl_row(ZeroConfig((2.0, -1.0, -1.0), centered=True), 3.0)
         assert cert.lhs == pytest.approx(2.0, abs=1e-10)
         assert cert.rhs == pytest.approx(2.0, abs=1e-10)
         assert abs(cert.lhs - cert.rhs) <= 1e-10
-
-    def test_random_matrices(self, rng):
-        for _ in range(30):
-            n = int(rng.integers(2, 9))
-            m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            assert weyl_check(m, float(rng.uniform(1, 6))).holds
 
 
 class TestEndpointChecks:
@@ -523,8 +519,6 @@ class TestCheckAll:
             for call in (
                 lambda: check_all(LOW3, [2.0, p]),
                 lambda: schoenberg_order_p(LOW3, p),
-                lambda: pereira_bound(LOW3, p),
-                lambda: weyl_check(np.eye(3), p),
                 lambda: schoenberg_constant(4, p),
             ):
                 with pytest.raises(ValueError):
@@ -592,7 +586,7 @@ class TestIntermediateOrderCounterexample:
         # the eigenvalue-to-singular-value step is exact here (real zeros,
         # symmetric matrix); it is the Schatten-side constant that fails
         a = differentiator(self.WITNESS)
-        cert = weyl_check(a, 1.75)
+        cert = weyl_row(self.WITNESS, 1.75)
         assert abs(cert.lhs - cert.rhs) <= 1e-10
         schatten = schatten_norm(a, 1.75)
         allowed = opnorm_constant(5, 1.75) * lp_norm(self.WITNESS.as_array(), 1.75)
@@ -801,7 +795,7 @@ class TestNonFiniteSides:
             lambda: check_all(cfg, DEFAULT_P_GRID),
             lambda: check_all(cfg, [10.0]),
             lambda: schoenberg_order_p(cfg, 10.0),
-            lambda: pereira_bound(cfg, 10.0),
+            lambda: pereira_row(cfg, 10.0),
         ):
             with pytest.raises(UnderflowError):
                 run()
@@ -813,7 +807,7 @@ class TestNonFiniteSides:
         for run in (
             lambda: check_all(cfg, [1.0]),
             lambda: schoenberg_order_p(cfg, 3.0),
-            lambda: pereira_bound(cfg, 3.0),
+            lambda: pereira_row(cfg, 3.0),
             lambda: quartic_bounds(cfg),
             lambda: ratio(cfg, 3.0),
         ):
@@ -850,7 +844,7 @@ class TestNonFiniteSides:
             lambda: check_all(cfg, [2.0]),
             lambda: schoenberg_order_p(cfg, 2.0),
             lambda: quartic_bounds(cfg),
-            lambda: pereira_bound(cfg, 2.0),
+            lambda: pereira_row(cfg, 2.0),
             lambda: endpoint_checks(cfg),
             lambda: esf_bounds(cfg),
         ):
@@ -958,8 +952,7 @@ class TestInvariances:
             cfg = centered_sample(rng, n)
             p = float(rng.choice([1.0, 2.0, 3.0, 4.0]))
             a = differentiator(cfg)
-            link1 = weyl_check(a, p)
-            assert link1.holds
+            assert weyl_row(cfg, p).holds
             schatten_p = schatten_norm(a, p) ** p
             bound = schoenberg_constant(n, p) * lp_norm(cfg.as_array(), p) ** p
             assert schatten_p <= bound * (1 + 1e-9) + 1e-12

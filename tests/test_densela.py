@@ -18,6 +18,8 @@ from schoenberg.polyzero import ZeroConfig, critical_points_direct
 
 from conftest import matched_distance, mp_critical_points, random_centered
 
+EPS = float(np.finfo(float).eps)
+
 
 class TestDifferentiator:
     def test_conjugate_pair_gives_zero_matrix(self):
@@ -336,6 +338,33 @@ class TestSpectralCriticalPoints:
         assert min(spread) < 0.03  # the slice reaches the near-double regime
         assert max(errors) <= 1e-12
         assert np.percentile(errors, 99) <= 5e-14
+
+    def test_near_double_first_order_bound(self):
+        # the first-order bound c * eps * max|z|^2 / |w| with c = 1, on the
+        # 200 of the n = 3 perturbed roots of unity at seeds 5000-6799 whose
+        # critical points lie nearest the double one (|w| / max|z| < 0.098;
+        # both points of a centered cubic have one modulus).  The slice holds
+        # seed 5395, the largest error of all 1,800 (1.9e-13 of max|w|, at
+        # |w| = 0.022 max|z|); the worst c in it is 0.60 (seed 5181), and 0.82
+        # over all 1,800 (seed 5054)
+        configs = [
+            harness.sample_config(3, "roots_of_unity_perturbed", seed)
+            for seed in range(5000, 6800)
+        ]
+        spectral = [critical_points_spectral(cfg).as_array() for cfg in configs]
+        nearness = [
+            np.abs(w).min() / np.abs(cfg.as_array()).max() for cfg, w in zip(configs, spectral)
+        ]
+        slice_ = np.argsort(nearness, kind="stable")[:200]
+        assert slice_[0] == 5395 - 5000
+        worst = 0.0
+        for i in slice_:
+            z = configs[i].as_array()
+            with mpmath.mp.workdps(40):
+                want = np.array([complex(w) for w in mp_critical_points(z, start=spectral[i])])
+            bound = EPS * np.abs(z).max() ** 2 / np.abs(want).min()
+            worst = max(worst, matched_distance(spectral[i], want) / bound)
+        assert worst <= 1.0
 
     def test_agrees_with_direct_route(self, rng):
         worst = 0.0

@@ -14,7 +14,7 @@ from schoenberg.polyzero import (
     centroid,
     critical_points_direct,
 )
-from schoenberg.symfun import esf_table
+from schoenberg.symfun import critical_esf_identity_error, esf_table
 
 from conftest import matched_distance, mp_critical_points
 
@@ -245,6 +245,26 @@ class TestSecularAdversarial:
         assert info.value.residual > 16 * cfg.n * EPS
         assert info.value.best.shape == (cfg.n - 1,)
         assert np.all(np.isfinite(info.value.best))
+
+    @pytest.mark.parametrize(
+        "zeros,merged,copies",
+        [((1.0, 1e-320, -1e-320), 1e-320, 1), ((0.0, 0.0, 1e-320, 1.0), 0.0, 2)],
+    )
+    def test_subnormal_gaps(self, zeros, merged, copies):
+        # zeros whose scaled gaps are subnormal are solved as one zero, the
+        # first listed, of their summed multiplicity, which comes back that
+        # many times less one; every point lies within eps max|z| of the
+        # exact ones and of the spectral ones
+        cfg = ZeroConfig(zeros)
+        direct = critical_points_direct(cfg).as_array()
+        with mpmath.mp.workdps(60):
+            exact = np.array([complex(w) for w in mp_critical_points(zeros)])
+        for other in (exact, critical_points_spectral(cfg).as_array()):
+            assert matched_distance(direct, other) <= EPS * max(map(abs, zeros))
+        assert np.count_nonzero(direct == merged) == copies
+
+    def test_subnormal_gaps_keep_the_esf_identity(self):
+        assert critical_esf_identity_error([0.0, 0.0, 1e-320, 1.0]) <= 1e-300
 
     @pytest.mark.parametrize(
         "zeros",
